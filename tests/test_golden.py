@@ -1,0 +1,123 @@
+"""Golden ``--format records`` corpus.
+
+Each file under ``tests/golden/`` is the exact stdout of one CLI command, and
+the command must still print it byte for byte.  The corpus pins every number
+and every record layout, so a refactor that claims to change no output can be
+checked against it.
+
+After a change that is meant to alter output, regenerate the corpus with
+
+    PYTHONPATH=src python3 tests/test_golden.py
+
+and review the diff of ``tests/golden/`` before committing it.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import sys
+from pathlib import Path
+
+import pytest
+
+from dgtangent.cli import main
+
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+
+CELLULAR = ("ah:sphere:2", "ah:sphere:3", "ah:wedge:2,2", "ah:wedge:2,3")
+SULLIVAN = (
+    "sullivan:sphere:odd:3",
+    "sullivan:sphere:even:2",
+    "sullivan:cpn:2",
+    "sullivan:hopf",
+    "trivial-fibration:sullivan:sphere:even:2",
+)
+
+# Commands run on every builtin, with their options.
+PER_BUILTIN = {
+    "validate": (),
+    "homology": ("--window", "6"),
+    "quillen": ("--window", "6"),
+    "der": ("--window", "4"),
+    "ss": ("--window", "4", "--check-collapse"),
+}
+
+
+def _slug(name: str) -> str:
+    return name.replace(":", "_").replace(",", "_")
+
+
+def golden_cases() -> dict[str, tuple[str, ...]]:
+    """File stem -> CLI arguments (without ``--format records``)."""
+    cases: dict[str, tuple[str, ...]] = {}
+    for name in CELLULAR + SULLIVAN:
+        for command, options in PER_BUILTIN.items():
+            cases[f"{command}-{_slug(name)}"] = (command, f"builtin:{name}", *options)
+    for name in CELLULAR:
+        model = f"builtin:{name}"
+        cases[f"loop-{_slug(name)}"] = ("loop", model, "--max-degree", "4", "--pages", "1..3")
+        cases[f"hochschild-{_slug(name)}"] = ("hochschild", model, "--window", "4")
+    for name in SULLIVAN:
+        cases[f"aut-{_slug(name)}"] = (
+            "aut", f"builtin:{name}", "--window", "6", "--pages", "1..3", "--brackets",
+        )
+    for convention in ("internal", "flipped", "relabeled"):
+        for name in ("ah:sphere:2", "sullivan:cpn:2"):
+            cases[f"ss-{convention}-{_slug(name)}"] = (
+                "ss", f"builtin:{name}", "--window", "4", "--pages", "1..3",
+                "--convention", convention,
+            )
+    cases["ss-multiplicative-ah_wedge_2_2"] = (
+        "ss", "builtin:ah:wedge:2,2", "--window", "4",
+        "--check-multiplicative", "--diag", "primitive",
+    )
+    cases["der-reps-sullivan_hopf"] = ("der", "builtin:sullivan:hopf", "--range=-6..2", "--reps")
+    cases["der-reps-ah_sphere_2"] = ("der", "builtin:ah:sphere:2", "--window", "4", "--reps")
+    cases["der-target-ah_sphere_2"] = (
+        "der", "builtin:ah:sphere:2", "--target", "builtin:ah:sphere:2", "--range=-4..4",
+    )
+    cases["der-target-sullivan_cpn_1"] = (
+        "der", "builtin:sullivan:cpn:1", "--target", "builtin:sullivan:hopf", "--window", "4",
+    )
+    return cases
+
+
+CASES = golden_cases()
+
+
+def run_records(argv: tuple[str, ...]) -> tuple[int, str]:
+    """Exit status and stdout of one in-process ``--format records`` run."""
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        status = main([*argv, "--format", "records"])
+    return status, buffer.getvalue()
+
+
+@pytest.mark.parametrize("stem", sorted(CASES))
+def test_golden_records(stem):
+    status, out = run_records(CASES[stem])
+    assert status == 0
+    assert out.encode("utf-8") == (GOLDEN_DIR / f"{stem}.jsonl").read_bytes()
+
+
+def test_golden_corpus_has_no_stray_files():
+    assert sorted(p.stem for p in GOLDEN_DIR.glob("*.jsonl")) == sorted(CASES)
+
+
+def regenerate() -> int:
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    for stale in GOLDEN_DIR.glob("*.jsonl"):
+        stale.unlink()
+    for stem, argv in sorted(CASES.items()):
+        status, out = run_records(argv)
+        if status != 0:
+            print(f"{stem}: exit status {status}", file=sys.stderr)
+            return 1
+        (GOLDEN_DIR / f"{stem}.jsonl").write_bytes(out.encode("utf-8"))
+    print(f"wrote {len(CASES)} files to {GOLDEN_DIR}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(regenerate())
