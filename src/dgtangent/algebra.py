@@ -22,10 +22,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .complexes import CochainComplex, to_cohomological
-from .linalg import Matrix, Vector
+from .linalg import Matrix
 
 Monomial = tuple[str, ...]
 Element = dict[Monomial, Fraction]
@@ -134,12 +134,6 @@ class FreeDgAlgebra:
     def monomial_degree(self, mono: Monomial) -> int:
         return sum(self.generators[l].degree for l in mono)
 
-    def monomial_cdeg(self, mono: Monomial) -> int:
-        return to_cohomological(self.monomial_degree(mono), self.grading)
-
-    def monomial_parity(self, mono: Monomial) -> int:
-        return self.monomial_degree(mono) % 2
-
     def element_degree(self, el: Element) -> int | None:
         """Native degree of a homogeneous element (None for 0; error if mixed)."""
         degrees = {self.monomial_degree(m) for m in el}
@@ -197,18 +191,6 @@ class FreeDgAlgebra:
                 if mono is not None:
                     el_add_term(out, mono, sign * c1 * c2)
         return out
-
-    def product(self, *factors: Element) -> Element:
-        acc = self.one()
-        for f in factors:
-            acc = self.mul(acc, f)
-        return acc
-
-    def power(self, el: Element, n: int) -> Element:
-        acc = self.one()
-        for _ in range(n):
-            acc = self.mul(acc, el)
-        return acc
 
     def commutator(self, a: Element, b: Element) -> Element:
         """[a,b] = ab − (−1)^{|a||b|} ba for homogeneous a, b."""
@@ -334,9 +316,6 @@ class FreeDgAlgebra:
                     break
         return bad
 
-    def monomial_in_stages_below(self, mono: Monomial, stage: int) -> bool:
-        return all(self.gen_stage(l) < stage for l in mono)
-
     # ------------------------------------------------------------ bases
 
     def basis_in_degree(self, degree: int) -> list[Monomial]:
@@ -385,18 +364,6 @@ class FreeDgAlgebra:
     def basis_in_cdeg(self, cdeg: int) -> list[Monomial]:
         return self.basis_in_degree(to_cohomological(cdeg, self.grading))
 
-    def element_to_vector(self, el: Element, basis: Sequence[Monomial]) -> Vector:
-        index = {m: i for i, m in enumerate(basis)}
-        out: Vector = {}
-        for mono, coeff in el.items():
-            if mono not in index:
-                raise ValueError(f"monomial {mono} not in the given basis")
-            out[index[mono]] = coeff
-        return out
-
-    def vector_to_element(self, vec: Vector, basis: Sequence[Monomial]) -> Element:
-        return {basis[i]: c for i, c in vec.items() if c != 0}
-
     # ------------------------------------------------------------ complexes
 
     def algebra_complex(self) -> CochainComplex:
@@ -417,14 +384,21 @@ class FreeDgAlgebra:
 
         return CochainComplex(basis_fn, diff_fn, name=f"{self.name or 'algebra'}")
 
-    def indecomposables_complex(self) -> CochainComplex:
-        """Generators with the linear part of d (the chain complex of cells)."""
+    def indecomposables_complex(
+        self, exclude: frozenset[str] = frozenset()
+    ) -> CochainComplex:
+        """Generators with the linear part of d (the chain complex of cells).
+
+        Generators in ``exclude`` are left out together with every linear
+        term that hits them: relative models pass their base generators, and
+        the result is the linear part of the fiber.
+        """
 
         def basis_fn(n: int) -> list[str]:
             return [
                 g
                 for g in sorted(self.generators, key=lambda g: self._letter_key[g])
-                if self.gen_cdeg(g) == n
+                if self.gen_cdeg(g) == n and g not in exclude
             ]
 
         def diff_fn(n: int) -> Matrix:
@@ -439,14 +413,6 @@ class FreeDgAlgebra:
             return m
 
         return CochainComplex(basis_fn, diff_fn, name="indecomposables")
-
-    def cdeg_range(self) -> tuple[int, int] | None:
-        """Smallest and largest generator cohomological degrees, if any."""
-        if not self.generators:
-            return None
-        cdegs = [self.gen_cdeg(g) for g in self.generators]
-        return min(cdegs), max(cdegs)
-
 
 def trivial_algebra(grading: str) -> FreeDgAlgebra:
     """The base field as a free algebra with no generators."""

@@ -4,15 +4,8 @@ Commands: ``validate``, ``homology``, ``quillen``, ``der``, ``ss``, ``loop``,
 ``aut``, ``hochschild``.  Models are file paths or ``builtin:NAME``.  Output
 is an aligned text table (default) or line-delimited JSON records
 (``--format records``); records are byte-stable across runs.  Exit status is
-0 on success, 1 on validation or input failure, 2 on usage errors.
-
-Bidegree conventions for page tables: ``internal`` puts a class of filtration
-level s and total degree n at (s, t) = (s, n − s) with d_r of bidegree
-(r, 1 − r); ``flipped`` prints (s, −t) with d_r moving (r, r − 1), matching
-homological cell/loop bidegrees; ``relabeled`` prints (σ, τ) = (s, 2s + t)
-with d_r moving (r, r + 1), matching maps from degree-σ generators into
-degree-τ cohomology.  When ``--convention`` is omitted, ``ss`` prints
-``internal`` plus the family-appropriate second table.
+0 on success, 1 on validation or input failure, 2 on usage errors.  Page
+tables are relabeled at output time by ``tower.relabel``.
 """
 
 from __future__ import annotations
@@ -22,23 +15,25 @@ import json
 import sys
 from typing import Sequence
 
-from .derivations import ConeComplex
 from .models import (
     CellCoalgebra,
     ModelFile,
     ModelSyntaxError,
+    algebra_homology_dims,
     aut_homotopy,
     builtin_names,
+    cone_spectral_sequence,
     derivation_tower,
     load_model,
     loop_homology,
     model_family,
     multiplicativity_check,
     print_model,
+    quillen_dims,
+    relabel,
     tower_report,
     validate_model,
 )
-from .tower import SpectralSequence, cone_tower
 
 TABLE = "table"
 RECORDS = "records"
@@ -52,13 +47,22 @@ class UsageError(Exception):
     """A flag-level mistake: message printed, exit status 2."""
 
 
+def _parse_range(text: str, what: str) -> tuple[int, int]:
+    """``A..B`` as (A, B); a usage error unless A and B are integers, A <= B."""
+    lo, _, hi = text.partition("..")
+    try:
+        bounds = int(lo), int(hi)
+    except ValueError:
+        raise UsageError(f"bad {what} range {text!r}") from None
+    if bounds[0] > bounds[1]:
+        raise UsageError(f"empty {what} range {text!r}")
+    return bounds
+
+
 def _parse_pages(text: str) -> list[int]:
     if ".." in text:
-        lo, _, hi = text.partition("..")
-        try:
-            pages = list(range(int(lo), int(hi) + 1))
-        except ValueError:
-            raise UsageError(f"bad page range {text!r}") from None
+        lo, hi = _parse_range(text, "page")
+        pages = list(range(lo, hi + 1))
     else:
         try:
             pages = [int(p) for p in text.split(",")]
@@ -155,7 +159,7 @@ def _assembly_rows(out: Output, assembly: dict[int, tuple[int, int, bool]]) -> b
 
 def cmd_validate(args: argparse.Namespace) -> int:
     mf = _load(args.model)
-    report = validate_model(mf, window=args.window)
+    report = validate_model(mf)
     out = Output(args.format, "validate", mf.name or args.model)
     for text in report.lines():
         out.line(text)
@@ -167,10 +171,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def cmd_homology(args: argparse.Namespace) -> int:
     mf = _validated(args.model)
-    algebra = mf.algebra()
-    from .models import algebra_homology_dims
-
-    dims = algebra_homology_dims(algebra, list(range(0, args.window + 1)))
+    dims = algebra_homology_dims(mf.algebra(), list(range(0, args.window + 1)))
     out = Output(args.format, "homology", mf.name or args.model)
     _dims_rows(out, f"algebra homology of {mf.name or args.model}", dims)
     out.emit()
@@ -179,10 +180,7 @@ def cmd_homology(args: argparse.Namespace) -> int:
 
 def cmd_quillen(args: argparse.Namespace) -> int:
     mf = _validated(args.model)
-    algebra = mf.algebra()
-    from .models import quillen_dims
-
-    dims = quillen_dims(algebra, list(range(1, args.window + 1)))
+    dims = quillen_dims(mf.algebra(), list(range(1, args.window + 1)))
     out = Output(args.format, "quillen", mf.name or args.model)
     _dims_rows(out, "generator-level homology (linear part)", dims)
     if model_family(mf) == "cellular":
@@ -200,11 +198,7 @@ def cmd_der(args: argparse.Namespace) -> int:
     coefficients = "target" if target is not None else "self"
     der, _ = derivation_tower(mf, coefficients, target)
     if args.range:
-        lo_text, _, hi_text = args.range.partition("..")
-        try:
-            lo, hi = int(lo_text), int(hi_text)
-        except ValueError:
-            raise UsageError(f"bad degree range {args.range!r}") from None
+        lo, hi = _parse_range(args.range, "degree")
     else:
         lo, hi = -args.window, args.window
     cx = der.complex()
@@ -216,7 +210,7 @@ def cmd_der(args: argparse.Namespace) -> int:
         out.line("representatives:")
         for n in range(lo, hi + 1):
             h = cx.homology(n)
-            for i, rep in enumerate(h.representatives):
+            for i, rep in enumerate(h.basis):
                 text = der.format_values(der.values_of_vector(rep, n))
                 out.line(f"  degree {n}, class {i}: {text}")
                 out.record(degree=n, index=i, representative=text)
@@ -252,12 +246,7 @@ def cmd_ss(args: argparse.Namespace) -> int:
     )
     for r in pages:
         for convention in conventions:
-            table = {
-                "internal": report.pages_internal,
-                "flipped": report.pages_flipped,
-                "relabeled": report.pages_relabeled,
-            }[convention][r]
-            _page_rows(out, convention, r, table)
+            _page_rows(out, convention, r, relabel(report.pages_internal[r], convention))
     out.line(f"stable page: {report.stable_page}")
     ok = _assembly_rows(out, report.assembly)
     if args.check_collapse and report.collapse is not None:
@@ -308,7 +297,7 @@ def cmd_loop(args: argparse.Namespace) -> int:
     out = Output(args.format, "loop", mf.name or args.model)
     _dims_rows(out, "free-loop-space homology", report.betti)
     for r in pages:
-        _page_rows(out, "flipped", r, report.pages[r])
+        _page_rows(out, "flipped", r, relabel(report.pages_internal[r], "flipped"))
     out.line("second page vs hom(cells, loop homology):")
     keys = sorted(set(report.e2_engine) | set(report.e2_expected))
     for key in keys:
@@ -338,7 +327,7 @@ def cmd_aut(args: argparse.Namespace) -> int:
         out.record(s=key[0], t=key[1], dimension=report.hom_shaped[key], table="hom")
     for r in pages:
         _page_rows(out, "internal", r, report.pages_internal[r])
-        _page_rows(out, "relabeled", r, report.pages_relabeled[r])
+        _page_rows(out, "relabeled", r, relabel(report.pages_internal[r], "relabeled"))
     if args.brackets:
         out.line("brackets on classes:")
         for entry in report.brackets:
@@ -358,17 +347,14 @@ def cmd_aut(args: argparse.Namespace) -> int:
 
 def cmd_hochschild(args: argparse.Namespace) -> int:
     mf = _validated(args.model)
-    algebra = mf.algebra()
-    cone = ConeComplex(algebra)
-    fc = cone_tower(cone)
-    ss = SpectralSequence(fc)
+    ss = cone_spectral_sequence(mf)
     degrees = list(range(-args.window, args.window + 1))
     pages = _parse_pages(args.pages) if args.pages else (1, 2)
     out = Output(args.format, "hochschild", mf.name or args.model)
     for r in pages:
-        _page_rows(out, "internal", r, dict(sorted(ss.page_dims(r, degrees).items())))
-    _page_rows(out, "internal", ss.stable_page, dict(sorted(ss.einf_dims(degrees).items())))
-    dims = {n: cone.complex().homology(n).dim for n in degrees}
+        _page_rows(out, "internal", r, ss.page_dims(r, degrees))
+    _page_rows(out, "internal", ss.stable_page, ss.einf_dims(degrees))
+    dims = {n: ss.fc.complex.homology(n).dim for n in degrees}
     _dims_rows(out, "cone cohomology", dims)
     ok = _assembly_rows(out, ss.total_degree_check(degrees))
     out.emit()
@@ -397,19 +383,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, window_default: int = 10) -> None:
+    def common(p: argparse.ArgumentParser, window_default: int | None = 10) -> None:
         p.add_argument("model", help="model file path or builtin:NAME")
-        p.add_argument(
-            "--window", type=int, default=window_default, metavar="N",
-            help=f"degree window (default {window_default})",
-        )
+        if window_default is not None:
+            p.add_argument(
+                "--window", type=int, default=window_default, metavar="N",
+                help=f"degree window (default {window_default})",
+            )
         p.add_argument(
             "--format", choices=(TABLE, RECORDS), default=TABLE,
             help="aligned table or line-delimited JSON records",
         )
 
     p = sub.add_parser("validate", help="run all structural checks")
-    common(p, window_default=12)
+    common(p, window_default=None)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("homology", help="algebra homology dimensions")

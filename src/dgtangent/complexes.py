@@ -8,39 +8,14 @@ repeatedly.
 
 All degrees here are cohomological.  Models stored with homological grading
 convert on the way in (degree n becomes -n) and back on the way out; the
-helpers at the bottom centralize that convention.
+helper at the bottom centralizes that convention and is its own inverse.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Hashable, Sequence
 
-from .linalg import Matrix, Subquotient, Vector
-
-
-class HomologyData:
-    """Cohomology of one degree: dimension, representatives, class reduction."""
-
-    def __init__(self, cycles: list[Vector], boundaries: list[Vector]) -> None:
-        self._sub = Subquotient(cycles, boundaries)
-        self.cycles = cycles
-        self.boundaries = boundaries
-
-    @property
-    def dim(self) -> int:
-        return self._sub.dim
-
-    @property
-    def representatives(self) -> list[Vector]:
-        """Chosen cocycle representatives, one per class-basis slot."""
-        return self._sub.basis
-
-    def reduce(self, cocycle: Vector) -> Vector:
-        """Coordinates of a cocycle's class over the representative basis."""
-        return self._sub.reduce(cocycle)
-
-    def is_zero_class(self, cocycle: Vector) -> bool:
-        return self._sub.is_zero_class(cocycle)
+from .linalg import Matrix, Subquotient
 
 
 class CochainComplex:
@@ -57,7 +32,7 @@ class CochainComplex:
         self.name = name
         self._basis_cache: dict[int, list[Hashable]] = {}
         self._diff_cache: dict[int, Matrix] = {}
-        self._homology_cache: dict[int, HomologyData] = {}
+        self._homology_cache: dict[int, Subquotient] = {}
 
     def basis(self, n: int) -> list[Hashable]:
         if n not in self._basis_cache:
@@ -87,15 +62,14 @@ class CochainComplex:
                 bad.append(n)
         return bad
 
-    def homology(self, n: int) -> HomologyData:
+    def homology(self, n: int) -> Subquotient:
+        """H^n as cocycles modulo coboundaries; ``basis`` holds the chosen
+        cocycle representatives and ``reduce`` gives class coordinates."""
         if n not in self._homology_cache:
             cycles = self.d(n).kernel_basis()
             boundaries = [row for row in self.d(n - 1).rows if row]
-            self._homology_cache[n] = HomologyData(cycles, boundaries)
+            self._homology_cache[n] = Subquotient(cycles, boundaries)
         return self._homology_cache[n]
-
-    def homology_dims(self, degrees: Sequence[int]) -> dict[int, int]:
-        return {n: self.homology(n).dim for n in degrees}
 
 
 GRADING_HOMOLOGICAL = "homological"
@@ -110,7 +84,3 @@ def to_cohomological(degree: int, grading: str) -> int:
         return degree
     raise ValueError(f"unknown grading {grading!r}")
 
-
-def from_cohomological(cdegree: int, grading: str) -> int:
-    """Native degree, for reporting, of an internal cohomological degree."""
-    return to_cohomological(cdegree, grading)  # the conversion is an involution

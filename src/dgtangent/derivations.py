@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Hashable, Sequence
+from typing import Sequence
 
 from .algebra import (
     AlgebraMorphism,
@@ -24,7 +24,6 @@ from .algebra import (
     Monomial,
     el_add,
     el_add_term,
-    el_scale,
     format_element,
     trivial_algebra,
 )
@@ -194,11 +193,6 @@ class DerComplex:
                 out[w] = term
         return out
 
-    def format_slot(self, slot: Slot) -> str:
-        v, mono = slot
-        word = "*".join(mono) if mono else "1"
-        return f"({v} -> {word})"
-
     def format_values(self, values: Values) -> str:
         parts = [
             f"({v} -> {format_element(values[v])})"
@@ -319,13 +313,12 @@ def subalgebra_below_stage(algebra: FreeDgAlgebra, stage: int) -> FreeDgAlgebra:
         name=f"{algebra.name or 'A'}(<{stage})",
         allow_nonpositive=algebra.allow_nonpositive,
     )
-    kept = {g.name for g in gens}
+    offenders = closure_offenders(algebra, frozenset(g.name for g in gens))
+    if offenders:
+        raise ValueError(
+            f"stage-{stage} subalgebra is not closed under d at {offenders}"
+        )
     for g in gens:
-        for mono in algebra.diff[g.name]:
-            if any(letter not in kept for letter in mono):
-                raise ValueError(
-                    f"stage-{stage} subalgebra is not closed under d at {g.name!r}"
-                )
         sub.set_differential(g.name, algebra.diff[g.name])
     return sub
 

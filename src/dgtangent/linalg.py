@@ -19,18 +19,6 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def vec_from_entries(entries: Iterable[tuple[int, Fraction | int]]) -> Vector:
-    """Build a sparse vector, summing duplicate indices and dropping zeros."""
-    out: Vector = {}
-    for idx, val in entries:
-        new = out.get(idx, ZERO) + Fraction(val)
-        if new == 0:
-            out.pop(idx, None)
-        else:
-            out[idx] = new
-    return out
-
-
 def vec_add(a: Vector, b: Vector, coeff: Fraction = ONE) -> Vector:
     """Return a + coeff*b as a new sparse vector."""
     out = dict(a)
@@ -47,13 +35,6 @@ def vec_scale(a: Vector, coeff: Fraction) -> Vector:
     if coeff == 0:
         return {}
     return {idx: coeff * val for idx, val in a.items()}
-
-
-def vec_to_list(a: Vector, length: int) -> list[Fraction]:
-    dense = [ZERO] * length
-    for idx, val in a.items():
-        dense[idx] = val
-    return dense
 
 
 def vec_from_list(values: Sequence[Fraction | int]) -> Vector:

@@ -41,15 +41,26 @@ from .algebra import (
     el_add_term,
     tilde_extension,
 )
-from .complexes import GRADING_COHOMOLOGICAL, GRADING_HOMOLOGICAL
-from .derivations import Coefficients, ConeComplex, DerComplex, Values
-from .linalg import Matrix
+from .complexes import (
+    GRADING_COHOMOLOGICAL,
+    GRADING_HOMOLOGICAL,
+    CochainComplex,
+    to_cohomological,
+)
+from .derivations import (
+    Coefficients,
+    ConeComplex,
+    DerComplex,
+    Values,
+    closure_offenders,
+)
 from .tower import (
     FilteredComplex,
     SpectralSequence,
     collapse_report,
     cone_tower,
     der_tower,
+    relabel,
 )
 
 KIND_OF_FLAVOR = {"associative": KIND_TENSOR, "commutative": KIND_COMMUTATIVE}
@@ -98,9 +109,6 @@ class ModelFile:
 
     def base_names(self) -> frozenset[str]:
         return frozenset(g.name for g in self.generators if g.role == "base")
-
-    def fiber_generators(self) -> list[Generator]:
-        return [g for g in self.generators if g.role != "base"]
 
     def kind(self) -> str:
         return KIND_OF_FLAVOR[self.flavor]
@@ -151,9 +159,11 @@ def _tokenize_expression(text: str, line_no: int) -> list[str]:
     return tokens
 
 
-def _parse_rational(token: str) -> Fraction:
+def _parse_rational(token: str, line_no: int) -> Fraction:
     if "/" in token:
         num, den = token.split("/")
+        if int(den) == 0:
+            raise ModelSyntaxError(line_no, f"zero denominator in {token!r}")
         return Fraction(int(num), int(den))
     return Fraction(int(token))
 
@@ -182,7 +192,7 @@ def _parse_terms(
         coeff = sign
         factors: list[str] = []
         if re.fullmatch(r"\d+(/\d+)?", token):
-            coeff *= _parse_rational(token)
+            coeff *= _parse_rational(token, line_no)
             pos += 1
             if pos < len(tokens) and tokens[pos] == "*":
                 pos += 1
@@ -770,7 +780,7 @@ class ValidationReport:
         return out
 
 
-def validate_model(mf: ModelFile, window: int = 12) -> ValidationReport:
+def validate_model(mf: ModelFile) -> ValidationReport:
     """All structural checks: degrees, d² = 0, stages, family conditions."""
     family = model_family(mf)
     checks: list[CheckResult] = []
@@ -801,12 +811,7 @@ def validate_model(mf: ModelFile, window: int = 12) -> ValidationReport:
     )
 
     if base:
-        closure_bad = []
-        for name in sorted(base):
-            for mono in algebra.diff[name]:
-                if any(letter not in base for letter in mono):
-                    closure_bad.append(name)
-                    break
+        closure_bad = closure_offenders(algebra, base)
         checks.append(
             CheckResult(
                 "base subalgebra closed under d",
@@ -826,19 +831,6 @@ def validate_model(mf: ModelFile, window: int = 12) -> ValidationReport:
         degrees_ok = all(g.degree >= 1 for g in mf.generators)
         checks.append(CheckResult("cell degrees at least one", degrees_ok))
         if degrees_ok:
-            quillen = algebra.indecomposables_complex()
-            cells_ok = True
-            detail = ""
-            for n in range(1, window + 1):
-                expected = _cellular_homology_dim(algebra, n)
-                got = quillen.homology(-n).dim
-                if expected != got:
-                    cells_ok = False
-                    detail = f"cell dimension {n + 1}: {got} != {expected}"
-                    break
-            checks.append(
-                CheckResult("linear part matches the cellular chain complex", cells_ok, detail)
-            )
             try:
                 tilde_extension(algebra)
                 checks.append(CheckResult("square-tracking extension squares to zero", True))
@@ -868,33 +860,6 @@ def validate_model(mf: ModelFile, window: int = 12) -> ValidationReport:
     return ValidationReport(mf.name, family, checks)
 
 
-def _cellular_homology_dim(algebra: FreeDgAlgebra, degree: int) -> int:
-    """Homology of the generator span under the linear part of d.
-
-    Computed densely and independently of the indecomposables complex: rank
-    arithmetic over explicit matrices between generator lists.
-    """
-    gens_by_degree: dict[int, list[str]] = {}
-    for g in sorted(algebra.generators):
-        gens_by_degree.setdefault(algebra.gen_degree(g), []).append(g)
-
-    def boundary(from_degree: int) -> Matrix:
-        src = gens_by_degree.get(from_degree, [])
-        tgt = gens_by_degree.get(from_degree - 1, [])
-        index = {g: j for j, g in enumerate(tgt)}
-        m = Matrix(len(src), len(tgt))
-        for i, g in enumerate(src):
-            for w, c in algebra.linear_part(algebra.diff[g]).items():
-                if w in index:
-                    m.add_to(i, index[w], c)
-        return m
-
-    dim = len(gens_by_degree.get(degree, []))
-    d_out = boundary(degree)
-    d_in = boundary(degree + 1)
-    return dim - d_out.rank() - d_in.rank()
-
-
 # ------------------------------------------------------------- loop report
 
 
@@ -907,7 +872,7 @@ class LoopHomologyReport:
     betti: dict[int, int]
     cone_homology: dict[int, int]
     assembly: dict[int, tuple[int, int, bool]]
-    pages: dict[int, dict[tuple[int, int], int]]
+    pages_internal: dict[int, dict[tuple[int, int], int]]
     e2_engine: dict[tuple[int, int], int]
     e2_expected: dict[tuple[int, int], int]
     e2_matches: bool
@@ -918,24 +883,43 @@ class LoopHomologyReport:
         return all(ok for (_, _, ok) in self.assembly.values())
 
 
+def _native_dims(
+    cx: CochainComplex, grading: str, degrees: Sequence[int]
+) -> dict[int, int]:
+    """Homology dimensions of a complex, keyed by native degree.
+
+    Only dimensions are needed, so rank–nullity suffices: in internal degree
+    c the homology has dimension dim C^c − rank d^c − rank d^{c−1}.
+    """
+    out = {}
+    for n in degrees:
+        c = to_cohomological(n, grading)
+        out[n] = cx.dim(c) - cx.d(c).rank() - cx.d(c - 1).rank()
+    return out
+
+
 def algebra_homology_dims(algebra: FreeDgAlgebra, degrees: Sequence[int]) -> dict[int, int]:
     """Homology of the underlying complex, keyed by native degree."""
-    cx = algebra.algebra_complex()
-    out = {}
-    for n in degrees:
-        cdeg = -n if algebra.grading == GRADING_HOMOLOGICAL else n
-        out[n] = cx.homology(cdeg).dim
-    return out
+    return _native_dims(algebra.algebra_complex(), algebra.grading, degrees)
 
 
-def quillen_dims(algebra: FreeDgAlgebra, degrees: Sequence[int]) -> dict[int, int]:
-    """Homology of the indecomposables, keyed by native degree."""
-    cx = algebra.indecomposables_complex()
-    out = {}
-    for n in degrees:
-        cdeg = -n if algebra.grading == GRADING_HOMOLOGICAL else n
-        out[n] = cx.homology(cdeg).dim
-    return out
+def quillen_dims(
+    algebra: FreeDgAlgebra,
+    degrees: Sequence[int],
+    exclude: frozenset[str] = frozenset(),
+) -> dict[int, int]:
+    """Homology of the indecomposables without ``exclude``, keyed by native degree."""
+    return _native_dims(
+        algebra.indecomposables_complex(exclude), algebra.grading, degrees
+    )
+
+
+def cone_spectral_sequence(mf: ModelFile) -> SpectralSequence:
+    """The stage-tower spectral sequence of the model's adjoint cone.
+
+    The cone itself is the filtered complex ``fc.complex`` of the result.
+    """
+    return SpectralSequence(cone_tower(ConeComplex(mf.algebra())))
 
 
 def loop_homology(
@@ -947,60 +931,53 @@ def loop_homology(
     internal total degree n are reported in loop degree m = 2s − n: a
     derivation slot (v ↦ w) then sits at (s, t) = (deg v + 1, deg w), the
     bidegrees of maps from degree-s cells into the degree-t loop homology,
-    and the algebra column s = 0 supplies the cell-free summand.
+    and the algebra column s = 0 supplies the cell-free summand.  Pages
+    keep the internal (s, t) with loop degree −t in the window.
     """
     if model_family(mf) != "cellular":
         raise ValueError("loop homology requires an associative homological model")
     algebra = mf.algebra()
-    cone = ConeComplex(algebra)
-    fc = cone_tower(cone)
-    ss = SpectralSequence(fc)
+    ss = cone_spectral_sequence(mf)
+    max_level = ss.fc.max_level
     r_stable = ss.stable_page
 
     needed_n = sorted(
-        {2 * s - m for s in range(0, fc.max_level + 1) for m in range(0, window + 1)}
+        {2 * s - m for s in range(0, max_level + 1) for m in range(0, window + 1)}
     )
     betti: dict[int, int] = {m: 0 for m in range(0, window + 1)}
-    for s in range(0, fc.max_level + 1):
+    for s in range(0, max_level + 1):
         for m in range(0, window + 1):
             betti[m] += ss.entry(r_stable, s, 2 * s - m).dim
 
-    cone_h = {n: cone.complex().homology(n).dim for n in needed_n}
+    cone_h = {n: ss.fc.complex.homology(n).dim for n in needed_n}
     assembly = ss.total_degree_check(needed_n)
 
-    page_tables: dict[int, dict[tuple[int, int], int]] = {}
-    for r in pages:
-        internal = ss.page_dims(r, needed_n)
-        page_tables[r] = {
-            (s, -t): dim
-            for (s, t), dim in internal.items()
+    def window_page(r: int) -> dict[tuple[int, int], int]:
+        return {
+            (s, t): dim
+            for (s, t), dim in ss.page_dims(r, needed_n).items()
             if 0 <= -t <= window
         }
 
     h_cells = {0: 1}
-    q_dims = quillen_dims(algebra, list(range(1, fc.max_level + 1)))
-    for s in range(1, fc.max_level + 1):
+    q_dims = quillen_dims(algebra, list(range(1, max_level + 1)))
+    for s in range(1, max_level + 1):
         h_cells[s] = q_dims.get(s - 1, 0)
     h_loops = algebra_homology_dims(algebra, list(range(0, window + 1)))
     e2_expected = {}
-    for s in range(0, fc.max_level + 1):
+    for s in range(0, max_level + 1):
         for t in range(0, window + 1):
             dim = h_cells.get(s, 0) * h_loops.get(t, 0)
             if dim:
                 e2_expected[(s, t)] = dim
-    internal_e2 = ss.page_dims(2, needed_n)
-    e2_engine = {
-        (s, -t): dim
-        for (s, t), dim in internal_e2.items()
-        if 0 <= -t <= window
-    }
+    e2_engine = relabel(window_page(2), "flipped")
     return LoopHomologyReport(
         model=mf.name,
         window=window,
         betti=betti,
         cone_homology=cone_h,
         assembly=assembly,
-        pages=page_tables,
+        pages_internal={r: window_page(r) for r in pages},
         e2_engine=e2_engine,
         e2_expected=e2_expected,
         e2_matches=e2_engine == e2_expected,
@@ -1033,8 +1010,6 @@ class AutHomotopyReport:
     dims: dict[int, int]
     degree_zero_dim: int
     pages_internal: dict[int, dict[tuple[int, int], int]]
-    pages_relabeled: dict[int, dict[tuple[int, int], int]]
-    pages_flipped: dict[int, dict[tuple[int, int], int]]
     hom_shaped: dict[tuple[int, int], int]
     assembly: dict[int, tuple[int, int, bool]]
     brackets: list[BracketEntry]
@@ -1047,29 +1022,10 @@ class AutHomotopyReport:
 
 def fiber_homotopy_dims(mf: ModelFile, window: int) -> dict[int, int]:
     """Linear-part homology of the fiber generators, keyed by degree."""
-    algebra = mf.algebra()
-    base = mf.base_names()
-    fiber = [g.name for g in mf.generators if g.role != "base"]
-    by_degree: dict[int, list[str]] = {}
-    for g in sorted(fiber):
-        by_degree.setdefault(algebra.gen_degree(g), []).append(g)
-
-    def linear_matrix(degree: int) -> Matrix:
-        src = by_degree.get(degree, [])
-        tgt = by_degree.get(degree + 1, [])
-        index = {g: j for j, g in enumerate(tgt)}
-        m = Matrix(len(src), len(tgt))
-        for i, g in enumerate(src):
-            for w, c in algebra.linear_part(algebra.diff[g]).items():
-                if w in index and w not in base:
-                    m.add_to(i, index[w], c)
-        return m
-
-    out = {}
-    for n in range(1, window + 1):
-        dim = len(by_degree.get(n, []))
-        out[n] = dim - linear_matrix(n).rank() - linear_matrix(n - 1).rank()
-    return {n: d for n, d in out.items() if d}
+    dims = quillen_dims(
+        mf.algebra(), list(range(1, window + 1)), exclude=mf.base_names()
+    )
+    return {n: d for n, d in dims.items() if d}
 
 
 def aut_homotopy(
@@ -1078,10 +1034,8 @@ def aut_homotopy(
     """Dimensions of H^{-n} of the base-fixing derivations, with pages.
 
     Degree n ≥ 1 of the table is the rational homotopy in degree n.  Pages
-    come in three labelings: internal (s = stage, t = total − s, d_r of
-    bidegree (r, 1−r)), relabeled (σ, τ) = (s, 2s + t) matching maps from
-    degree-σ fiber classes into degree-τ cohomology (d_r moves (r, r+1),
-    class degree n = σ − τ), and flipped (s, −t) (d_r moves (r, r−1)).
+    are keyed by internal bidegree; ``relabel`` turns them into the
+    (σ, τ) labels of the hom-shaped table.
     """
     if model_family(mf) != "sullivan":
         raise ValueError(
@@ -1098,8 +1052,6 @@ def aut_homotopy(
     degree_zero = 0
     assembly: dict[int, tuple[int, int, bool]] = {}
     pages_internal: dict[int, dict[tuple[int, int], int]] = {r: {} for r in pages}
-    pages_relabeled: dict[int, dict[tuple[int, int], int]] = {r: {} for r in pages}
-    pages_flipped: dict[int, dict[tuple[int, int], int]] = {r: {} for r in pages}
     brackets: list[BracketEntry] = []
     stable = 0
 
@@ -1114,14 +1066,7 @@ def aut_homotopy(
         degrees = list(range(-window, 1))
         assembly = ss.total_degree_check(degrees)
         for r in pages:
-            internal = ss.page_dims(r, degrees)
-            pages_internal[r] = dict(sorted(internal.items()))
-            pages_relabeled[r] = {
-                (s, 2 * s + t): dim for (s, t), dim in sorted(internal.items())
-            }
-            pages_flipped[r] = {
-                (s, -t): dim for (s, t), dim in sorted(internal.items())
-            }
+            pages_internal[r] = ss.page_dims(r, degrees)
         brackets = _bracket_table(der, window)
 
     pi_f = fiber_homotopy_dims(mf, window)
@@ -1139,8 +1084,6 @@ def aut_homotopy(
         dims=dims,
         degree_zero_dim=degree_zero,
         pages_internal=pages_internal,
-        pages_relabeled=pages_relabeled,
-        pages_flipped=pages_flipped,
         hom_shaped=hom_shaped,
         assembly=assembly,
         brackets=brackets,
@@ -1160,9 +1103,9 @@ def _bracket_table(der: DerComplex, window: int) -> list[BracketEntry]:
                 continue
             h_b = cx.homology(-n_b)
             h_out = cx.homology(-(n_a + n_b))
-            for i, rep_a in enumerate(h_a.representatives):
+            for i, rep_a in enumerate(h_a.basis):
                 values_a = der.values_of_vector(rep_a, -n_a)
-                for j, rep_b in enumerate(h_b.representatives):
+                for j, rep_b in enumerate(h_b.basis):
                     if n_b == n_a and j < i:
                         continue
                     values_b = der.values_of_vector(rep_b, -n_b)
@@ -1201,9 +1144,6 @@ class TowerReport:
     coefficients: str
     window: int
     pages_internal: dict[int, dict[tuple[int, int], int]]
-    pages_flipped: dict[int, dict[tuple[int, int], int]]
-    pages_relabeled: dict[int, dict[tuple[int, int], int]]
-    einf: dict[tuple[int, int], int]
     assembly: dict[int, tuple[int, int, bool]]
     stable_page: int
     collapse: object | None = None
@@ -1246,30 +1186,15 @@ def tower_report(
     pages: Sequence[int] = (1, 2, 3, 4, 5, 6),
     check_collapse: bool = False,
 ) -> TowerReport:
-    der, fc = derivation_tower(mf, coefficients, target)
+    _, fc = derivation_tower(mf, coefficients, target)
     ss = SpectralSequence(fc)
     degrees = list(range(-window, window + 1))
-    pages_internal = {r: dict(sorted(ss.page_dims(r, degrees).items())) for r in pages}
-    pages_flipped = {
-        r: {(s, -t): dim for (s, t), dim in table.items()}
-        for r, table in pages_internal.items()
-    }
-    pages_relabeled = {
-        r: {(s, 2 * s + t): dim for (s, t), dim in table.items()}
-        for r, table in pages_internal.items()
-    }
-    einf = dict(sorted(ss.einf_dims(degrees).items()))
-    assembly = ss.total_degree_check(degrees)
-    collapse = collapse_report(ss, degrees) if check_collapse else None
     return TowerReport(
         model=mf.name,
         coefficients=coefficients,
         window=window,
-        pages_internal=pages_internal,
-        pages_flipped=pages_flipped,
-        pages_relabeled=pages_relabeled,
-        einf=einf,
-        assembly=assembly,
+        pages_internal={r: ss.page_dims(r, degrees) for r in pages},
+        assembly=ss.total_degree_check(degrees),
         stable_page=ss.stable_page,
-        collapse=collapse,
+        collapse=collapse_report(ss, degrees) if check_collapse else None,
     )

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Hashable, Sequence
 
-from .complexes import CochainComplex, HomologyData
+from .complexes import CochainComplex
 from .linalg import (
     Matrix,
     Subquotient,
@@ -326,10 +326,10 @@ class ExactCoupleSS:
             )
         return self._quot_cache[key]
 
-    def D(self, s: int, n: int) -> HomologyData:
+    def D(self, s: int, n: int) -> Subquotient:
         return self.quotient_complex(0, s + 1).homology(n)
 
-    def E(self, s: int, n: int) -> HomologyData:
+    def E(self, s: int, n: int) -> Subquotient:
         return self.quotient_complex(s, s + 1).homology(n)
 
     # --------------------------------------------------------- local/ambient
@@ -353,7 +353,7 @@ class ExactCoupleSS:
         src = self.D(s, n)
         tgt = self.D(s - 1, n)
         m = Matrix(src.dim, tgt.dim)
-        for a_idx, rep in enumerate(src.representatives):
+        for a_idx, rep in enumerate(src.basis):
             amb = self.to_ambient(0, s + 1, n, rep)
             local = self.to_local(0, s, n, amb)
             coords = tgt.reduce(local)
@@ -402,7 +402,7 @@ class ExactCoupleSS:
         e_group = self.E(s, n)
         x_local: Vector = {}
         for i, c in z.items():
-            x_local = vec_add(x_local, e_group.representatives[i], c)
+            x_local = vec_add(x_local, e_group.basis[i], c)
         kx = self.k_coords(s, n, x_local)
         if r == 1:
             y = kx
@@ -417,7 +417,7 @@ class ExactCoupleSS:
         d_group = self.D(s + r - 1, n)
         y_local: Vector = {}
         for a, c in y.items():
-            y_local = vec_add(y_local, d_group.representatives[a], c)
+            y_local = vec_add(y_local, d_group.basis[a], c)
         return self.connecting(s + r - 1, n, y_local)
 
     def page_data(self, r: int, s: int, n: int) -> tuple[list[Vector], list[Vector]]:
@@ -528,6 +528,26 @@ def alignment_check(
     return AlignmentResult(
         r, s, t, dim_f, dim_c, dims_equal, invertible, matrices_equal
     )
+
+
+# ------------------------------------------------------ page bidegrees
+
+
+def relabel(
+    table: dict[tuple[int, int], int], convention: str
+) -> dict[tuple[int, int], int]:
+    """A page table keyed by internal (s, t), relabeled for output.
+
+    The three conventions are described in the README section
+    "Spectral-sequence coordinates".
+    """
+    if convention == "internal":
+        return dict(table)
+    if convention == "flipped":
+        return {(s, -t): dim for (s, t), dim in table.items()}
+    if convention == "relabeled":
+        return {(s, 2 * s + t): dim for (s, t), dim in table.items()}
+    raise ValueError(f"unknown bidegree convention {convention!r}")
 
 
 # ----------------------------------------------- towers of specific origin

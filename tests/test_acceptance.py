@@ -577,7 +577,7 @@ def test_criterion_09_products():
         reps = []
         for p in range(-8, 9):
             h = cx.homology(p)
-            reps.extend((rep, p) for rep in h.representatives[:4])
+            reps.extend((rep, p) for rep in h.basis[:4])
         for (rf, p), (rg, q) in itertools.product(reps, repeat=2):
             f = der.values_of_vector(rf, p)
             g = der.values_of_vector(rg, q)
@@ -596,7 +596,7 @@ def test_criterion_09_products():
     classes = []
     for p in range(-8, 1):
         h = cx.homology(p)
-        classes.extend((rep, p) for rep in h.representatives)
+        classes.extend((rep, p) for rep in h.basis)
     assert classes
 
     def cls(values, deg):

@@ -17,6 +17,7 @@ from dgtangent.algebra import (
     tilde_extension,
     trivial_algebra,
 )
+from dgtangent.models import builtin, fiber_homotopy_dims, parse_model
 
 
 def sullivan_s3_like() -> FreeDgAlgebra:
@@ -191,6 +192,91 @@ def test_quillen_homology_sphere() -> None:
     ind = s.indecomposables_complex()
     assert ind.homology(-2).dim == 1
     assert ind.homology(-1).dim == 0
+
+
+def dense_rank(rows: list[list[Fraction]]) -> int:
+    """Rank by Gaussian elimination on dense rows, independent of linalg."""
+    rows = [list(row) for row in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(len(rows)):
+            if i != rank and rows[i][col]:
+                factor = rows[i][col] / rows[rank][col]
+                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def dense_linear_homology(
+    algebra: FreeDgAlgebra, degree: int, exclude: frozenset[str] = frozenset()
+) -> int:
+    """dim − rank d_out − rank d_in of the linear part of d on the generators
+    of one native degree, leaving out ``exclude`` and every term hitting it."""
+    step = -1 if algebra.grading == "homological" else 1
+
+    def gens(n: int) -> list[str]:
+        return sorted(
+            g for g in algebra.generators
+            if algebra.gen_degree(g) == n and g not in exclude
+        )
+
+    def rank_from(n: int) -> int:
+        linear = {g: algebra.linear_part(algebra.diff[g]) for g in gens(n)}
+        rows = [
+            [linear[g].get(w, Fraction(0)) for w in gens(n + step)] for g in gens(n)
+        ]
+        return dense_rank(rows)
+
+    return len(gens(degree)) - rank_from(degree) - rank_from(degree - step)
+
+
+LINEAR_PART_MODEL = """\
+flavor associative
+grading homological
+gen u : 2
+gen v : 3
+gen p : 3
+gen w : 6
+gen z : 7
+d v = u
+d p = 2 * u
+d w = v u - u v
+d z = w + v^2
+"""
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["ah:sphere:2", "ah:sphere:3", "ah:wedge:2,2", "ah:wedge:2,3", "linear-part", "acyclic"],
+)
+def test_indecomposables_match_dense_linear_homology(name) -> None:
+    if name == "linear-part":
+        algebra = parse_model(LINEAR_PART_MODEL).algebra()
+    elif name == "acyclic":
+        algebra = tensor_acyclic()
+    else:
+        algebra = builtin(name).algebra()
+    ind = algebra.indecomposables_complex()
+    for n in range(1, 9):
+        assert ind.homology(-n).dim == dense_linear_homology(algebra, n), n
+
+
+@pytest.mark.parametrize(
+    "name, expected",
+    [("sullivan:hopf", {1: 1}), ("trivial-fibration:sullivan:cpn:2", {2: 1, 5: 1})],
+)
+def test_indecomposables_exclude_matches_fiber_homotopy(name, expected) -> None:
+    mf = builtin(name)
+    algebra, base = mf.algebra(), mf.base_names()
+    ind = algebra.indecomposables_complex(base)
+    dense = {n: dense_linear_homology(algebra, n, base) for n in range(1, 9)}
+    assert {n: ind.homology(n).dim for n in range(1, 9)} == dense
+    assert fiber_homotopy_dims(mf, 8) == {n: d for n, d in dense.items() if d}
+    assert fiber_homotopy_dims(mf, 8) == expected
 
 
 def test_stage_conditions() -> None:

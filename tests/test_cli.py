@@ -101,6 +101,37 @@ def test_loop_on_commutative_model_exits_one(capsys):
     assert "associative homological" in err
 
 
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("flavor commutative\ngrading cohomological\ngen x : 2\ngen y : 3\n"
+         "d y = 1/0 * x^2\n", 5),
+        ("flavor associative\ngrading homological\ngen u : 1\ngen v : 3\n"
+         "diag v = 1/0 * u ⊗ u\n", 5),
+    ],
+    ids=["d-line", "diag-line"],
+)
+def test_zero_denominator_is_syntax_error(tmp_path, capsys, text, line):
+    model = tmp_path / "zero.model"
+    model.write_text(text, encoding="utf-8")
+    code, _, err = run_main(capsys, "validate", str(model))
+    assert code == 1
+    assert f"line {line}" in err and "1/0" in err
+
+
+def test_reversed_degree_range_is_usage_error(capsys):
+    code, out, err = run_main(capsys, "der", "builtin:sullivan:cpn:2", "--range", "3..-3")
+    assert code == 2
+    assert "3..-3" in err
+    assert out == ""
+
+
+def test_reversed_page_range_is_usage_error(capsys):
+    code, _, err = run_main(capsys, "ss", "builtin:ah:sphere:2", "--pages", "3..1")
+    assert code == 2
+    assert "3..1" in err
+
+
 # ---------------------------------------------------------------- content
 
 

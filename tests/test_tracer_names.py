@@ -1,0 +1,43 @@
+"""The benchmark tracer wraps package functions by name.
+
+``bench/tracer.py`` lists the boundaries it wraps as (module, owner,
+attribute) triples.  A rename in the package would make ``--trace 1`` runs
+fail, so every triple must still resolve.  The list is read from the
+tracer's source without importing or editing it.
+"""
+
+from __future__ import annotations
+
+import ast
+import importlib
+from pathlib import Path
+
+TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+
+
+def tracer_constant(name: str):
+    tree = ast.parse(TRACER.read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == name for target in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise LookupError(f"{name} is not assigned in {TRACER}")
+
+
+def test_tracer_boundaries_resolve():
+    layers = tracer_constant("LAYERS")
+    boundaries = tracer_constant("BOUNDARIES")
+    assert boundaries
+    missing = []
+    for layer, owner, attr in boundaries:
+        assert layer in layers
+        module = importlib.import_module(f"dgtangent.{layer}")
+        if owner is None:
+            found = callable(getattr(module, attr, None))
+        else:
+            # The tracer reads the attribute from the class's own namespace.
+            found = attr in vars(getattr(module, owner, object))
+        if not found:
+            missing.append((layer, owner, attr))
+    assert missing == []
