@@ -196,7 +196,10 @@ def cmd_der(args: argparse.Namespace) -> int:
     mf = _validated(args.model)
     target = _validated(args.target) if args.target else None
     coefficients = "target" if target is not None else "self"
-    der, _ = derivation_tower(mf, coefficients, target)
+    try:
+        der, _ = derivation_tower(mf, coefficients, target)
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
     if args.range:
         lo, hi = _parse_range(args.range, "degree")
     else:
@@ -230,14 +233,17 @@ def cmd_ss(args: argparse.Namespace) -> int:
             f"--coefficients must be self, trivial or target=PATH, not {coefficients!r}"
         )
     pages = _parse_pages(args.pages)
-    report = tower_report(
-        mf,
-        coefficients,
-        target,
-        window=args.window,
-        pages=pages,
-        check_collapse=args.check_collapse,
-    )
+    try:
+        report = tower_report(
+            mf,
+            coefficients,
+            target,
+            window=args.window,
+            pages=pages,
+            check_collapse=args.check_collapse,
+        )
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
     out = Output(args.format, "ss", mf.name or args.model)
     conventions = (
         [args.convention]
@@ -350,9 +356,13 @@ def cmd_hochschild(args: argparse.Namespace) -> int:
     ss = cone_spectral_sequence(mf)
     degrees = list(range(-args.window, args.window + 1))
     pages = _parse_pages(args.pages) if args.pages else (1, 2)
+    try:
+        tables = {r: ss.page_dims(r, degrees) for r in pages}
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
     out = Output(args.format, "hochschild", mf.name or args.model)
     for r in pages:
-        _page_rows(out, "internal", r, ss.page_dims(r, degrees))
+        _page_rows(out, "internal", r, tables[r])
     _page_rows(out, "internal", ss.stable_page, ss.einf_dims(degrees))
     dims = {n: ss.fc.complex.homology(n).dim for n in degrees}
     _dims_rows(out, "cone cohomology", dims)

@@ -947,7 +947,7 @@ def loop_homology(
     betti: dict[int, int] = {m: 0 for m in range(0, window + 1)}
     for s in range(0, max_level + 1):
         for m in range(0, window + 1):
-            betti[m] += ss.entry(r_stable, s, 2 * s - m).dim
+            betti[m] += ss.dim(r_stable, s, s - m)
 
     cone_h = {n: ss.fc.complex.homology(n).dim for n in needed_n}
     assembly = ss.total_degree_check(needed_n)
@@ -1172,6 +1172,11 @@ def derivation_tower(
         if target is None:
             raise ValueError("target coefficients need a target model")
         coeffs = Coefficients.from_target(algebra, target.algebra())
+        problems = coeffs.check()
+        if problems:
+            raise ValueError(
+                "target coefficients are not a chain map: " + "; ".join(problems)
+            )
     else:
         raise ValueError(f"unknown coefficient choice {coefficients!r}")
     der = DerComplex(algebra, coeffs, vanishing=base)

@@ -3,26 +3,35 @@
 A filtration here is decreasing and spanned by basis elements: each basis
 element of the underlying complex carries an integer level ≥ 0, and F^s is
 the span of the elements with level ≥ s.  The differential must not lower
-levels (checked).  Two independent computations of the pages are provided:
+levels (checked).  The pages are computed three ways:
 
-- the filtered route: E_r^{s,t} = Z_r^s / (Z_{r−1}^{s+1} + d·Z_{r−1}^{s−r+1})
+- dimensions from a per-degree barcode: one level-ordered elimination of
+  d: C^n → C^{n+1} pairs source levels with target levels, and every
+  dim E_r^{s,t} is a count of those pairs (the persistence view of
+  Basu–Parida, Expo. Math. 35 (2017), arXiv:1308.0801);
+- representatives and d_r from the filtered route:
+  E_r^{s,t} = Z_r^s / (Z_{r−1}^{s+1} + d·Z_{r−1}^{s−r+1})
   with Z_r^s = {x ∈ F^s : dx ∈ F^{s+r}}, and d_r induced by d on
   representatives (bidegree (r, 1−r));
-- the exact-couple route: D^{s} = H(F^0/F^{s+1}), E^{s} = H(F^s/F^{s+1}),
-  with the derived couples unwound through explicit linear solves.
+- the exact-couple route, kept as an independent oracle:
+  D^{s} = H(F^0/F^{s+1}), E^{s} = H(F^s/F^{s+1}), with the derived couples
+  unwound through explicit linear solves.
 
-Both are exact; ``alignment_check`` verifies they produce identical page
-dimensions and, after the canonical change of basis, identical d_r matrices.
+All are exact; ``alignment_check`` verifies that the filtered and couple
+routes produce identical page dimensions and, after the canonical change of
+basis, identical d_r matrices.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Hashable, Sequence
 
 from .complexes import CochainComplex
 from .linalg import (
+    Echelon,
     Matrix,
     Subquotient,
     Vector,
@@ -83,17 +92,82 @@ class FilteredComplex:
 
 
 class SpectralSequence:
-    """Pages of a filtered complex via the Z/B subquotient realization."""
+    """Pages of a filtered complex.
+
+    Dimensions come from the barcode of each degree (``barcode``); the Z/B
+    subquotients (``entry``) supply representatives for ``d_matrix``,
+    ``death_page`` and chain maps.  ``ExactCoupleSS`` is the independent
+    oracle for both.
+    """
 
     def __init__(self, fc: FilteredComplex) -> None:
         self.fc = fc
         self._z_cache: dict[tuple[int, int, int], list[Vector]] = {}
         self._entry_cache: dict[tuple[int, int, int], Subquotient] = {}
+        self._bar_cache: dict[int, tuple[Counter, Counter]] = {}
 
     @property
     def stable_page(self) -> int:
         """Every page from here on equals E_∞ (finite filtration)."""
         return self.fc.max_level + 2
+
+    def barcode(self, n: int) -> tuple[Counter, Counter]:
+        """``(pairs, kernel)`` of d: C^n → C^{n+1}.
+
+        Rows are eliminated in the order (−level, index) with target columns
+        ordered by (level, index), so each pivot is the lowest-level entry.
+        A row that enlarges the span adds the pair (source level, pivot
+        level) to ``pairs``; one that does not adds its level to ``kernel``.
+        The number of pairs (a', b') with a' ≥ a and b' ≤ b is the rank of
+        F^a C^n → C^{n+1}/F^{b+1}, whatever the order within a level.  A pair
+        with b < a appears exactly when d lowers the filtration in degree n.
+        """
+        if n not in self._bar_cache:
+            src = self.fc.levels(n)
+            tgt = self.fc.levels(n + 1)
+            order = sorted(range(len(tgt)), key=lambda j: (tgt[j], j))
+            column = {j: pos for pos, j in enumerate(order)}
+            d = self.fc.complex.d(n)
+            ech = Echelon()
+            pairs: Counter = Counter()
+            kernel: Counter = Counter()
+            for i in sorted(range(len(src)), key=lambda i: (-src[i], i)):
+                if ech.insert({column[j]: c for j, c in d.rows[i].items()}):
+                    pivot = min(ech.rows[-1])  # the row just stored
+                    pairs[(src[i], tgt[order[pivot]])] += 1
+                else:
+                    kernel[src[i]] += 1
+            self._bar_cache[n] = (pairs, kernel)
+        return self._bar_cache[n]
+
+    def dim(self, r: int, s: int, t: int) -> int:
+        """dim E_r^{s,t}, counted from the barcodes of degrees n−1 and n.
+
+        A pair (a, b) is a class at level a killing one at level b on page
+        b − a, so both live on the pages r ≤ b − a; every kernel element not
+        hit by a pair is a permanent class.  When d lowers the filtration
+        the finite pages are undefined (ValueError), but E_∞, the graded
+        quotient of H^n by F^s, still has this count.
+        """
+        if r < 1:
+            raise ValueError("pages are defined for r >= 1")
+        if not 0 <= s <= self.fc.max_level:
+            return 0
+        n = s + t
+        pairs_out, kernel = self.barcode(n)
+        pairs_in, _ = self.barcode(n - 1)
+        if r < self.stable_page:
+            for m, pairs in ((n - 1, pairs_in), (n, pairs_out)):
+                if any(b < a for a, b in pairs):
+                    raise ValueError(
+                        f"d lowers the filtration in degree {m}; "
+                        f"only E_∞ is defined there"
+                    )
+        return (
+            kernel[s]
+            - sum(k for (a, b), k in pairs_in.items() if b == s and b - a < r)
+            + sum(k for (a, b), k in pairs_out.items() if a == s and b - a >= r)
+        )
 
     def z_span(self, r: int, s: int, n: int) -> list[Vector]:
         """Spanning set of Z_r^s = {x ∈ F^s ∩ C^n : dx ∈ F^{s+r}}."""
@@ -121,9 +195,6 @@ class SpectralSequence:
             self._entry_cache[key] = Subquotient(numerators, denominators)
         return self._entry_cache[key]
 
-    def dim(self, r: int, s: int, t: int) -> int:
-        return self.entry(r, s, s + t).dim
-
     def d_matrix(self, r: int, s: int, t: int) -> Matrix:
         """The differential E_r^{s,t} → E_r^{s+r, t−r+1} on chosen bases."""
         n = s + t
@@ -144,7 +215,7 @@ class SpectralSequence:
         out: dict[tuple[int, int], int] = {}
         for n in total_degrees:
             for s in range(0, self.fc.max_level + 1):
-                dim = self.entry(r, s, n).dim
+                dim = self.dim(r, s, n - s)
                 if dim:
                     out[(s, n - s)] = dim
         return out
@@ -191,7 +262,7 @@ class SpectralSequence:
         r = self.stable_page
         for n in total_degrees:
             total = sum(
-                self.entry(r, s, n).dim for s in range(0, self.fc.max_level + 1)
+                self.dim(r, s, n - s) for s in range(0, self.fc.max_level + 1)
             )
             h = self.fc.complex.homology(n).dim
             out[n] = (total, h, total == h)
@@ -634,7 +705,7 @@ def collapse_report(
         r_pred = report.predicted_page
         stable = ss.stable_page
         report.verified = all(
-            ss.entry(r_pred, s, n).dim == ss.entry(stable, s, n).dim
+            ss.dim(r_pred, s, n - s) == ss.dim(stable, s, n - s)
             for n in total_degrees
             for s in range(0, ss.fc.max_level + 1)
         )

@@ -132,6 +132,29 @@ def test_reversed_page_range_is_usage_error(capsys):
     assert "3..1" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("der", "builtin:sullivan:cpn:2", "--target", "builtin:sullivan:cpn:3"),
+        ("ss", "builtin:sullivan:cpn:2", "--coefficients", "target=builtin:sullivan:cpn:3"),
+    ],
+    ids=["der", "ss"],
+)
+def test_target_that_is_not_a_chain_map_exits_one(capsys, argv):
+    code, out, err = run_main(capsys, *argv, "--window", "3")
+    assert code == 1
+    assert out == ""
+    assert "does not commute with d on 'y'" in err
+
+
+def test_hochschild_refuses_pages_of_unfiltered_cone(capsys):
+    # The absolute cone of the circle bundle has d z = x with stage(x) > stage(z).
+    code, out, err = run_main(capsys, "hochschild", "builtin:sullivan:hopf", "--window", "4")
+    assert code == 1
+    assert out == ""
+    assert "lowers the filtration" in err
+
+
 # ---------------------------------------------------------------- content
 
 

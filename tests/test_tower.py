@@ -5,11 +5,13 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dgtangent.algebra import FreeDgAlgebra, Generator
 from dgtangent.complexes import CochainComplex
 from dgtangent.derivations import Coefficients, ConeComplex, DerComplex
 from dgtangent.linalg import Matrix
+from dgtangent.models import builtin, derivation_tower, model_family
 from dgtangent.tower import (
     ExactCoupleSS,
     FilteredChainMap,
@@ -20,6 +22,14 @@ from dgtangent.tower import (
     cone_tower,
     der_tower,
 )
+from test_acceptance import BUILTINS
+
+# Two-generator tensor models have large high-degree bases; the Z/B route
+# is swept over narrower windows there (as in acceptance criterion 4).
+BUILTIN_WINDOWS = {
+    "ah:wedge:2,2": range(-6, 7),
+    "ah:wedge:2,3": range(-5, 5),
+}
 
 
 def sullivan_s2() -> FreeDgAlgebra:
@@ -56,13 +66,22 @@ def s2_tower() -> tuple[FilteredComplex, SpectralSequence]:
 WINDOW_S2 = list(range(-8, 3))
 
 
-def test_filtration_check_flags_violation() -> None:
-    # One generator at level 1 mapping onto one at level 0 lowers the level.
+def level_lowering_tower() -> FilteredComplex:
+    """d sends "a" (degree 0, level 1) onto "b" (degree 1, level 0)."""
+    bases = {0: ["a"], 1: ["b"]}
     cx = CochainComplex(
-        lambda n: ["a"] if n == 0 else (["b"] if n == 1 else []),
-        lambda n: Matrix(1, 1, [{0: Fraction(1)}]) if n == 0 else Matrix(0, 0),
+        lambda n: bases.get(n, []),
+        lambda n: Matrix(
+            len(bases.get(n, [])),
+            len(bases.get(n + 1, [])),
+            [{0: Fraction(1)}] if n == 0 else None,
+        ),
     )
-    fc = FilteredComplex(cx, lambda label: 1 if label == "a" else 0, max_level=1)
+    return FilteredComplex(cx, lambda label: 1 if label == "a" else 0, max_level=1)
+
+
+def test_filtration_check_flags_violation() -> None:
+    fc = level_lowering_tower()
     assert fc.check_filtration([0]) == ["degree 0 position 0 -> 0"]
 
 
@@ -245,3 +264,120 @@ def test_pages_are_deterministic() -> None:
         d1_runs.append([dict(row) for row in ss.d_matrix(1, 2, -4).rows])
     assert dims_runs[0] == dims_runs[1]
     assert d1_runs[0] == d1_runs[1]
+
+
+# ------------------------------------------------ barcode dimensions
+
+
+def builtin_towers():
+    """(label, filtered complex, window) for every builtin tower in scope."""
+    for name in BUILTINS:
+        window = BUILTIN_WINDOWS.get(name, range(-10, 11))
+        mf = builtin(name)
+        for coefficients in ("self", "trivial"):
+            _, fc = derivation_tower(mf, coefficients)
+            yield f"{name}/{coefficients}", fc, window
+        if model_family(mf) == "cellular":
+            yield f"{name}/cone", cone_tower(ConeComplex(mf.algebra())), window
+
+
+def test_barcode_dims_match_entry_route() -> None:
+    for label, fc, window in builtin_towers():
+        ss = SpectralSequence(fc)
+        for r in range(1, ss.stable_page + 1):
+            for s in range(0, fc.max_level + 1):
+                for n in window:
+                    assert ss.dim(r, s, n - s) == ss.entry(r, s, n).dim, (
+                        label, r, s, n,
+                    )
+
+
+def test_dim_refuses_finite_pages_when_d_lowers_level() -> None:
+    ss = SpectralSequence(level_lowering_tower())
+    with pytest.raises(ValueError, match="lowers the filtration"):
+        ss.dim(1, 1, -1)
+    with pytest.raises(ValueError, match="lowers the filtration"):
+        ss.dim(2, 0, 1)
+    # E_∞ is the graded quotient of H = 0, whatever the filtration.
+    assert ss.einf_dims([0, 1]) == {}
+    assert ss.total_degree_check([0, 1]) == {0: (0, 0, True), 1: (0, 0, True)}
+
+
+def assert_pages_are_homology(ss: SpectralSequence, window, pages, label="") -> None:
+    """dim E_{r+1} = dim E_r − rank d_r out − rank d_r in, and d_r∘d_r = 0,
+    with dimensions from the barcode and d_r from the Z/B representatives."""
+    top = ss.fc.max_level
+    for r in pages:
+        for s in range(0, top + 1):
+            for n in window:
+                t = n - s
+                rank_out = rank_in = 0
+                if s + r <= top:
+                    d_out = ss.d_matrix(r, s, t)
+                    assert (d_out.nrows, d_out.ncols) == (
+                        ss.dim(r, s, t), ss.dim(r, s + r, t - r + 1),
+                    ), (label, r, s, n)
+                    rank_out = d_out.rank()
+                    if s + 2 * r <= top:
+                        d_next = ss.d_matrix(r, s + r, t - r + 1)
+                        assert d_out.compose(d_next).is_zero(), (label, r, s, n)
+                if s - r >= 0:
+                    rank_in = ss.d_matrix(r, s - r, t + r - 1).rank()
+                assert ss.dim(r + 1, s, t) == (
+                    ss.dim(r, s, t) - rank_out - rank_in
+                ), (label, r, s, n)
+
+
+def test_pages_are_homology_of_previous_page() -> None:
+    for label, fc, window in builtin_towers():
+        assert_pages_are_homology(SpectralSequence(fc), window, range(1, 5), label)
+
+
+@st.composite
+def two_stage_towers(draw) -> FreeDgAlgebra:
+    """Commutative towers: stage-0 generators are cycles, and each stage-1
+    generator has d a nonzero random polynomial in them, so d² = 0."""
+    low = [
+        Generator(f"x{i}", draw(st.integers(2, 4)), stage=0)
+        for i in range(draw(st.integers(1, 2)))
+    ]
+    low_algebra = FreeDgAlgebra("commutative", "cohomological", low)
+    targets = [m for m in range(3, 9) if low_algebra.basis_in_degree(m)]
+    high = [
+        Generator(f"y{i}", draw(st.sampled_from(targets)) - 1, stage=1)
+        for i in range(draw(st.integers(1, 2)))
+    ]
+    algebra = FreeDgAlgebra("commutative", "cohomological", low + high)
+    low_names = {g.name for g in low}
+    for g in high:
+        monomials = [
+            m for m in algebra.basis_in_degree(g.degree + 1)
+            if set(m) <= low_names
+        ]
+        coeffs = draw(
+            st.lists(
+                st.integers(-2, 2), min_size=len(monomials), max_size=len(monomials)
+            ).filter(any)
+        )
+        algebra.set_differential(
+            g.name, {m: Fraction(c) for m, c in zip(monomials, coeffs) if c}
+        )
+    return algebra
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(two_stage_towers(), st.sampled_from(["self", "trivial"]))
+def test_barcode_matches_exact_couple_on_random_towers(algebra, coefficients) -> None:
+    coeffs = (
+        Coefficients.identity(algebra)
+        if coefficients == "self"
+        else Coefficients.trivial(algebra)
+    )
+    fc = der_tower(DerComplex(algebra, coeffs))
+    assert fc.check_filtration(range(-8, 3)) == []
+    ss, ec = SpectralSequence(fc), ExactCoupleSS(fc)
+    for r in range(1, 4):
+        for s in range(0, fc.max_level + 1):
+            for n in range(-8, 3):
+                assert ss.dim(r, s, n - s) == ec.dim(r, s, n - s), (r, s, n)
+    assert_pages_are_homology(ss, range(-8, 3), range(1, 4))
