@@ -3,7 +3,7 @@
 Subpackage layout:
 
 - ``linalg``      sparse exact linear algebra over the rationals
-- ``complexes``   graded cochain complexes, homology as subquotients
+- ``complexes``   graded cochain complexes, homology dimensions and subquotients
 - ``algebra``     free graded algebras, differentials, morphisms, cone models
 - ``derivations`` derivation complexes and their operations
 - ``tower``       filtered complexes and the stage-filtration spectral sequence

@@ -205,7 +205,7 @@ def cmd_der(args: argparse.Namespace) -> int:
     else:
         lo, hi = -args.window, args.window
     cx = der.complex()
-    dims = {n: cx.homology(n).dim for n in range(lo, hi + 1)}
+    dims = {n: cx.homology_dim(n) for n in range(lo, hi + 1)}
     out = Output(args.format, "der", mf.name or args.model)
     vanish = f" fixing {sorted(mf.base_names())}" if mf.base_names() else ""
     _dims_rows(out, f"derivation cohomology{vanish} ({coefficients} coefficients)", dims)
@@ -336,7 +336,7 @@ def cmd_aut(args: argparse.Namespace) -> int:
         _page_rows(out, "relabeled", r, relabel(report.pages_internal[r], "relabeled"))
     if args.brackets:
         out.line("brackets on classes:")
-        for entry in report.brackets:
+        for entry in report.brackets():
             out.line(f"  {entry.text}")
             out.record(
                 table="bracket",
@@ -364,7 +364,7 @@ def cmd_hochschild(args: argparse.Namespace) -> int:
     for r in pages:
         _page_rows(out, "internal", r, tables[r])
     _page_rows(out, "internal", ss.stable_page, ss.einf_dims(degrees))
-    dims = {n: ss.fc.complex.homology(n).dim for n in degrees}
+    dims = {n: ss.fc.complex.homology_dim(n) for n in degrees}
     _dims_rows(out, "cone cohomology", dims)
     ok = _assembly_rows(out, ss.total_degree_check(degrees))
     out.emit()

@@ -6,6 +6,12 @@ matrix from degree n to degree n+1 in those bases.  Both are cached, so a
 complex can be backed by expensive symbolic enumeration and still be queried
 repeatedly.
 
+Homology has two readers.  ``homology_dim`` counts dim H^n by rank–nullity
+from the cached rank of each differential; every caller that needs only a
+dimension goes through it.  ``homology`` builds the subquotient of cocycles
+modulo coboundaries, for callers that read representatives or class
+coordinates.
+
 All degrees here are cohomological.  Models stored with homological grading
 convert on the way in (degree n becomes -n) and back on the way out; the
 helper at the bottom centralizes that convention and is its own inverse.
@@ -32,6 +38,7 @@ class CochainComplex:
         self.name = name
         self._basis_cache: dict[int, list[Hashable]] = {}
         self._diff_cache: dict[int, Matrix] = {}
+        self._rank_cache: dict[int, int] = {}
         self._homology_cache: dict[int, Subquotient] = {}
 
     def basis(self, n: int) -> list[Hashable]:
@@ -53,6 +60,13 @@ class CochainComplex:
                 )
             self._diff_cache[n] = m
         return self._diff_cache[n]
+
+    def homology_dim(self, n: int) -> int:
+        """dim H^n = dim C^n − rank d^n − rank d^{n−1}."""
+        for m in (n, n - 1):
+            if m not in self._rank_cache:
+                self._rank_cache[m] = self.d(m).rank()
+        return self.dim(n) - self._rank_cache[n] - self._rank_cache[n - 1]
 
     def d_squared_failures(self, degrees: Sequence[int]) -> list[int]:
         """Degrees n in the list where d(n+1)∘d(n) is not zero."""

@@ -174,10 +174,6 @@ class DerComplex:
             self._complex = CochainComplex(basis_fn, diff_fn, name=self.name or "Der")
         return self._complex
 
-    def cohomology_dims(self, degrees: Sequence[int]) -> dict[int, int]:
-        cx = self.complex()
-        return {p: cx.homology(p).dim for p in degrees}
-
     # -------------------------------------------------------------- brackets
 
     def lie_bracket(self, f: Values, p: int, g: Values, q: int) -> Values:
@@ -490,41 +486,3 @@ class ConeComplex:
 
             self._complex = CochainComplex(basis_fn, diff_fn, name="cone")
         return self._complex
-
-
-# ------------------------------------------------- semidirect-product bracket
-
-
-@dataclass
-class SemidirectElement:
-    """A λ-homogeneous element (x, φ) of Der(A) ⋉ A.
-
-    Both parts sit in the same λ-degree: the algebra part has cohomological
-    degree λ and the derivation part has derivation degree λ.
-    """
-
-    algebra_part: Element
-    der_values: Values
-    degree: int
-
-
-def semidirect_bracket(
-    der: DerComplex, a: SemidirectElement, b: SemidirectElement
-) -> SemidirectElement:
-    """[x+φ, y+ψ] = ([x,y] + φ(y) − (−1)^{λ(a)λ(b)} ψ(x), [φ,ψ])."""
-    A = der.A
-    sign = Fraction(-1) if (a.degree % 2) and (b.degree % 2) else Fraction(1)
-    alg = A.commutator(a.algebra_part, b.algebra_part) if a.algebra_part and b.algebra_part else {}
-    alg = el_add(alg, der.apply(a.der_values, a.degree, b.algebra_part))
-    alg = el_add(alg, der.apply(b.der_values, b.degree, a.algebra_part), -sign)
-    values = der.lie_bracket(a.der_values, a.degree, b.der_values, b.degree)
-    return SemidirectElement(alg, values, a.degree + b.degree)
-
-
-def semidirect_differential(der: DerComplex, a: SemidirectElement) -> SemidirectElement:
-    """D(x, φ) = (dx, ∂φ) — a derivation of the semidirect bracket."""
-    return SemidirectElement(
-        der.A.differential(a.algebra_part),
-        der.differential_values(a.der_values, a.degree),
-        a.degree + 1,
-    )

@@ -11,7 +11,7 @@ identical bases, matrices and reports.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 Vector = dict[int, Fraction]
 
@@ -182,15 +182,6 @@ class Matrix:
             ech.insert(row)
         return ech.rank()
 
-    def rref(self) -> tuple["Matrix", list[int]]:
-        """Reduced row echelon form (rows sorted by pivot column) and pivots."""
-        ech = Echelon()
-        for row in self.rows:
-            ech.insert(row)
-        order = sorted(ech.pivots.keys())
-        rows = [dict(ech.rows[ech.pivots[col]]) for col in order]
-        return Matrix(len(rows), self.ncols, rows), order
-
     def kernel_basis(self) -> list[Vector]:
         """Basis of {x : x·M = 0} in source coordinates, deterministic order."""
         ech = Echelon(track=True)
@@ -265,13 +256,6 @@ class Subquotient:
 
     def is_zero_class(self, vec: Vector) -> bool:
         return not self.reduce(vec)
-
-
-def span_dim(vectors: Iterable[Vector]) -> int:
-    ech = Echelon()
-    for v in vectors:
-        ech.insert(v)
-    return ech.rank()
 
 
 def span_contains(vectors: Sequence[Vector], candidate: Vector) -> bool:

@@ -44,7 +44,6 @@ from .algebra import (
 from .complexes import (
     GRADING_COHOMOLOGICAL,
     GRADING_HOMOLOGICAL,
-    CochainComplex,
     to_cohomological,
 )
 from .derivations import (
@@ -332,6 +331,8 @@ def parse_model(text: str) -> ModelFile:
                         raise ModelSyntaxError(
                             line_no, f"bad stage {words[pos + 1]!r}"
                         ) from None
+                    if stage < 0:
+                        raise ModelSyntaxError(line_no, f"stage {stage} is negative")
                     pos += 2
                 elif words[pos] == "base":
                     role = "base"
@@ -883,24 +884,10 @@ class LoopHomologyReport:
         return all(ok for (_, _, ok) in self.assembly.values())
 
 
-def _native_dims(
-    cx: CochainComplex, grading: str, degrees: Sequence[int]
-) -> dict[int, int]:
-    """Homology dimensions of a complex, keyed by native degree.
-
-    Only dimensions are needed, so rank–nullity suffices: in internal degree
-    c the homology has dimension dim C^c − rank d^c − rank d^{c−1}.
-    """
-    out = {}
-    for n in degrees:
-        c = to_cohomological(n, grading)
-        out[n] = cx.dim(c) - cx.d(c).rank() - cx.d(c - 1).rank()
-    return out
-
-
 def algebra_homology_dims(algebra: FreeDgAlgebra, degrees: Sequence[int]) -> dict[int, int]:
     """Homology of the underlying complex, keyed by native degree."""
-    return _native_dims(algebra.algebra_complex(), algebra.grading, degrees)
+    cx = algebra.algebra_complex()
+    return {n: cx.homology_dim(to_cohomological(n, algebra.grading)) for n in degrees}
 
 
 def quillen_dims(
@@ -909,9 +896,8 @@ def quillen_dims(
     exclude: frozenset[str] = frozenset(),
 ) -> dict[int, int]:
     """Homology of the indecomposables without ``exclude``, keyed by native degree."""
-    return _native_dims(
-        algebra.indecomposables_complex(exclude), algebra.grading, degrees
-    )
+    cx = algebra.indecomposables_complex(exclude)
+    return {n: cx.homology_dim(to_cohomological(n, algebra.grading)) for n in degrees}
 
 
 def cone_spectral_sequence(mf: ModelFile) -> SpectralSequence:
@@ -949,7 +935,7 @@ def loop_homology(
         for m in range(0, window + 1):
             betti[m] += ss.dim(r_stable, s, s - m)
 
-    cone_h = {n: ss.fc.complex.homology(n).dim for n in needed_n}
+    cone_h = {n: ss.fc.complex.homology_dim(n) for n in needed_n}
     assembly = ss.total_degree_check(needed_n)
 
     def window_page(r: int) -> dict[tuple[int, int], int]:
@@ -1012,12 +998,16 @@ class AutHomotopyReport:
     pages_internal: dict[int, dict[tuple[int, int], int]]
     hom_shaped: dict[tuple[int, int], int]
     assembly: dict[int, tuple[int, int, bool]]
-    brackets: list[BracketEntry]
     stable_page: int
+    der: DerComplex | None = field(default=None, repr=False, compare=False)
 
     @property
     def ok(self) -> bool:
         return all(ok for (_, _, ok) in self.assembly.values())
+
+    def brackets(self) -> list[BracketEntry]:
+        """Brackets of the classes in degrees 1..window, computed on request."""
+        return _bracket_table(self.der, self.window) if self.der is not None else []
 
 
 def fiber_homotopy_dims(mf: ModelFile, window: int) -> dict[int, int]:
@@ -1052,14 +1042,13 @@ def aut_homotopy(
     degree_zero = 0
     assembly: dict[int, tuple[int, int, bool]] = {}
     pages_internal: dict[int, dict[tuple[int, int], int]] = {r: {} for r in pages}
-    brackets: list[BracketEntry] = []
     stable = 0
 
     if der is not None:
         cx = der.complex()
         for n in range(1, window + 1):
-            dims[n] = cx.homology(-n).dim
-        degree_zero = cx.homology(0).dim
+            dims[n] = cx.homology_dim(-n)
+        degree_zero = cx.homology_dim(0)
         fc = der_tower(der)
         ss = SpectralSequence(fc)
         stable = ss.stable_page
@@ -1067,7 +1056,6 @@ def aut_homotopy(
         assembly = ss.total_degree_check(degrees)
         for r in pages:
             pages_internal[r] = ss.page_dims(r, degrees)
-        brackets = _bracket_table(der, window)
 
     pi_f = fiber_homotopy_dims(mf, window)
     h_total = algebra_homology_dims(algebra, list(range(0, window + 1)))
@@ -1086,8 +1074,8 @@ def aut_homotopy(
         pages_internal=pages_internal,
         hom_shaped=hom_shaped,
         assembly=assembly,
-        brackets=brackets,
         stable_page=stable,
+        der=der,
     )
 
 
@@ -1095,7 +1083,7 @@ def _bracket_table(der: DerComplex, window: int) -> list[BracketEntry]:
     """Lie brackets of cohomology representatives, reduced to class coordinates."""
     cx = der.complex()
     entries: list[BracketEntry] = []
-    degrees = [n for n in range(1, window + 1) if cx.homology(-n).dim]
+    degrees = [n for n in range(1, window + 1) if cx.homology_dim(-n)]
     for n_a in degrees:
         h_a = cx.homology(-n_a)
         for n_b in degrees:

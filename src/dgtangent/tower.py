@@ -257,14 +257,19 @@ class SpectralSequence:
     def total_degree_check(
         self, total_degrees: Sequence[int]
     ) -> dict[int, tuple[int, int, bool]]:
-        """Per total degree: (Σ_s dim E_∞^{s, n−s}, dim H^n, equal?)."""
+        """Per total degree: (Σ_s dim E_∞^{s, n−s}, dim H^n, equal?).
+
+        The two sides come from two separate eliminations of the same
+        differentials: the level-ordered barcode, and ``Matrix.rank`` in
+        natural row order (``CochainComplex.homology_dim``).
+        """
         out: dict[int, tuple[int, int, bool]] = {}
         r = self.stable_page
         for n in total_degrees:
             total = sum(
                 self.dim(r, s, n - s) for s in range(0, self.fc.max_level + 1)
             )
-            h = self.fc.complex.homology(n).dim
+            h = self.fc.complex.homology_dim(n)
             out[n] = (total, h, total == h)
         return out
 

@@ -119,6 +119,18 @@ def test_zero_denominator_is_syntax_error(tmp_path, capsys, text, line):
     assert f"line {line}" in err and "1/0" in err
 
 
+def test_negative_stage_is_syntax_error(tmp_path, capsys):
+    model = tmp_path / "stage.model"
+    model.write_text(
+        "flavor commutative\ngrading cohomological\ngen x : 2 stage -3\n",
+        encoding="utf-8",
+    )
+    code, out, err = run_main(capsys, "validate", str(model))
+    assert code == 1
+    assert out == ""
+    assert "line 3" in err and "stage -3" in err
+
+
 def test_reversed_degree_range_is_usage_error(capsys):
     code, out, err = run_main(capsys, "der", "builtin:sullivan:cpn:2", "--range", "3..-3")
     assert code == 2

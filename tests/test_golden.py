@@ -16,12 +16,17 @@ from __future__ import annotations
 
 import contextlib
 import io
+import json
 import sys
 from pathlib import Path
 
 import pytest
 
 from dgtangent.cli import main
+from dgtangent.complexes import CochainComplex, to_cohomological
+from dgtangent.derivations import ConeComplex
+from dgtangent.models import builtin, derivation_tower
+from dgtangent.tower import cone_tower
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
@@ -103,6 +108,72 @@ def test_golden_records(stem):
 
 def test_golden_corpus_has_no_stray_files():
     assert sorted(p.stem for p in GOLDEN_DIR.glob("*.jsonl")) == sorted(CASES)
+
+
+def golden_window_complexes():
+    """(label, complex, internal degrees) over the windows of the corpus."""
+    for name in CELLULAR + SULLIVAN:
+        mf = builtin(name)
+        algebra = mf.algebra()
+        grading = algebra.grading
+        yield (
+            f"{name}/algebra",
+            algebra.algebra_complex(),
+            [to_cohomological(n, grading) for n in range(0, 7)],
+        )
+        yield (
+            f"{name}/indecomposables",
+            algebra.indecomposables_complex(),
+            [to_cohomological(n, grading) for n in range(1, 7)],
+        )
+        for coefficients in ("self", "trivial"):
+            der, _ = derivation_tower(mf, coefficients)
+            yield f"{name}/der-{coefficients}", der.complex(), range(-4, 5)
+    for name in CELLULAR:
+        fc = cone_tower(ConeComplex(builtin(name).algebra()))
+        # hochschild --window 4 reads -4..4; loop --max-degree 4 reads
+        # 2s − m for levels s ≤ max_level and 0 ≤ m ≤ 4.
+        yield f"{name}/cone", fc.complex, range(-4, 2 * fc.max_level + 1)
+
+
+def test_homology_dim_matches_subquotient():
+    for label, cx, degrees in golden_window_complexes():
+        for n in degrees:
+            assert cx.homology_dim(n) == cx.homology(n).dim, (label, n)
+
+
+def _without_brackets(stem: str) -> str:
+    lines = (GOLDEN_DIR / f"{stem}.jsonl").read_text(encoding="utf-8").splitlines(True)
+    return "".join(line for line in lines if json.loads(line).get("table") != "bracket")
+
+
+# Commands that read only dimensions, with the stdout they must print when
+# no subquotient can be built.
+DIMENSION_ONLY = {
+    "loop": (CASES["loop-ah_wedge_2_2"], "loop-ah_wedge_2_2"),
+    "hochschild": (CASES["hochschild-ah_sphere_3"], "hochschild-ah_sphere_3"),
+    "ss": (CASES["ss-sullivan_cpn_2"], "ss-sullivan_cpn_2"),
+    "der": (CASES["der-sullivan_hopf"], "der-sullivan_hopf"),
+    "aut": (
+        ("aut", "builtin:sullivan:hopf", "--window", "6", "--pages", "1..3"),
+        "aut-sullivan_hopf",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(DIMENSION_ONLY))
+def test_dimension_only_commands_build_no_subquotient(command, monkeypatch):
+    def refuse(self, n):
+        raise AssertionError(f"homology({n}) built for a dimension")
+
+    monkeypatch.setattr(CochainComplex, "homology", refuse)
+    argv, stem = DIMENSION_ONLY[command]
+    status, out = run_records(argv)
+    assert status == 0
+    if command == "aut":
+        assert out == _without_brackets(stem)
+    else:
+        assert out.encode("utf-8") == (GOLDEN_DIR / f"{stem}.jsonl").read_bytes()
 
 
 def regenerate() -> int:

@@ -379,7 +379,7 @@ def test_aut_homotopy_stage_refinement_invariance() -> None:
 
 def test_aut_bracket_table_even_sphere() -> None:
     report = aut_homotopy(builtin("sullivan:sphere:even:2"), window=8)
-    entries = {(e.degree_a, e.index_a, e.degree_b, e.index_b): e for e in report.brackets}
+    entries = {(e.degree_a, e.index_a, e.degree_b, e.index_b): e for e in report.brackets()}
     # Only class: degree 3 (one dimension); [e, e] lands in degree 6 = 0.
     assert (3, 0, 3, 0) in entries
     assert entries[(3, 0, 3, 0)].text.endswith("= 0")
