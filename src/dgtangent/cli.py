@@ -233,6 +233,10 @@ def cmd_ss(args: argparse.Namespace) -> int:
             f"--coefficients must be self, trivial or target=PATH, not {coefficients!r}"
         )
     pages = _parse_pages(args.pages)
+    if args.check_multiplicative and not args.diag:
+        raise UsageError("--check-multiplicative requires --diag primitive|model")
+    if args.diag and not args.check_multiplicative:
+        raise UsageError("--diag requires --check-multiplicative")
     try:
         report = tower_report(
             mf,
@@ -270,8 +274,6 @@ def cmd_ss(args: argparse.Namespace) -> int:
         if col.predicted_page is not None and not col.verified:
             ok = False
     if args.check_multiplicative:
-        if not args.diag:
-            raise UsageError("--check-multiplicative requires --diag primitive|model")
         algebra = mf.algebra()
         pairs = {} if args.diag == "primitive" else mf.diagonals
         try:

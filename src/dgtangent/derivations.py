@@ -95,6 +95,29 @@ class DerComplex:
         )
         self.name = name
         self._complex: CochainComplex | None = None
+        # d_A(w) letter by letter: one (v, c, odd, P, S) for each letter v of
+        # a monomial c·x_1…v…x_k of d(w), with odd the parity of the letters
+        # before v, and P and S the u-images of the letters before and after
+        # it.  Then F∘d_A(w) = Σ (−1)^{|F|·odd}·c·P·F(v)·S.
+        self._d_letters = {w: self._occurrences(algebra.diff[w]) for w in self.slots}
+
+    def _occurrences(self, el: Element) -> list[tuple]:
+        images = self.u.images
+        out = []
+        for mono, coeff in el.items():
+            prefix = [self.U.one()]
+            for letter in mono[:-1]:
+                prefix.append(self.U.mul(prefix[-1], images[letter]))
+            suffix = [self.U.one()]
+            for letter in reversed(mono[1:]):
+                suffix.append(self.U.mul(images[letter], suffix[-1]))
+            suffix.reverse()
+            odd = 0
+            for v, before, after in zip(mono, prefix, suffix):
+                if before and after:
+                    out.append((v, coeff, odd, before, after))
+                odd ^= self.A.gen_parity(v)
+        return out
 
     # ------------------------------------------------------------- structure
 
@@ -142,8 +165,15 @@ class DerComplex:
         sign = Fraction(-1) if p % 2 else Fraction(1)
         out: Values = {}
         for w in self.slots:
-            term = self.U.differential(values.get(w, {}))
-            term = el_add(term, self.apply(values, p, self.A.diff[w]), -sign)
+            f_d_w: Element = {}
+            for v, coeff, odd, before, after in self._d_letters[w]:
+                value = values.get(v)
+                if value:
+                    c = -coeff if p % 2 and odd else coeff
+                    term = self.U.mul(self.U.mul(before, value), after)
+                    for mono, val in term.items():
+                        el_add_term(f_d_w, mono, c * val)
+            term = el_add(self.U.differential(values.get(w, {})), f_d_w, -sign)
             if term:
                 out[w] = term
         return out

@@ -6,11 +6,19 @@ to a nonzero rational; matrices are row-major lists of such vectors (row i is
 the image of the i-th source basis vector).  All pivoting is deterministic —
 leftmost nonzero column, rows in the order given — so repeated runs produce
 identical bases, matrices and reports.
+
+The one elimination kernel, ``Echelon``, works over the integers: each input
+is cleared of denominators, stored rows are primitive integer vectors, and
+row operations are fraction-free.  ``Fraction``s appear only where a result
+leaves the kernel (residues, combinations, ``Matrix.image_basis``).  The
+reduced row echelon form of a span is unique, and so is a combination over
+independent inputs, so every result equals that of elimination over Q.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence
 
 Vector = dict[int, Fraction]
@@ -41,28 +49,73 @@ def vec_from_list(values: Sequence[Fraction | int]) -> Vector:
     return {i: Fraction(v) for i, v in enumerate(values) if v != 0}
 
 
-class Echelon:
-    """Incremental reduced row echelon form with combination tracking.
+def _clear(vec: Vector) -> tuple[dict[int, int], int]:
+    """The integer vector f·vec and f, the lcm of the denominators of vec."""
+    factor = 1
+    for v in vec.values():
+        den = v.denominator
+        if factor % den:
+            factor = lcm(factor, den)
+    if factor == 1:
+        return {k: n for k, v in vec.items() if (n := v.numerator)}, 1
+    return {
+        k: n * (factor // v.denominator) for k, v in vec.items() if (n := v.numerator)
+    }, factor
 
-    Invariants: every stored row has pivot coefficient 1 and is the only
-    stored row with a nonzero entry in its pivot column; ``tags[p]`` expresses
-    ``rows[p]`` as a combination of the successfully inserted input vectors,
-    indexed by insertion order.
+
+def _sub_scaled(x: dict[int, int], b: int, y: dict[int, int]) -> None:
+    """x ← x − b·y in place on integer vectors, dropping zeros."""
+    for k, v in y.items():
+        new = x.get(k, 0) - b * v
+        if new:
+            x[k] = new
+        else:
+            del x[k]
+
+
+def _lowest_terms(den: int, tag: dict[int, int]) -> tuple[int, dict[int, int]]:
+    """Divide a positive denominator and an integer tag by their common gcd."""
+    g = gcd(den, *tag.values())
+    if g == 1:
+        return den, tag
+    return den // g, {k: v // g for k, v in tag.items()}
+
+
+class Echelon:
+    """Incremental reduced row echelon form, eliminated over the integers.
+
+    Each input ``Vector`` is cleared of denominators on entry: X_k = f_k·v_k
+    with f_k the lcm of its denominators.  Stored rows are primitive integer
+    vectors (content 1, pivot entry positive); each is the only stored row
+    with a nonzero entry in its pivot column, so ``rows[p]`` is the unique
+    reduced-echelon row of the span scaled to a primitive integer vector.
+    Row operations are fraction-free, x ↦ a·x − b·y with a, b the cofactors
+    of the two pivot-column entries, followed by division by the content
+    (Bareiss, Math. Comp. 22 (1968)).
+
+    Tracked mode keeps, for every stored row, integer tags and a positive
+    denominator with ``dens[p]·rows[p] = Σ_k tags[p][k]·X_k`` over the
+    successfully inserted inputs, indexed by insertion order, and carries a
+    multiplier for the vector being reduced.  ``reduce`` and
+    ``last_zero_combo`` turn these back into exact ``Fraction``
+    combinations of the original inputs.
     """
 
     def __init__(self, track: bool = False) -> None:
         self.pivots: dict[int, int] = {}  # pivot column -> row position
-        self.rows: list[Vector] = []
-        self.tags: list[Vector] = []
+        self.rows: list[dict[int, int]] = []
+        self.tags: list[dict[int, int]] = []
+        self.dens: list[int] = []
         self.track = track
         self.n_inserted = 0
         self.last_zero_combo: Vector = {}
+        self._factors: list[int] = []  # f_k of every input, by insertion order
         self._col_rows: dict[int, set[int]] = {}  # column -> positions of rows hitting it
 
     def rank(self) -> int:
         return len(self.rows)
 
-    def _replace_row(self, pos: int, new_row: Vector) -> None:
+    def _replace_row(self, pos: int, new_row: dict[int, int]) -> None:
         old_row = self.rows[pos]
         for col in old_row.keys() - new_row.keys():
             hits = self._col_rows[col]
@@ -73,52 +126,118 @@ class Echelon:
             self._col_rows.setdefault(col, set()).add(pos)
         self.rows[pos] = new_row
 
-    def reduce(self, vec: Vector) -> tuple[Vector, Vector]:
-        """Return ``(residue, combo)`` with vec = residue + Σ combo[k]·input_k."""
-        res = {col: val for col, val in vec.items() if val != 0}
-        combo: Vector = {}
+    def _eliminate(self, x: dict[int, int]) -> tuple[dict[int, int], dict[int, int], int]:
+        """Clear the pivot columns of the integer vector x.
+
+        Returns ``(x', combo, mult)`` with mult·x = x' + Σ_k combo[k]·X_k
+        (combo stays ``{}`` in untracked mode).  A step that scales x
+        divides x', combo and mult by their common gcd.
+        """
+        combo: dict[int, int] = {}
+        mult = 1
         # Stored rows vanish on every pivot column but their own, so
-        # elimination never brings new pivot columns into the residue.
-        for col in sorted(col for col in res if col in self.pivots):
-            coeff = res.get(col)
-            if not coeff:
+        # elimination never brings new pivot columns into x.
+        for col in sorted(col for col in x if col in self.pivots):
+            xc = x.get(col)
+            if not xc:
                 continue
             pos = self.pivots[col]
-            res = vec_add(res, self.rows[pos], -coeff)
+            row = self.rows[pos]
+            rc = row[col]
+            g = gcd(rc, xc)
+            a, b = rc // g, xc // g
             if self.track:
-                combo = vec_add(combo, self.tags[pos], coeff)
-        return res, combo
+                # x ↦ d·(a·x − b·row) keeps the tags integral.
+                den = self.dens[pos]
+                scale, b_row = a * den, b * den
+            else:
+                scale, b_row = a, b
+            if scale != 1:
+                x = {k: scale * v for k, v in x.items()}
+            _sub_scaled(x, b_row, row)
+            mult *= scale
+            if self.track:
+                if scale != 1:
+                    combo = {k: scale * v for k, v in combo.items()}
+                _sub_scaled(combo, -b, self.tags[pos])
+            if scale != 1:
+                content = gcd(mult, *x.values(), *combo.values())
+                if content != 1:
+                    x = {k: v // content for k, v in x.items()}
+                    combo = {k: v // content for k, v in combo.items()}
+                    mult //= content
+        return x, combo, mult
+
+    def _fractions(self, combo: dict[int, int], den: int) -> Vector:
+        """Σ_k combo[k]·X_k / den as a combination of the original inputs."""
+        factors = self._factors
+        return {k: Fraction(v * factors[k], den) for k, v in combo.items()}
+
+    def reduce(self, vec: Vector) -> tuple[Vector, Vector]:
+        """Return ``(residue, combo)`` with vec = residue + Σ combo[k]·input_k."""
+        x, factor = _clear(vec)
+        x, combo, mult = self._eliminate(x)
+        den = mult * factor
+        residue = {k: Fraction(v, den) for k, v in x.items()}
+        return residue, self._fractions(combo, den) if self.track else {}
 
     def insert(self, vec: Vector) -> bool:
         """Insert a vector; returns True when it enlarged the span."""
         idx = self.n_inserted
         self.n_inserted += 1
-        res, combo = self.reduce(vec)
-        if not res:
-            self.last_zero_combo = combo
-            return False
-        pivot_col = min(res.keys())
-        inv = ONE / res[pivot_col]
-        new_row = vec_scale(res, inv)
-        new_tag: Vector = {}
+        x, factor = _clear(vec)
         if self.track:
-            new_tag = vec_scale(vec_add({idx: ONE}, combo, -ONE), inv)
-        for pos in sorted(self._col_rows.get(pivot_col, ())):
-            coeff = self.rows[pos][pivot_col]
-            self._replace_row(pos, vec_add(self.rows[pos], new_row, -coeff))
+            self._factors.append(factor)
+        x, combo, mult = self._eliminate(x)
+        if not x:
             if self.track:
-                self.tags[pos] = vec_add(self.tags[pos], new_tag, -coeff)
+                self.last_zero_combo = self._fractions(combo, mult * factor)
+            return False
+        pivot_col = min(x)
+        content = gcd(*x.values())
+        if x[pivot_col] < 0:
+            content = -content
+        new_row = {k: v // content for k, v in x.items()} if content != 1 else x
+        new_tag: dict[int, int] = {}
+        new_den = 1
+        if self.track:
+            # content·new_row = mult·X_idx − Σ combo[k]·X_k.
+            new_tag = {idx: mult}
+            new_tag.update((k, -v) for k, v in combo.items())
+            if content < 0:
+                new_tag = {k: -v for k, v in new_tag.items()}
+            new_den, new_tag = _lowest_terms(abs(content), new_tag)
+        rc = new_row[pivot_col]
+        for pos in sorted(self._col_rows.get(pivot_col, ())):
+            old = self.rows[pos]
+            oc = old[pivot_col]
+            g = gcd(rc, oc)
+            a, b = rc // g, oc // g
+            row = {k: a * v for k, v in old.items()} if a != 1 else dict(old)
+            _sub_scaled(row, b, new_row)
+            content = gcd(*row.values())
+            if content != 1:
+                row = {k: v // content for k, v in row.items()}
+            self._replace_row(pos, row)
+            if self.track:
+                # With den = dens[pos]: (den·new_den·content)·row
+                # = a·new_den·tags[pos] − b·den·new_tag over the inputs.
+                den = self.dens[pos]
+                tag = {k: a * new_den * v for k, v in self.tags[pos].items()}
+                _sub_scaled(tag, b * den, new_tag)
+                self.dens[pos], self.tags[pos] = _lowest_terms(den * new_den * content, tag)
         new_pos = len(self.rows)
         self.pivots[pivot_col] = new_pos
         self.rows.append(new_row)
         self.tags.append(new_tag)
+        self.dens.append(new_den)
         for col in new_row:
             self._col_rows.setdefault(col, set()).add(new_pos)
         return True
 
     def contains(self, vec: Vector) -> bool:
-        res, _ = self.reduce(vec)
-        return not res
+        x, _, _ = self._eliminate(_clear(vec)[0])
+        return not x
 
 
 class Matrix:
@@ -196,8 +315,11 @@ class Matrix:
         ech = Echelon()
         for row in self.rows:
             ech.insert(row)
-        order = sorted(ech.pivots.keys())
-        return [dict(ech.rows[ech.pivots[col]]) for col in order]
+        out = []
+        for col in sorted(ech.pivots):
+            row = ech.rows[ech.pivots[col]]
+            out.append({k: Fraction(v, row[col]) for k, v in row.items()})
+        return out
 
     def solve(self, target: Vector) -> Vector | None:
         """Find one x with x·M = target, or None when target is not in the image."""

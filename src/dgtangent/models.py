@@ -318,6 +318,10 @@ def parse_model(text: str) -> ModelFile:
                 degree = int(words[2])
             except ValueError:
                 raise ModelSyntaxError(line_no, f"bad degree {words[2]!r}") from None
+            if degree <= 0:
+                raise ModelSyntaxError(
+                    line_no, f"generator {gen_name!r} has nonpositive degree {degree}"
+                )
             stage: int | None = None
             role = ""
             pos = 3

@@ -69,6 +69,10 @@ class FilteredComplex:
             self._levels[n] = out
         return self._levels[n]
 
+    def occupied_levels(self, n: int) -> list[int]:
+        """The levels of the degree-n basis; dim E_r^{s, n−s} is 0 off them."""
+        return sorted(set(self.levels(n)))
+
     def basis_vectors_at_least(self, n: int, s: int) -> list[Vector]:
         """Unit vectors spanning F^s in degree n."""
         return [
@@ -214,7 +218,7 @@ class SpectralSequence:
         """Nonzero entries (s, t) → dim over a window of total degrees."""
         out: dict[tuple[int, int], int] = {}
         for n in total_degrees:
-            for s in range(0, self.fc.max_level + 1):
+            for s in self.fc.occupied_levels(n):
                 dim = self.dim(r, s, n - s)
                 if dim:
                     out[(s, n - s)] = dim
@@ -266,9 +270,7 @@ class SpectralSequence:
         out: dict[int, tuple[int, int, bool]] = {}
         r = self.stable_page
         for n in total_degrees:
-            total = sum(
-                self.dim(r, s, n - s) for s in range(0, self.fc.max_level + 1)
-            )
+            total = sum(self.dim(r, s, n - s) for s in self.fc.occupied_levels(n))
             h = self.fc.complex.homology_dim(n)
             out[n] = (total, h, total == h)
         return out
@@ -712,6 +714,6 @@ def collapse_report(
         report.verified = all(
             ss.dim(r_pred, s, n - s) == ss.dim(stable, s, n - s)
             for n in total_degrees
-            for s in range(0, ss.fc.max_level + 1)
+            for s in ss.fc.occupied_levels(n)
         )
     return report

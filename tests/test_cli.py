@@ -83,6 +83,22 @@ def test_multiplicative_without_diag_is_usage_error(capsys):
     assert "--diag" in err
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [("--check-multiplicative",), ("--diag", "primitive")],
+    ids=["multiplicative-without-diag", "diag-without-multiplicative"],
+)
+def test_ss_flag_mistakes_exit_before_computing(monkeypatch, capsys, flags):
+    def refuse(*args, **kwargs):
+        raise AssertionError("tower_report ran before the flags were checked")
+
+    monkeypatch.setattr("dgtangent.cli.tower_report", refuse)
+    code, out, err = run_main(capsys, "ss", "builtin:ah:sphere:2", *flags)
+    assert code == 2
+    assert out == ""
+    assert "--check-multiplicative" in err and "--diag" in err
+
+
 def test_bad_pages_is_usage_error(capsys):
     code, _, err = run_main(capsys, "ss", "builtin:ah:sphere:2", "--pages", "x")
     assert code == 2
@@ -129,6 +145,17 @@ def test_negative_stage_is_syntax_error(tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert "line 3" in err and "stage -3" in err
+
+
+def test_nonpositive_degree_names_its_line(tmp_path, capsys):
+    model = tmp_path / "degree.model"
+    model.write_text(
+        "flavor commutative\ngrading cohomological\ngen x : 0\n", encoding="utf-8"
+    )
+    code, out, err = run_main(capsys, "validate", str(model))
+    assert code == 1
+    assert out == ""
+    assert "line 3" in err and "nonpositive degree 0" in err
 
 
 def test_reversed_degree_range_is_usage_error(capsys):

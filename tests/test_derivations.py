@@ -17,6 +17,8 @@ from dgtangent.derivations import (
     restriction_sequence,
     subalgebra_below_stage,
 )
+from dgtangent.models import builtin
+from test_acceptance import BUILTINS
 
 
 def sullivan_s3() -> FreeDgAlgebra:
@@ -312,3 +314,50 @@ def test_cone_filtration_levels() -> None:
     for label in cone.basis(1):
         if label[0] == "der":
             assert cone.filtration_level(label) == 3  # stage(x)=2, +1
+
+
+def _coefficient_cases() -> list[tuple[str, FreeDgAlgebra, Coefficients]]:
+    cases = []
+    for name in BUILTINS:
+        a = builtin(name).algebra()
+        cases.append((f"{name} self", a, Coefficients.identity(a)))
+        cases.append((f"{name} trivial", a, Coefficients.trivial(a)))
+        # A separate copy of the same model: u is name matching, U is not A.
+        copy = builtin(name).build()
+        cases.append((f"{name} target", a, Coefficients.from_target(a, copy)))
+    for source, target in (
+        ("sullivan:cpn:1", "sullivan:hopf"),
+        ("sullivan:cpn:2", "sullivan:cpn:3"),
+    ):
+        a = builtin(source).algebra()
+        coeffs = Coefficients.from_target(a, builtin(target).build())
+        cases.append((f"{source} -> {target}", a, coeffs))
+    return cases
+
+
+def test_differential_values_match_the_apply_formula() -> None:
+    # ∂F(w) = d_U F(w) − (−1)^p F(d_A w), with F∘d_A through DerComplex.apply,
+    # on every single slot and on random sums of slots.
+    rng = random.Random(20261018)
+    for label, a, coeffs in _coefficient_cases():
+        der = DerComplex(a, coeffs)
+        for p in range(-4, 4):
+            basis = der.basis(p)
+            candidates = [der.values_of_vector({i: Fraction(1)}, p) for i in range(len(basis))]
+            for _ in range(min(len(basis), 5)):
+                vec = {}
+                for i in rng.sample(range(len(basis)), min(len(basis), 3)):
+                    vec[i] = Fraction(rng.choice([-7, -2, 1, 3, 5]), rng.randint(1, 4))
+                candidates.append(der.values_of_vector(vec, p))
+            sign = Fraction(-1) ** p
+            for values in candidates:
+                expected = {}
+                for w in der.slots:
+                    term = el_add(
+                        der.U.differential(values.get(w, {})),
+                        der.apply(values, p, a.diff[w]),
+                        -sign,
+                    )
+                    if term:
+                        expected[w] = term
+                assert der.differential_values(values, p) == expected, (label, p, values)

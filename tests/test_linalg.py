@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from dgtangent.linalg import (
     vec_from_list,
     vec_scale,
 )
+from test_algebra import dense_rank
 
 
 def random_matrix(rng: random.Random, nrows: int, ncols: int, density: float = 0.5) -> Matrix:
@@ -165,3 +167,161 @@ def test_determinism_of_bases() -> None:
     second = [dict(v) for v in m.kernel_basis()]
     assert first == second
     assert [dict(v) for v in m.image_basis()] == [dict(v) for v in m.image_basis()]
+
+
+# ------------------------------------------- against a dense Gauss–Jordan
+
+
+def dense(vec: dict, ncols: int) -> list[Fraction]:
+    return [Fraction(vec.get(j, 0)) for j in range(ncols)]
+
+
+def sparse(values: list[Fraction]) -> dict:
+    return {j: v for j, v in enumerate(values) if v}
+
+
+def dense_rref(
+    rows: list[list[Fraction]], ncols: int
+) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form and pivot columns, by dense Gauss–Jordan."""
+    rows = [list(row) for row in rows]
+    pivots: list[int] = []
+    for col in range(ncols):
+        rank = len(pivots)
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        lead = rows[rank][col]
+        rows[rank] = [v / lead for v in rows[rank]]
+        for i in range(len(rows)):
+            if i != rank and rows[i][col]:
+                factor = rows[i][col]
+                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[rank])]
+        pivots.append(col)
+    return rows[: len(pivots)], pivots
+
+
+def dense_express(
+    columns: list[list[Fraction]], target: list[Fraction]
+) -> list[Fraction] | None:
+    """The unique c with Σ c_j·columns[j] = target (columns independent), or None."""
+    k = len(columns)
+    system = [[col[i] for col in columns] + [target[i]] for i in range(len(target))]
+    rref, pivots = dense_rref(system, k + 1)
+    if k in pivots:
+        return None
+    solution = [Fraction(0)] * k
+    for row, col in zip(rref, pivots):
+        solution[col] = row[k]
+    return solution
+
+
+def greedy_independent(vectors: list[list[Fraction]]) -> list[int]:
+    chosen: list[int] = []
+    for i, vec in enumerate(vectors):
+        if dense_express([vectors[j] for j in chosen], vec) is None:
+            chosen.append(i)
+    return chosen
+
+
+def hard_matrix(rng: random.Random, nrows: int, ncols: int) -> Matrix:
+    """Mixed denominators, entries up to 10^12 and long chains of dependent rows."""
+
+    def entry() -> Fraction:
+        if rng.random() < 0.2:
+            return Fraction(rng.randint(-10**12, 10**12), rng.choice([1, 7, 10**6 + 3]))
+        return Fraction(rng.randint(-6, 6), rng.choice([1, 1, 2, 3, 12]))
+
+    rows: list[dict] = []
+    for i in range(nrows):
+        if i >= 2 and rng.random() < 0.5:
+            # A combination of the last two rows: a chain of dependences.
+            a, b = entry() or Fraction(1), entry()
+            rows.append(vec_add(vec_scale(rows[-1], a), rows[-2], b))
+        else:
+            row = {j: entry() for j in range(ncols) if rng.random() < 0.5}
+            rows.append({j: v for j, v in row.items() if v})
+    return Matrix(nrows, ncols, rows)
+
+
+def test_kernel_matches_dense_gauss_jordan() -> None:
+    rng = random.Random(20261018)
+    shapes = [(rng.randint(1, 9), rng.randint(1, 8)) for _ in range(60)] + [(30, 6)] * 4
+    for nrows, ncols in shapes:
+        m = hard_matrix(rng, nrows, ncols)
+        rows = [dense(row, ncols) for row in m.rows]
+        rref, pivots = dense_rref(rows, ncols)
+        assert m.rank() == len(pivots) == dense_rank(rows)
+        assert m.image_basis() == [sparse(row) for row in rref]
+        # Each dependent row gives e_i − (its combination of the earlier
+        # independent rows).
+        expected_kernel = []
+        independent: list[int] = []
+        for i, row in enumerate(rows):
+            combo = dense_express([rows[j] for j in independent], row)
+            if combo is None:
+                independent.append(i)
+                continue
+            vec = {i: Fraction(1)}
+            for j, c in zip(independent, combo):
+                if c:
+                    vec[j] = -c
+            expected_kernel.append(vec)
+        assert m.kernel_basis() == expected_kernel
+        # solve: the combination over the independent rows, or None.
+        for _ in range(3):
+            x = {i: Fraction(rng.randint(-4, 4), rng.randint(1, 5)) for i in range(nrows)}
+            image = m.apply({i: c for i, c in x.items() if c})
+            for target in (image, hard_matrix(rng, 1, ncols).rows[0]):
+                combo = dense_express([rows[j] for j in independent], dense(target, ncols))
+                expected = None if combo is None else {
+                    j: c for j, c in zip(independent, combo) if c
+                }
+                assert m.solve(target) == expected
+        # reduce: residue vec − Σ_c vec[c]·rref_c, in both modes.
+        for track in (False, True):
+            ech = Echelon(track=track)
+            for row in m.rows:
+                ech.insert(row)
+            probe = hard_matrix(rng, 1, ncols).rows[0]
+            residue = dense(probe, ncols)
+            for row, col in zip(rref, pivots):
+                coeff = residue[col]
+                residue = [a - coeff * b for a, b in zip(residue, row)]
+            assert ech.reduce(probe)[0] == sparse(residue)
+
+
+def test_subquotient_reduce_matches_dense() -> None:
+    rng = random.Random(4711)
+    for _ in range(40):
+        ncols = rng.randint(1, 7)
+        nums = hard_matrix(rng, rng.randint(1, 6), ncols).rows
+        dens = hard_matrix(rng, rng.randint(0, 4), ncols).rows if rng.random() < 0.8 else []
+        sq = Subquotient(nums, dens)
+        inputs = [dense(v, ncols) for v in list(dens) + list(nums)]
+        independent = greedy_independent(inputs)
+        basis_inputs = [i for i in independent if i >= len(dens)]
+        assert sq.basis == [nums[i - len(dens)] for i in basis_inputs]
+        for _ in range(3):
+            x = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in inputs]
+            vec = [sum(c * v[j] for c, v in zip(x, inputs)) for j in range(ncols)]
+            combo = dense_express([inputs[i] for i in independent], vec)
+            coeffs = dict(zip(independent, combo))
+            expected = {
+                slot: coeffs[i] for slot, i in enumerate(basis_inputs) if coeffs[i]
+            }
+            assert sq.reduce(sparse(vec)) == expected
+
+
+def test_stored_rows_are_primitive_integer_vectors() -> None:
+    rng = random.Random(12)
+    for track in (False, True):
+        ech = Echelon(track=track)
+        for row in hard_matrix(rng, 12, 8).rows:
+            ech.insert(row)
+        assert ech.rank() > 0
+        for row in ech.rows:
+            assert all(type(v) is int for v in row.values())
+            assert math.gcd(*row.values()) == 1
+            assert row[min(row)] > 0

@@ -11,7 +11,13 @@ from dgtangent.algebra import FreeDgAlgebra, Generator
 from dgtangent.complexes import CochainComplex
 from dgtangent.derivations import Coefficients, ConeComplex, DerComplex
 from dgtangent.linalg import Matrix
-from dgtangent.models import builtin, derivation_tower, model_family
+from dgtangent.models import (
+    builtin,
+    derivation_tower,
+    model_family,
+    parse_model,
+    tower_report,
+)
 from dgtangent.tower import (
     ExactCoupleSS,
     FilteredChainMap,
@@ -381,3 +387,28 @@ def test_barcode_matches_exact_couple_on_random_towers(algebra, coefficients) ->
             for n in range(-8, 3):
                 assert ss.dim(r, s, n - s) == ec.dim(r, s, n - s), (r, s, n)
     assert_pages_are_homology(ss, range(-8, 3), range(1, 4))
+
+
+def test_page_loops_skip_empty_levels(monkeypatch) -> None:
+    # dim E_r^{s,t} is 0 unless s is the level of a basis element in degree
+    # s + t, so the number of dim calls must not grow with an unused stage.
+    calls = []
+    original = SpectralSequence.dim
+
+    def counting_dim(self, r, s, t):
+        calls.append((r, s, t))
+        return original(self, r, s, t)
+
+    monkeypatch.setattr(SpectralSequence, "dim", counting_dim)
+    counts = {}
+    reports = {}
+    for stage in (5, 500):
+        mf = parse_model(
+            "flavor commutative\ngrading cohomological\n"
+            f"gen x : 2\ngen y : 3 stage {stage}\nd y = x x\n"
+        )
+        calls.clear()
+        reports[stage] = tower_report(mf, window=4, check_collapse=True)
+        counts[stage] = len(calls)
+    assert counts[5] == counts[500]
+    assert reports[5].assembly == reports[500].assembly
