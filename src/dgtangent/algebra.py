@@ -16,6 +16,12 @@ Gradings: an algebra is stored with its native grading (``homological`` or
 internal cohomological degree (used by complexes and spectral sequences) is
 the negation for homologically graded algebras; parities are unaffected, so
 every Koszul sign can be read off native degrees.
+
+The one insertion rule for u-twisted derivations lives here:
+``FreeDgAlgebra.occurrences`` lists each letter of a word with the parity of
+the letters before it and the u-images around it, and ``insert`` sums a
+derivation's values over that list.  ``apply_derivation``, ∂ on Der and the
+brace use them; ``differential`` (u = id) keeps its own loop, on the hot path.
 """
 
 from __future__ import annotations
@@ -246,6 +252,31 @@ class FreeDgAlgebra:
 
     # -------------------------------------------------- derivation extension
 
+    def occurrences(
+        self, el: Element, target: "FreeDgAlgebra", u_images: dict[str, Element]
+    ) -> list[tuple]:
+        """One (v, c, odd, P, S) per letter v of each monomial c·x_1…v…x_k of el.
+
+        odd is the parity of the letters before v; P and S are the products in
+        the target of the u-images of the letters before and after it.  A
+        letter whose P or S vanishes is left out: it contributes nothing.
+        """
+        out = []
+        for mono, coeff in el.items():
+            prefix = [target.one()]
+            for letter in mono[:-1]:
+                prefix.append(target.mul(prefix[-1], u_images[letter]))
+            suffix = [target.one()]
+            for letter in reversed(mono[1:]):
+                suffix.append(target.mul(u_images[letter], suffix[-1]))
+            suffix.reverse()
+            odd = 0
+            for v, before, after in zip(mono, prefix, suffix):
+                if before and after:
+                    out.append((v, coeff, odd, before, after))
+                odd ^= self.gen_parity(v)
+        return out
+
     def apply_derivation(
         self,
         values: dict[str, Element],
@@ -260,30 +291,10 @@ class FreeDgAlgebra:
         Σ_i (−1)^{p(|x_1|+…+|x_{i−1}|)} u(x_1)…u(x_{i−1})·F(x_i)·u(x_{i+1})…u(x_k),
         with the products taken in the target algebra.
         """
-        out: Element = {}
-        for mono, coeff in el.items():
-            k = len(mono)
-            hit = [i for i in range(k) if values.get(mono[i])]
-            if not hit:
-                continue
-            # Prefix products u(x_1)…u(x_{i-1}) and suffix products.
-            prefix: list[Element] = [target.one()]
-            for letter in mono[:-1]:
-                prefix.append(target.mul(prefix[-1], u_images[letter]))
-            suffix: list[Element] = [target.one()] * (k + 1)
-            for i in range(k - 1, -1, -1):
-                suffix[i] = target.mul(u_images[mono[i]], suffix[i + 1])
-            sign = Fraction(1)
-            pos = 0
-            for i in hit:
-                while pos < i:
-                    if op_parity and self.gen_parity(mono[pos]):
-                        sign = -sign
-                    pos += 1
-                term = target.mul(target.mul(prefix[i], values[mono[i]]), suffix[i + 1])
-                for tm, tc in term.items():
-                    el_add_term(out, tm, sign * coeff * tc)
-        return out
+        hit = {m: c for m, c in el.items() if any(map(values.get, m))}
+        if not hit:
+            return {}
+        return insert(values, op_parity, self.occurrences(hit, target, u_images), target)
 
     # ------------------------------------------------------------ towers
 
@@ -369,12 +380,8 @@ class FreeDgAlgebra:
     def algebra_complex(self) -> CochainComplex:
         """The underlying cochain complex (bases of monomials, matrix of d)."""
 
-        def basis_fn(n: int) -> list[Monomial]:
-            return self.basis_in_cdeg(n)
-
         def diff_fn(n: int) -> Matrix:
-            src = self.basis_in_cdeg(n)
-            tgt = self.basis_in_cdeg(n + 1)
+            src, tgt = cx.basis(n), cx.basis(n + 1)
             m = Matrix(len(src), len(tgt))
             index = {mono: j for j, mono in enumerate(tgt)}
             for i, mono in enumerate(src):
@@ -382,7 +389,8 @@ class FreeDgAlgebra:
                     m.add_to(i, index[dm], dc)
             return m
 
-        return CochainComplex(basis_fn, diff_fn, name=f"{self.name or 'algebra'}")
+        cx = CochainComplex(self.basis_in_cdeg, diff_fn, name=f"{self.name or 'algebra'}")
+        return cx
 
     def indecomposables_complex(
         self, exclude: frozenset[str] = frozenset()
@@ -413,6 +421,27 @@ class FreeDgAlgebra:
             return m
 
         return CochainComplex(basis_fn, diff_fn, name="indecomposables")
+
+
+def insert(
+    values: dict[str, Element], parity: int, occurrences: list[tuple], target: FreeDgAlgebra
+) -> Element:
+    """Σ (−1)^{parity·odd}·c·P·F(v)·S over occurrences (v, c, odd, P, S).
+
+    With F given by its values on generators and the occurrences of an
+    element from ``FreeDgAlgebra.occurrences``, this is the u-twisted
+    derivation F applied to that element: the one insertion rule behind
+    ``apply_derivation``, the differential of Der(A, U) and the brace.
+    """
+    out: Element = {}
+    for v, coeff, odd, before, after in occurrences:
+        value = values.get(v)
+        if value:
+            c = -coeff if parity and odd else coeff
+            for mono, val in target.mul(target.mul(before, value), after).items():
+                el_add_term(out, mono, c * val)
+    return out
+
 
 def trivial_algebra(grading: str) -> FreeDgAlgebra:
     """The base field as a free algebra with no generators."""
@@ -497,16 +526,18 @@ class AlgebraMorphism:
         return problems
 
 
-def tilde_extension(algebra: FreeDgAlgebra, eps_name: str = "eps") -> FreeDgAlgebra:
+def tilde_extension(algebra: FreeDgAlgebra) -> FreeDgAlgebra:
     """Adjoin a square-tracking degree −1 generator ε with dε = ε².
 
     The result is the same tensor algebra with one extra homological
-    degree −1 generator and the twisted differential d̄v = dv + [ε, v].
+    degree −1 generator, named ``eps``, and the twisted differential
+    d̄v = dv + [ε, v].
     Basis enumeration is unavailable on the result (negative degree);
     generator-level identities (d̄² = 0) are still verified symbolically.
     """
     if algebra.kind != KIND_TENSOR or algebra.grading != "homological":
         raise ValueError("the ε-extension needs a homological tensor algebra")
+    eps_name = "eps"
     if eps_name in algebra.generators:
         raise ValueError(f"generator name {eps_name!r} already taken")
     gens = list(algebra.generators.values()) + [Generator(eps_name, -1, stage=0)]

@@ -422,7 +422,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("der", help="derivation cohomology dimensions")
     common(p)
     p.add_argument("--target", metavar="MODEL", help="coefficient target model")
-    p.add_argument("--range", metavar="A..B", help="explicit degree range")
+    p.add_argument(
+        "--range", metavar="A..B",
+        help="explicit degree range; a negative A needs the = spelling, --range=-6..2",
+    )
     p.add_argument("--reps", action="store_true", help="print class representatives")
     p.set_defaults(func=cmd_der)
 

@@ -321,16 +321,6 @@ class Matrix:
             out.append({k: Fraction(v, row[col]) for k, v in row.items()})
         return out
 
-    def solve(self, target: Vector) -> Vector | None:
-        """Find one x with x·M = target, or None when target is not in the image."""
-        ech = Echelon(track=True)
-        for row in self.rows:
-            ech.insert(row)
-        res, combo = ech.reduce(target)
-        if res:
-            return None
-        return combo
-
 
 class Subquotient:
     """The subquotient span(numerators)/span(denominators) of a based space.

@@ -15,7 +15,7 @@ levels (checked).  The pages are computed three ways:
   representatives (bidegree (r, 1−r));
 - the exact-couple route, kept as an independent oracle:
   D^{s} = H(F^0/F^{s+1}), E^{s} = H(F^s/F^{s+1}), with the derived couples
-  unwound through explicit linear solves.
+  unwound by reducing against the tracked rows of i^{r−1}.
 
 All are exact; ``alignment_check`` verifies that the filtered and couple
 routes produce identical page dimensions and, after the canonical change of
@@ -244,14 +244,12 @@ class SpectralSequence:
         allowed = self.fc.basis_vectors_at_least(n + 1, s + r_prime + 1)
         return span_contains(correctable + allowed, dx)
 
-    def death_page(
-        self, x: Vector, n: int, s: int, r_start: int = 1
-    ) -> int | None:
-        """First page r' ≥ r_start where the class supports a differential.
+    def death_page(self, x: Vector, n: int, s: int) -> int | None:
+        """First page r' ≥ 1 where the class supports a differential.
 
         None when the class survives to E_∞.
         """
-        for r_prime in range(r_start, self.stable_page + 1):
+        for r_prime in range(1, self.stable_page + 1):
             if not self.survives_to(x, n, s, r_prime):
                 return r_prime
         return None
@@ -354,8 +352,9 @@ class ExactCoupleSS:
     D^{s} = H(F^0/F^{s+1}) and E^{s} = H(F^s/F^{s+1}); the maps are
     i (projection-induced), j (connecting morphism of the three-layer
     sequence) and k (inclusion-induced).  Derived pages are maintained as
-    subquotients of the E_1 class coordinates, with i^{r−1} inverted by a
-    linear solve when evaluating d_r = j_r ∘ k_r.
+    subquotients of the E_1 class coordinates; d_r = j_r ∘ k_r lifts through
+    i^{r−1} by reducing against one tracked ``Echelon`` of its rows per
+    (s, n, r).
     """
 
     def __init__(self, fc: FilteredComplex) -> None:
@@ -365,7 +364,7 @@ class ExactCoupleSS:
         self._page_cache: dict[tuple[int, int, int], tuple[list[Vector], list[Vector]]] = {}
         self._sub_cache: dict[tuple[int, int, int], Subquotient] = {}
         self._i_cache: dict[tuple[int, int], Matrix] = {}
-        self._ipow_cache: dict[tuple[int, int, int], Matrix] = {}
+        self._ipow_cache: dict[tuple[int, int, int], Echelon] = {}
 
     # ----------------------------------------------------- quotient layers
 
@@ -455,8 +454,8 @@ class ExactCoupleSS:
 
     # ------------------------------------------------------------- d_r data
 
-    def _i_power_matrix(self, s: int, n: int, r: int) -> Matrix:
-        """i^{r−1}: D(s+r−1, n) → D(s, n) as a class-coordinate matrix."""
+    def _i_power(self, s: int, n: int, r: int) -> Echelon:
+        """i^{r−1}: D(s+r−1, n) → D(s, n), its class-coordinate rows tracked."""
         key = (s, n, r)
         if key in self._ipow_cache:
             return self._ipow_cache[key]
@@ -468,8 +467,11 @@ class ExactCoupleSS:
         current = m
         for sigma in range(s + r - 1, s, -1):
             current = current.compose(self.i_matrix(sigma, n))
-        self._ipow_cache[key] = current
-        return current
+        ech = Echelon(track=True)
+        for row in current.rows:
+            ech.insert(row)
+        self._ipow_cache[key] = ech
+        return ech
 
     def draw(self, r: int, s: int, n: int, z: Vector) -> Vector:
         """d_r of an E_1-class-coordinate vector z at (s, n).
@@ -485,9 +487,8 @@ class ExactCoupleSS:
         if r == 1:
             y = kx
         else:
-            m = self._i_power_matrix(s, n, r)
-            y = m.solve(kx)
-            if y is None:
+            residue, y = self._i_power(s, n, r).reduce(kx)
+            if residue:
                 raise ValueError(
                     f"class at (s={s}, n={n}) is not in the image of i^{r-1}; "
                     "it does not live on this page"

@@ -361,3 +361,118 @@ def test_differential_values_match_the_apply_formula() -> None:
                     if term:
                         expected[w] = term
                 assert der.differential_values(values, p) == expected, (label, p, values)
+
+
+def odd_cubic_models() -> list[FreeDgAlgebra]:
+    """Differentials with words of length 3 in odd letters, in both kinds."""
+    c = FreeDgAlgebra(
+        "commutative",
+        "cohomological",
+        [Generator("x", 3), Generator("y", 3), Generator("z", 3), Generator("v", 5), Generator("w", 8)],
+    )
+    c.set_differential("v", {("x", "y"): Fraction(1)})
+    c.set_differential("w", {("x", "y", "z"): Fraction(2)})
+    t = FreeDgAlgebra(
+        "tensor",
+        "homological",
+        [Generator("a", 1), Generator("b", 1), Generator("e", 3), Generator("c", 4)],
+    )
+    t.set_differential("e", {("a", "b"): Fraction(1), ("b", "a"): Fraction(1)})
+    t.set_differential("c", {("a", "b", "a"): Fraction(3), ("b", "a", "a"): Fraction(-1)})
+    for a in (c, t):
+        assert a.d_squared_failures_on_generators() == []
+    return [c, t]
+
+
+def literal_product(der: DerComplex, coeff: Fraction, factors: list) -> dict:
+    term = {(): coeff}
+    for factor in factors:
+        term = der.U.mul(term, factor)
+    return term
+
+
+def literal_derivation(der: DerComplex, f: dict, p: int, el: dict) -> dict:
+    """Σ_i (−1)^{p·Σ_{l<i}|x_l|}·u(x_1)…F(x_i)…u(x_k) over the words of el."""
+    A, u = der.A, der.u.images
+    out: dict = {}
+    for mono, c in el.items():
+        for i in range(len(mono)):
+            sign = Fraction(-1) ** (p * sum(A.gen_degree(x) for x in mono[:i]))
+            factors = [u[x] for x in mono[:i]] + [f.get(mono[i], {})]
+            factors += [u[x] for x in mono[i + 1 :]]
+            out = el_add(out, literal_product(der, sign * c, factors))
+    return out
+
+
+def literal_brace(der: DerComplex, f: dict, p: int, g: dict, q: int) -> dict:
+    """Σ_{i<j} (−1)^{p·Σ_{l<i}|x_l| + q·(Σ_{l<j}|x_l| + p)}·u…f(x_i)…g(x_j)…u."""
+    A, u = der.A, der.u.images
+    out = {}
+    for v in der.slots:
+        acc: dict = {}
+        for mono, c in A.diff[v].items():
+            degs = [A.gen_degree(x) for x in mono]
+            for i in range(len(mono)):
+                for j in range(i + 1, len(mono)):
+                    sign = Fraction(-1) ** (p * sum(degs[:i]) + q * (sum(degs[:j]) + p))
+                    factors = [u[x] for x in mono]
+                    factors[i], factors[j] = f.get(mono[i], {}), g.get(mono[j], {})
+                    acc = el_add(acc, literal_product(der, sign * c, factors))
+        if acc:
+            out[v] = acc
+    return out
+
+
+def test_insertion_rule_matches_the_literal_formula() -> None:
+    # apply_derivation, the F∘d_A part of ∂ and the brace all insert values
+    # into words by one shared rule; here each is checked against the formula
+    # written out term by term, with self, trivial and target coefficients.
+    rng = random.Random(20261019)
+    cases = _coefficient_cases()
+    for a, copy in zip(odd_cubic_models(), odd_cubic_models()):
+        cases += [
+            (f"odd cubic {a.kind} self", a, Coefficients.identity(a)),
+            (f"odd cubic {a.kind} trivial", a, Coefficients.trivial(a)),
+            (f"odd cubic {a.kind} target", a, Coefficients.from_target(a, copy)),
+        ]
+    explicit = {
+        # f after an odd letter: dw = 2xyz and dc = 3aba − baa.
+        "odd cubic commutative self": ("y", -3, "z", -3),
+        "odd cubic tensor self": ("b", 1, "a", 1),
+    }
+    long_braces = 0
+    for label, a, coeffs in cases:
+        der = DerComplex(a, coeffs)
+        bases = {p: der.complex().basis(p) for p in range(-8, 4)}
+        degrees = [p for p, basis in bases.items() if basis]
+        words = [m for n in range(-8, 9) for m in a.basis_in_cdeg(n) if len(m) >= 2]
+
+        def random_values(p: int) -> dict:
+            values: dict = {}
+            for v, mono in rng.sample(bases[p], min(3, len(bases[p]))):
+                values.setdefault(v, {})[mono] = Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 3))
+            return values
+
+        for _ in range(6):
+            p, q = rng.choice(degrees), rng.choice(degrees)
+            f, g = random_values(p), random_values(q)
+            el = {m: Fraction(rng.randint(1, 5)) for m in rng.sample(words, min(4, len(words)))}
+            assert der.apply(f, p, el) == literal_derivation(der, f, p, el), label
+            expected = {}
+            for w in der.slots:
+                term = el_add(
+                    der.U.differential(f.get(w, {})),
+                    literal_derivation(der, f, p, a.diff[w]),
+                    -Fraction(-1) ** p,
+                )
+                if term:
+                    expected[w] = term
+            assert der.differential_values(f, p) == expected, (label, p, f)
+            got = brace(der, f, p, g, q)
+            assert got == literal_brace(der, f, p, g, q), (label, p, q, f, g)
+            long_braces += any(len(m) >= 3 for v in got for m in a.diff[v])
+        if label in explicit:
+            x, p, y, q = explicit[label]
+            f, g = {x: {(): Fraction(1)}}, {y: {(): Fraction(1)}}
+            assert brace(der, f, p, g, q) == literal_brace(der, f, p, g, q) != {}
+    assert long_braces >= 3  # braces on words of length 3 are exercised
