@@ -255,11 +255,11 @@ class FreeDgAlgebra:
     def occurrences(
         self, el: Element, target: "FreeDgAlgebra", u_images: dict[str, Element]
     ) -> list[tuple]:
-        """One (v, c, odd, P, S) per letter v of each monomial c·x_1…v…x_k of el.
+        """One (mono, i, c, odd, P, S) per letter x_i of each monomial c·mono of el.
 
-        odd is the parity of the letters before v; P and S are the products in
-        the target of the u-images of the letters before and after it.  A
-        letter whose P or S vanishes is left out: it contributes nothing.
+        odd is the parity of the letters before x_i; P and S are the products
+        in the target of the u-images of the letters before and after it.  A
+        letter whose P vanishes is left out: no insertion there survives.
         """
         out = []
         for mono, coeff in el.items():
@@ -271,10 +271,10 @@ class FreeDgAlgebra:
                 suffix.append(target.mul(u_images[letter], suffix[-1]))
             suffix.reverse()
             odd = 0
-            for v, before, after in zip(mono, prefix, suffix):
-                if before and after:
-                    out.append((v, coeff, odd, before, after))
-                odd ^= self.gen_parity(v)
+            for i, (before, after) in enumerate(zip(prefix, suffix)):
+                if before:
+                    out.append((mono, i, coeff, odd, before, after))
+                odd ^= self.gen_parity(mono[i])
         return out
 
     def apply_derivation(
@@ -426,7 +426,7 @@ class FreeDgAlgebra:
 def insert(
     values: dict[str, Element], parity: int, occurrences: list[tuple], target: FreeDgAlgebra
 ) -> Element:
-    """Σ (−1)^{parity·odd}·c·P·F(v)·S over occurrences (v, c, odd, P, S).
+    """Σ (−1)^{parity·odd}·c·P·F(x_i)·S over occurrences (mono, i, c, odd, P, S).
 
     With F given by its values on generators and the occurrences of an
     element from ``FreeDgAlgebra.occurrences``, this is the u-twisted
@@ -434,9 +434,9 @@ def insert(
     ``apply_derivation``, the differential of Der(A, U) and the brace.
     """
     out: Element = {}
-    for v, coeff, odd, before, after in occurrences:
-        value = values.get(v)
-        if value:
+    for mono, i, coeff, odd, before, after in occurrences:
+        value = values.get(mono[i])
+        if value and after:
             c = -coeff if parity and odd else coeff
             for mono, val in target.mul(target.mul(before, value), after).items():
                 el_add_term(out, mono, c * val)

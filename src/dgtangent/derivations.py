@@ -99,7 +99,8 @@ class DerComplex:
         )
         self.name = name
         self._complex: CochainComplex | None = None
-        # The occurrences of the letters of d_A(w), for F∘d_A(w) by ``insert``.
+        # The occurrences of the letters of d_A(w): F∘d_A(w) sums ``insert``
+        # over them, and the brace puts f at each of them.
         self._d_letters = {
             w: algebra.occurrences(algebra.diff[w], self.U, self.u.images) for w in self.slots
         }
@@ -223,10 +224,10 @@ def brace(
 
     For each generator v and each word x_1…x_k of d(v), insert f at position
     i and g at position j > i with u applied everywhere else; the Koszul sign
-    moves each operator past the (current) letters to its left.  Each word is
-    walked once: at x_i, g is inserted into x_{i+1}…x_k by
-    ``apply_derivation``, and the sign left to pair is that of moving g past
-    x_1…x_i and f.  The chain identity for this sign convention is
+    moves each operator past the (current) letters to its left.  The
+    positions of f are the occurrences of d(v) kept by the complex: at x_i, g
+    is inserted into x_{i+1}…x_k by ``apply_derivation``, and the sign left
+    to pair is that of moving g past x_1…x_i and f.  The chain identity for this sign convention is
     ∂{d;f,g} = (−1)^q {d;∂f,g} + {d;f,∂g},
     so the induced product of cohomology classes is well defined.
     """
@@ -234,16 +235,12 @@ def brace(
     out: Values = {}
     for v in der.slots:
         acc: Element = {}
-        for mono, c in A.diff[v].items():
-            prefix, odd = U.one(), 0
-            for i, x in enumerate(mono):
-                fx = f.get(x)
-                if fx and prefix:
-                    rest = A.apply_derivation(g, q, {mono[i + 1 :]: c}, U, u_images)
-                    pair = (p * odd + q * (odd + A.gen_parity(x) + p)) % 2
-                    acc = el_add(acc, U.mul(U.mul(prefix, fx), rest), Fraction((-1) ** pair))
-                prefix = U.mul(prefix, u_images[x])
-                odd ^= A.gen_parity(x)
+        for mono, i, c, odd, prefix, _ in der._d_letters[v]:
+            fx = f.get(mono[i])
+            if fx:
+                rest = A.apply_derivation(g, q % 2, {mono[i + 1 :]: c}, U, u_images)
+                pair = (p * odd + q * (odd + A.gen_parity(mono[i]) + p)) % 2
+                acc = el_add(acc, U.mul(U.mul(prefix, fx), rest), Fraction((-1) ** pair))
         if acc:
             out[v] = acc
     return out

@@ -435,10 +435,18 @@ def test_insertion_rule_matches_the_literal_formula() -> None:
             (f"odd cubic {a.kind} trivial", a, Coefficients.trivial(a)),
             (f"odd cubic {a.kind} target", a, Coefficients.from_target(a, copy)),
         ]
+    one = {(): Fraction(1)}
     explicit = {
-        # f after an odd letter: dw = 2xyz and dc = 3aba − baa.
-        "odd cubic commutative self": ("y", -3, "z", -3),
-        "odd cubic tensor self": ("b", 1, "a", 1),
+        # On dw = 2xyz and dc = 3aba − baa: f after an odd letter, and g of
+        # even nonzero degree inserted after an odd letter that follows f.
+        "odd cubic commutative self": [
+            ({"y": one}, -3, {"z": one}, -3),
+            ({"x": one}, -3, {"z": {("v",): Fraction(1)}}, 2),
+        ],
+        "odd cubic tensor self": [
+            ({"b": one}, 1, {"a": one}, 1),
+            ({"a": one}, 1, {"a": {("e",): Fraction(1)}}, -2),
+        ],
     }
     long_braces = 0
     for label, a, coeffs in cases:
@@ -471,8 +479,6 @@ def test_insertion_rule_matches_the_literal_formula() -> None:
             got = brace(der, f, p, g, q)
             assert got == literal_brace(der, f, p, g, q), (label, p, q, f, g)
             long_braces += any(len(m) >= 3 for v in got for m in a.diff[v])
-        if label in explicit:
-            x, p, y, q = explicit[label]
-            f, g = {x: {(): Fraction(1)}}, {y: {(): Fraction(1)}}
-            assert brace(der, f, p, g, q) == literal_brace(der, f, p, g, q) != {}
+        for f, p, g, q in explicit.get(label, []):
+            assert brace(der, f, p, g, q) == literal_brace(der, f, p, g, q) != {}, (label, f, g)
     assert long_braces >= 3  # braces on words of length 3 are exercised
