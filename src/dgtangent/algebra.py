@@ -381,13 +381,7 @@ class FreeDgAlgebra:
         """The underlying cochain complex (bases of monomials, matrix of d)."""
 
         def diff_fn(n: int) -> Matrix:
-            src, tgt = cx.basis(n), cx.basis(n + 1)
-            m = Matrix(len(src), len(tgt))
-            index = {mono: j for j, mono in enumerate(tgt)}
-            for i, mono in enumerate(src):
-                for dm, dc in self.differential({mono: Fraction(1)}).items():
-                    m.add_to(i, index[dm], dc)
-            return m
+            return cx.matrix(n, lambda mono: self.differential({mono: Fraction(1)}))
 
         cx = CochainComplex(self.basis_in_cdeg, diff_fn, name=f"{self.name or 'algebra'}")
         return cx
@@ -410,17 +404,12 @@ class FreeDgAlgebra:
             ]
 
         def diff_fn(n: int) -> Matrix:
-            src = basis_fn(n)
-            tgt = basis_fn(n + 1)
-            m = Matrix(len(src), len(tgt))
-            index = {g: j for j, g in enumerate(tgt)}
-            for i, g in enumerate(src):
-                for w, c in self.linear_part(self.diff[g]).items():
-                    if w in index:
-                        m.add_to(i, index[w], c)
-            return m
+            return cx.matrix(n, lambda g: {
+                w: c for w, c in self.linear_part(self.diff[g]).items() if w not in exclude
+            })
 
-        return CochainComplex(basis_fn, diff_fn, name="indecomposables")
+        cx = CochainComplex(basis_fn, diff_fn, name="indecomposables")
+        return cx
 
 
 def insert(

@@ -424,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", metavar="MODEL", help="coefficient target model")
     p.add_argument(
         "--range", metavar="A..B",
-        help="explicit degree range; a negative A needs the = spelling, --range=-6..2",
+        help="explicit degree range, e.g. --range -6..2",
     )
     p.add_argument("--reps", action="store_true", help="print class representatives")
     p.set_defaults(func=cmd_der)
@@ -486,6 +486,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse reads a value such as -6..2 as an option: glue it to its flag.
+    while "--range" in argv[:-1]:
+        at = argv.index("--range")
+        argv[at : at + 2] = [f"--range={argv[at + 1]}"]
     args = parser.parse_args(argv)
     if getattr(args, "window", 1) < 1 or getattr(args, "max_degree", 1) < 1:
         parser.error("the degree window must be at least 1")

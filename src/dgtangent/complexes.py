@@ -1,10 +1,11 @@
 """Graded cochain complexes with exact homology and chosen representatives.
 
-A complex is described by two callables: one producing the (finite, ordered)
-basis of each cohomological degree, the other producing the differential
-matrix from degree n to degree n+1 in those bases.  Both are cached, so a
-complex can be backed by expensive symbolic enumeration and still be queried
-repeatedly.
+A complex is a basis in each cohomological degree plus the image of every
+basis element.  Two callables give it: the (finite, ordered) basis of a
+degree, and the differential from degree n to n+1, which ``matrix`` builds
+from the images through the label → position ``index`` of the target basis.
+Bases, indices and matrices are cached, so a complex can be backed by
+expensive symbolic enumeration and still be queried repeatedly.
 
 Homology has two readers.  ``homology_dim`` counts dim H^n by rank–nullity
 from the cached rank of each differential; every caller that needs only a
@@ -19,9 +20,21 @@ helper at the bottom centralizes that convention and is its own inverse.
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, Sequence
+from fractions import Fraction
+from typing import Callable, Hashable, Mapping, Sequence
 
 from .linalg import Matrix, Subquotient
+
+Image = Callable[[Hashable], Mapping[Hashable, Fraction]]
+
+
+def images_matrix(
+    source: Sequence[Hashable], target_index: Mapping[Hashable, int], image: Image
+) -> Matrix:
+    """Row i is ``image(source[i])``, a {target label: nonzero coefficient}
+    mapping, in the positions given by ``target_index``."""
+    rows = [{target_index[t]: c for t, c in image(label).items()} for label in source]
+    return Matrix(len(source), len(target_index), rows)
 
 
 class CochainComplex:
@@ -37,6 +50,7 @@ class CochainComplex:
         self._diff_fn = diff_fn
         self.name = name
         self._basis_cache: dict[int, list[Hashable]] = {}
+        self._index_cache: dict[int, dict[Hashable, int]] = {}
         self._diff_cache: dict[int, Matrix] = {}
         self._rank_cache: dict[int, int] = {}
         self._homology_cache: dict[int, Subquotient] = {}
@@ -46,8 +60,18 @@ class CochainComplex:
             self._basis_cache[n] = list(self._basis_fn(n))
         return self._basis_cache[n]
 
+    def index(self, n: int) -> dict[Hashable, int]:
+        """Position of each degree-n basis label."""
+        if n not in self._index_cache:
+            self._index_cache[n] = {label: j for j, label in enumerate(self.basis(n))}
+        return self._index_cache[n]
+
     def dim(self, n: int) -> int:
         return len(self.basis(n))
+
+    def matrix(self, n: int, image: Image) -> Matrix:
+        """Degree n → n+1 matrix of the images of the degree-n basis labels."""
+        return images_matrix(self.basis(n), self.index(n + 1), image)
 
     def d(self, n: int) -> Matrix:
         """Differential matrix from degree n to degree n+1."""

@@ -31,11 +31,16 @@ from .algebra import (
     insert,
     trivial_algebra,
 )
-from .complexes import CochainComplex
-from .linalg import Matrix, Vector, spans_equal
+from .complexes import CochainComplex, images_matrix
+from .linalg import ONE, Matrix, Vector, spans_equal
 
 Slot = tuple[str, Monomial]  # (generator name, coefficient monomial)
 Values = dict[str, Element]  # derivation by its values on generators
+
+
+def slot_images(values: Values, *tag: str) -> dict[tuple, Fraction]:
+    """Values as {(*tag, generator, monomial): coefficient}, an ``images_matrix`` row."""
+    return {(*tag, w, mono): c for w, el in values.items() for mono, c in el.items()}
 
 
 class Coefficients:
@@ -166,15 +171,9 @@ class DerComplex:
         if self._complex is None:
 
             def diff_fn(p: int) -> Matrix:
-                src, tgt = self._complex.basis(p), self._complex.basis(p + 1)
-                index = {slot: j for j, slot in enumerate(tgt)}
-                m = Matrix(len(src), len(tgt))
-                for i, (v, mono) in enumerate(src):
-                    image = self.differential_values({v: {mono: Fraction(1)}}, p)
-                    for w, el in image.items():
-                        for im_mono, coeff in el.items():
-                            m.add_to(i, index[(w, im_mono)], coeff)
-                return m
+                return self._complex.matrix(p, lambda slot: slot_images(
+                    self.differential_values({slot[0]: {slot[1]: Fraction(1)}}, p)
+                ))
 
             self._complex = CochainComplex(self.basis, diff_fn, name=self.name or "Der")
         return self._complex
@@ -349,42 +348,28 @@ def restriction_sequence(
     rest_chain = True
     exact = True
 
+    cx_left, cx_mid, cx_right = left.complex(), middle.complex(), right.complex()
+
     def inclusion_matrix(p: int) -> Matrix:
-        src = left.basis(p)
-        tgt = middle.basis(p)
-        index = {slot: j for j, slot in enumerate(tgt)}
-        m = Matrix(len(src), len(tgt))
-        for i, slot in enumerate(src):
-            m.set(i, index[slot], 1)
-        return m
+        return images_matrix(cx_left.basis(p), cx_mid.index(p), lambda slot: {slot: ONE})
 
     def restriction_matrix(p: int) -> Matrix:
-        src = middle.basis(p)
-        tgt = right.basis(p)
-        index = {slot: j for j, slot in enumerate(tgt)}
-        m = Matrix(len(src), len(tgt))
-        for i, slot in enumerate(src):
-            if slot in index:
-                m.set(i, index[slot], 1)
-        return m
+        kept = cx_right.index(p)
+        return images_matrix(
+            cx_mid.basis(p), kept, lambda slot: {slot: ONE} if slot in kept else {}
+        )
 
     for p in degrees:
-        nl, nm, nr = len(left.basis(p)), len(middle.basis(p)), len(right.basis(p))
+        nl, nm, nr = cx_left.dim(p), cx_mid.dim(p), cx_right.dim(p)
         report.dims[p] = (nl, nm, nr)
         if nl + nr != nm:
             additive = False
         incl_p, incl_p1 = inclusion_matrix(p), inclusion_matrix(p + 1)
         rest_p, rest_p1 = restriction_matrix(p), restriction_matrix(p + 1)
-        d_left = left.complex().d(p)
-        d_mid = middle.complex().d(p)
-        d_right = right.complex().d(p)
-        if [dict(r) for r in incl_p.compose(d_mid).rows] != [
-            dict(r) for r in d_left.compose(incl_p1).rows
-        ]:
+        d_left, d_mid, d_right = cx_left.d(p), cx_mid.d(p), cx_right.d(p)
+        if incl_p.compose(d_mid) != d_left.compose(incl_p1):
             incl_chain = False
-        if [dict(r) for r in d_mid.compose(rest_p1).rows] != [
-            dict(r) for r in rest_p.compose(d_right).rows
-        ]:
+        if d_mid.compose(rest_p1) != rest_p.compose(d_right):
             rest_chain = False
         # Exactness: inclusion injective, restriction surjective, ker = im.
         if incl_p.rank() != nl or rest_p.rank() != nr:
@@ -441,28 +426,18 @@ class ConeComplex:
     def complex(self) -> CochainComplex:
         if self._complex is None:
 
+            def image(label: ConeLabel, p: int) -> dict[ConeLabel, Fraction]:
+                """D(q, φ) = (dq, Ad_q − ∂φ) on one basis label."""
+                if label[0] == "alg":
+                    q = {label[1]: Fraction(1)}
+                    out = {("alg", m): c for m, c in self.A.differential(q).items()}
+                    out.update(slot_images(self.adjoint_values(q), "der"))
+                    return out
+                values = self.der.differential_values({label[1]: {label[2]: Fraction(1)}}, p - 1)
+                return {key: -c for key, c in slot_images(values, "der").items()}
+
             def diff_fn(p: int) -> Matrix:
-                src, tgt = self._complex.basis(p), self._complex.basis(p + 1)
-                index = {label: j for j, label in enumerate(tgt)}
-                m = Matrix(len(src), len(tgt))
-                for i, label in enumerate(src):
-                    if label[0] == "alg":
-                        mono = label[1]
-                        dq = self.A.differential({mono: Fraction(1)})
-                        for dm, dc in dq.items():
-                            m.add_to(i, index[("alg", dm)], dc)
-                        for w, el in self.adjoint_values({mono: Fraction(1)}).items():
-                            for am, ac in el.items():
-                                m.add_to(i, index[("der", w, am)], ac)
-                    else:
-                        _, v, mono = label
-                        image = self.der.differential_values(
-                            {v: {mono: Fraction(1)}}, p - 1
-                        )
-                        for w, el in image.items():
-                            for dm, dc in el.items():
-                                m.add_to(i, index[("der", w, dm)], -dc)
-                return m
+                return self._complex.matrix(p, lambda label: image(label, p))
 
             self._complex = CochainComplex(self.basis, diff_fn, name="cone")
         return self._complex

@@ -271,6 +271,11 @@ class Matrix:
         else:
             self.rows[i][j] = new
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Matrix):
+            return NotImplemented
+        return (self.nrows, self.ncols, self.rows) == (other.nrows, other.ncols, other.rows)
+
     def get(self, i: int, j: int) -> Fraction:
         return self.rows[i].get(j, ZERO)
 

@@ -169,9 +169,12 @@ def _parse_rational(token: str, line_no: int) -> Fraction:
 
 def _parse_terms(
     tokens: list[str], line_no: int
-) -> list[tuple[Fraction, list[str]]]:
-    """Shared sum-of-terms parser: (coefficient, factor names with powers expanded)."""
-    terms: list[tuple[Fraction, list[str]]] = []
+) -> list[tuple[Fraction, list[tuple[str, int]]]]:
+    """Shared sum-of-terms parser: (coefficient, [(factor name, power)]).
+
+    Powers stay unexpanded, so each caller can refuse an oversized one first.
+    """
+    terms: list[tuple[Fraction, list[tuple[str, int]]]] = []
     sign = Fraction(1)
     pos = 0
 
@@ -189,7 +192,7 @@ def _parse_terms(
             pos += 1
             continue
         coeff = sign
-        factors: list[str] = []
+        factors: list[tuple[str, int]] = []
         if re.fullmatch(r"\d+(/\d+)?", token):
             coeff *= _parse_rational(token, line_no)
             pos += 1
@@ -199,7 +202,7 @@ def _parse_terms(
             NAME_RE.fullmatch(tokens[pos]) or tokens[pos] == "⊗"
         ):
             if tokens[pos] == "⊗":
-                factors.append("⊗")
+                factors.append(("⊗", 1))
                 pos += 1
                 continue
             name = tokens[pos]
@@ -213,7 +216,7 @@ def _parse_terms(
                 if power < 1:
                     raise error("exponents must be >= 1")
                 pos += 1
-            factors.extend([name] * power)
+            factors.append((name, power))
         if pos < len(tokens) and tokens[pos] not in "+-":
             raise error(f"unexpected token {tokens[pos]!r}")
         terms.append((coeff, factors))
@@ -224,18 +227,31 @@ def _parse_terms(
 def parse_expression(
     algebra: FreeDgAlgebra, text: str, line_no: int = 0
 ) -> Element:
-    """Parse an EXPR into a normalized element of the algebra."""
+    """Parse an EXPR, the value of a differential, into a normalized element.
+
+    Every generator has degree >= 1, so a word of d(v) has at most |v| + 1
+    letters; a word longer than the largest such bound is refused before its
+    powers are expanded.
+    """
     terms = _parse_terms(_tokenize_expression(text, line_no), line_no)
+    max_letters = max(map(algebra.gen_degree, algebra.generators), default=0) + 1
     out: Element = {}
     for coeff, factors in terms:
-        if "⊗" in factors:
+        if ("⊗", 1) in factors:
             raise ModelSyntaxError(line_no, "⊗ is only allowed in diag lines")
+        letters = sum(power for _, power in factors)
+        if letters > max_letters:
+            raise ModelSyntaxError(
+                line_no, f"a word of {letters} letters has degree at least {letters}, "
+                f"more than any differential here (at most {max_letters})"
+            )
         if coeff == 0:
             continue
-        for letter in factors:
+        for letter, _ in factors:
             if letter not in algebra.generators:
                 raise ModelSyntaxError(line_no, f"unknown generator {letter!r}")
-        norm_sign, mono = algebra.normalize_monomial(tuple(factors))
+        word = tuple(letter for letter, power in factors for _ in range(power))
+        norm_sign, mono = algebra.normalize_monomial(word)
         if mono is None:
             raise ModelSyntaxError(
                 line_no, "square of an odd generator vanishes in a commutative algebra"
@@ -251,20 +267,15 @@ def parse_diagonal(
     terms = _parse_terms(_tokenize_expression(text, line_no), line_no)
     combined: dict[tuple[str, str], Fraction] = {}
     for coeff, factors in terms:
-        if factors.count("⊗") != 1:
+        shape = [(name if name == "⊗" else "NAME", power) for name, power in factors]
+        if shape != [("NAME", 1), ("⊗", 1), ("NAME", 1)]:
             raise ModelSyntaxError(
                 line_no, "each diagonal term must be NAME ⊗ NAME"
             )
-        split = factors.index("⊗")
-        left, right = factors[:split], factors[split + 1 :]
-        if len(left) != 1 or len(right) != 1:
-            raise ModelSyntaxError(
-                line_no, "each diagonal term must be NAME ⊗ NAME"
-            )
-        for letter in (left[0], right[0]):
+        key = (factors[0][0], factors[2][0])
+        for letter in key:
             if letter not in algebra.generators:
                 raise ModelSyntaxError(line_no, f"unknown generator {letter!r}")
-        key = (left[0], right[0])
         combined[key] = combined.get(key, Fraction(0)) + coeff
     letter_key = lambda n: (algebra.gen_degree(n), n)
     return [

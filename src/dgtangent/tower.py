@@ -205,12 +205,7 @@ class SpectralSequence:
         src = self.entry(r, s, n)
         tgt = self.entry(r, s + r, n + 1)
         d = self.fc.complex.d(n)
-        m = Matrix(src.dim, tgt.dim)
-        for i, rep in enumerate(src.basis):
-            coords = tgt.reduce(d.apply(rep))
-            for j, c in coords.items():
-                m.set(i, j, c)
-        return m
+        return Matrix(src.dim, tgt.dim, [tgt.reduce(d.apply(rep)) for rep in src.basis])
 
     def page_dims(
         self, r: int, total_degrees: Sequence[int]
@@ -304,7 +299,7 @@ class FilteredChainMap:
         for n in degrees:
             lhs = self.matrix(n).compose(self.target.complex.d(n))
             rhs = self.source.complex.d(n).compose(self.matrix(n + 1))
-            if [dict(r) for r in lhs.rows] != [dict(r) for r in rhs.rows]:
+            if lhs != rhs:
                 problems.append(f"not a chain map at degree {n}")
             lv_src = self.source.levels(n)
             lv_tgt = self.target.levels(n)
@@ -323,12 +318,7 @@ class FilteredChainMap:
         src = ss_src.entry(r, s, n)
         tgt = ss_tgt.entry(r, s, n)
         phi = self.matrix(n)
-        m = Matrix(src.dim, tgt.dim)
-        for i, rep in enumerate(src.basis):
-            coords = tgt.reduce(phi.apply(rep))
-            for j, c in coords.items():
-                m.set(i, j, c)
-        return m
+        return Matrix(src.dim, tgt.dim, [tgt.reduce(phi.apply(rep)) for rep in src.basis])
 
     def commutes_with_page_differential(
         self, ss_src: SpectralSequence, ss_tgt: SpectralSequence, r: int, s: int, t: int
@@ -338,9 +328,7 @@ class FilteredChainMap:
         d_tgt = ss_tgt.d_matrix(r, s, t)
         phi_here = self.page_matrix(ss_src, ss_tgt, r, s, n)
         phi_next = self.page_matrix(ss_src, ss_tgt, r, s + r, n + 1)
-        lhs = d_src.compose(phi_next)
-        rhs = phi_here.compose(d_tgt)
-        return [dict(r_) for r_ in lhs.rows] == [dict(r_) for r_ in rhs.rows]
+        return d_src.compose(phi_next) == phi_here.compose(d_tgt)
 
 
 # ------------------------------------------------------- exact couple route
@@ -360,7 +348,6 @@ class ExactCoupleSS:
     def __init__(self, fc: FilteredComplex) -> None:
         self.fc = fc
         self._quot_cache: dict[tuple[int, int], CochainComplex] = {}
-        self._indices_cache: dict[tuple[int, int, int], list[int]] = {}
         self._page_cache: dict[tuple[int, int, int], tuple[list[Vector], list[Vector]]] = {}
         self._sub_cache: dict[tuple[int, int, int], Subquotient] = {}
         self._i_cache: dict[tuple[int, int], Matrix] = {}
@@ -368,39 +355,20 @@ class ExactCoupleSS:
 
     # ----------------------------------------------------- quotient layers
 
-    def indices(self, a: int, b: int, n: int) -> list[int]:
-        """Positions of basis elements of C^n with a ≤ level < b."""
-        key = (a, b, n)
-        if key not in self._indices_cache:
-            self._indices_cache[key] = [
-                i for i, lvl in enumerate(self.fc.levels(n)) if a <= lvl < b
-            ]
-        return self._indices_cache[key]
-
     def quotient_complex(self, a: int, b: int) -> CochainComplex:
-        """F^a/F^b as a complex on the basis elements with a ≤ level < b."""
+        """F^a/F^b as a complex whose basis labels are the ambient positions
+        of the basis elements of C^n with a ≤ level < b."""
         key = (a, b)
         if key not in self._quot_cache:
 
-            def basis_fn(n: int, a=a, b=b) -> list[Hashable]:
-                base = self.fc.complex.basis(n)
-                return [base[i] for i in self.indices(a, b, n)]
+            def basis_fn(n: int) -> list[int]:
+                return [i for i, lvl in enumerate(self.fc.levels(n)) if a <= lvl < b]
 
-            def diff_fn(n: int, a=a, b=b) -> Matrix:
-                src = self.indices(a, b, n)
-                tgt = self.indices(a, b, n + 1)
-                tgt_pos = {amb: j for j, amb in enumerate(tgt)}
-                d = self.fc.complex.d(n)
-                m = Matrix(len(src), len(tgt))
-                for i, amb in enumerate(src):
-                    for col, val in d.rows[amb].items():
-                        if col in tgt_pos:
-                            m.add_to(i, tgt_pos[col], val)
-                return m
+            def diff_fn(n: int) -> Matrix:
+                rows, kept = self.fc.complex.d(n).rows, cx.index(n + 1)
+                return cx.matrix(n, lambda i: {j: c for j, c in rows[i].items() if j in kept})
 
-            self._quot_cache[key] = CochainComplex(
-                basis_fn, diff_fn, name=f"F{a}/F{b}"
-            )
+            cx = self._quot_cache[key] = CochainComplex(basis_fn, diff_fn, name=f"F{a}/F{b}")
         return self._quot_cache[key]
 
     def D(self, s: int, n: int) -> Subquotient:
@@ -412,12 +380,12 @@ class ExactCoupleSS:
     # --------------------------------------------------------- local/ambient
 
     def to_ambient(self, a: int, b: int, n: int, local: Vector) -> Vector:
-        idx = self.indices(a, b, n)
-        return {idx[i]: c for i, c in local.items()}
+        ambient = self.quotient_complex(a, b).basis(n)
+        return {ambient[i]: c for i, c in local.items()}
 
     def to_local(self, a: int, b: int, n: int, ambient: Vector) -> Vector:
         """Project an ambient vector to the (a ≤ level < b) coordinates."""
-        pos = {amb: j for j, amb in enumerate(self.indices(a, b, n))}
+        pos = self.quotient_complex(a, b).index(n)
         return {pos[i]: c for i, c in ambient.items() if i in pos}
 
     # ------------------------------------------------------------- the maps
@@ -429,13 +397,10 @@ class ExactCoupleSS:
             return self._i_cache[key]
         src = self.D(s, n)
         tgt = self.D(s - 1, n)
-        m = Matrix(src.dim, tgt.dim)
-        for a_idx, rep in enumerate(src.basis):
-            amb = self.to_ambient(0, s + 1, n, rep)
-            local = self.to_local(0, s, n, amb)
-            coords = tgt.reduce(local)
-            for j, c in coords.items():
-                m.set(a_idx, j, c)
+        m = Matrix(src.dim, tgt.dim, [
+            tgt.reduce(self.to_local(0, s, n, self.to_ambient(0, s + 1, n, rep)))
+            for rep in src.basis
+        ])
         self._i_cache[key] = m
         return m
 
@@ -460,11 +425,8 @@ class ExactCoupleSS:
         if key in self._ipow_cache:
             return self._ipow_cache[key]
         dim = self.D(s + r - 1, n).dim
-        m = Matrix(dim, dim)
-        for a in range(dim):
-            m.set(a, a, 1)
         # Identity when r == 1; otherwise compose the i-steps downwards.
-        current = m
+        current = Matrix(dim, dim, [{a: Fraction(1)} for a in range(dim)])
         for sigma in range(s + r - 1, s, -1):
             current = current.compose(self.i_matrix(sigma, n))
         ech = Echelon(track=True)
@@ -543,12 +505,7 @@ class ExactCoupleSS:
         n = s + t
         src = self.page_subquotient(r, s, n)
         tgt = self.page_subquotient(r, s + r, n + 1)
-        m = Matrix(src.dim, tgt.dim)
-        for i, rep in enumerate(src.basis):
-            coords = tgt.reduce(self.draw(r, s, n, rep))
-            for j, c in coords.items():
-                m.set(i, j, c)
-        return m
+        return Matrix(src.dim, tgt.dim, [tgt.reduce(self.draw(r, s, n, rep)) for rep in src.basis])
 
 
 @dataclass
@@ -579,14 +536,10 @@ def transport_matrix(
     """
     src = ss.entry(r, s, n)
     tgt = ec.page_subquotient(r, s, n)
-    m = Matrix(src.dim, tgt.dim)
-    for i, rep in enumerate(src.basis):
-        layer = ec.to_local(s, s + 1, n, rep)
-        e1 = ec.E(s, n).reduce(layer)
-        coords = tgt.reduce(e1)
-        for j, c in coords.items():
-            m.set(i, j, c)
-    return m
+    e1 = ec.E(s, n)
+    return Matrix(src.dim, tgt.dim, [
+        tgt.reduce(e1.reduce(ec.to_local(s, s + 1, n, rep))) for rep in src.basis
+    ])
 
 
 def alignment_check(
@@ -601,9 +554,7 @@ def alignment_check(
     invertible = dims_equal and t_here.rank() == dim_f
     d_f = ss.d_matrix(r, s, t)
     d_c = ec.d_matrix(r, s, t)
-    lhs = d_f.compose(t_next)
-    rhs = t_here.compose(d_c)
-    matrices_equal = [dict(row) for row in lhs.rows] == [dict(row) for row in rhs.rows]
+    matrices_equal = d_f.compose(t_next) == t_here.compose(d_c)
     return AlignmentResult(
         r, s, t, dim_f, dim_c, dims_equal, invertible, matrices_equal
     )

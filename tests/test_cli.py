@@ -135,6 +135,23 @@ def test_zero_denominator_is_syntax_error(tmp_path, capsys, text, line):
     assert f"line {line}" in err and "1/0" in err
 
 
+@pytest.mark.parametrize(
+    "line",
+    ["d y = x^99999999999999999999", "diag y = x^99999999999999999999 ⊗ x"],
+    ids=["d-line", "diag-line"],
+)
+def test_oversized_exponent_is_refused_before_expansion(tmp_path, capsys, line):
+    model = tmp_path / "power.model"
+    model.write_text(
+        f"flavor associative\ngrading homological\ngen x : 1\ngen y : 3\n{line}\n",
+        encoding="utf-8",
+    )
+    code, out, err = run_main(capsys, "validate", str(model))
+    assert code == 1
+    assert out == ""
+    assert "line 5" in err
+
+
 def test_negative_stage_is_syntax_error(tmp_path, capsys):
     model = tmp_path / "stage.model"
     model.write_text(
@@ -163,6 +180,15 @@ def test_reversed_degree_range_is_usage_error(capsys):
     assert code == 2
     assert "3..-3" in err
     assert out == ""
+
+
+def test_negative_range_needs_no_equals_sign(capsys):
+    model = "builtin:sullivan:sphere:odd:3"
+    spaced = run_main(capsys, "der", model, "--range", "-6..2", "--format", "records")
+    joined = run_main(capsys, "der", model, "--range=-6..2", "--format", "records")
+    assert spaced == joined
+    assert spaced[0] == 0
+    assert [r["degree"] for r in records(spaced[1])] == list(range(-6, 3))
 
 
 def test_reversed_page_range_is_usage_error(capsys):

@@ -9,7 +9,12 @@ from hypothesis import given, settings, strategies as st
 
 from dgtangent.algebra import FreeDgAlgebra, Generator
 from dgtangent.complexes import CochainComplex
-from dgtangent.derivations import Coefficients, ConeComplex, DerComplex
+from dgtangent.derivations import (
+    Coefficients,
+    ConeComplex,
+    DerComplex,
+    restriction_sequence,
+)
 from dgtangent.linalg import Matrix
 from dgtangent.models import (
     builtin,
@@ -386,7 +391,10 @@ def test_barcode_matches_exact_couple_on_random_towers(algebra, coefficients) ->
         for s in range(0, fc.max_level + 1):
             for n in range(-8, 3):
                 assert ss.dim(r, s, n - s) == ec.dim(r, s, n - s), (r, s, n)
+                assert alignment_check(ss, ec, r, s, n - s).ok, (r, s, n)
     assert_pages_are_homology(ss, range(-8, 3), range(1, 4))
+    assert all(ok for _, _, ok in ss.total_degree_check(range(-8, 3)).values())
+    assert restriction_sequence(algebra, coeffs, 0, 1, list(range(-8, 3))).ok
 
 
 def test_page_loops_skip_empty_levels(monkeypatch) -> None:
