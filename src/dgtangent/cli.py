@@ -487,10 +487,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
-    # argparse reads a value such as -6..2 as an option: glue it to its flag.
-    while "--range" in argv[:-1]:
-        at = argv.index("--range")
-        argv[at : at + 2] = [f"--range={argv[at + 1]}"]
+    # argparse reads a value such as -6..2 as an option: glue it to --range
+    # or to an abbreviation of it (--r alone also abbreviates --reps).
+    for at in range(len(argv) - 2, -1, -1):
+        if len(argv[at]) > 3 and "--range".startswith(argv[at]):
+            argv[at : at + 2] = [f"{argv[at]}={argv[at + 1]}"]
     args = parser.parse_args(argv)
     if getattr(args, "window", 1) < 1 or getattr(args, "max_degree", 1) < 1:
         parser.error("the degree window must be at least 1")

@@ -39,12 +39,6 @@ def vec_add(a: Vector, b: Vector, coeff: Fraction = ONE) -> Vector:
     return out
 
 
-def vec_scale(a: Vector, coeff: Fraction) -> Vector:
-    if coeff == 0:
-        return {}
-    return {idx: coeff * val for idx, val in a.items()}
-
-
 def vec_from_list(values: Sequence[Fraction | int]) -> Vector:
     return {i: Fraction(v) for i, v in enumerate(values) if v != 0}
 
@@ -97,8 +91,8 @@ class Echelon:
     denominator with ``dens[p]·rows[p] = Σ_k tags[p][k]·X_k`` over the
     successfully inserted inputs, indexed by insertion order, and carries a
     multiplier for the vector being reduced.  ``reduce`` and
-    ``last_zero_combo`` turn these back into exact ``Fraction``
-    combinations of the original inputs.
+    ``last_combo`` turn these back into exact ``Fraction`` combinations of
+    the original inputs.
     """
 
     def __init__(self, track: bool = False) -> None:
@@ -108,7 +102,7 @@ class Echelon:
         self.dens: list[int] = []
         self.track = track
         self.n_inserted = 0
-        self.last_zero_combo: Vector = {}
+        self._last: tuple[dict[int, int], int] = ({}, 1)  # combo, den of the last insert
         self._factors: list[int] = []  # f_k of every input, by insertion order
         self._col_rows: dict[int, set[int]] = {}  # column -> positions of rows hitting it
 
@@ -189,9 +183,8 @@ class Echelon:
         if self.track:
             self._factors.append(factor)
         x, combo, mult = self._eliminate(x)
+        self._last = combo, mult * factor
         if not x:
-            if self.track:
-                self.last_zero_combo = self._fractions(combo, mult * factor)
             return False
         pivot_col = min(x)
         content = gcd(*x.values())
@@ -235,6 +228,11 @@ class Echelon:
             self._col_rows.setdefault(col, set()).add(new_pos)
         return True
 
+    @property
+    def last_combo(self) -> Vector:
+        """Tracked: the last input minus its residue, over earlier inputs."""
+        return self._fractions(*self._last)
+
     def contains(self, vec: Vector) -> bool:
         x, _, _ = self._eliminate(_clear(vec)[0])
         return not x
@@ -256,20 +254,6 @@ class Matrix:
         if ncols is None:
             ncols = len(dense[0]) if nrows else 0
         return cls(nrows, ncols, [vec_from_list(r) for r in dense])
-
-    def set(self, i: int, j: int, val: Fraction | int) -> None:
-        val = Fraction(val)
-        if val == 0:
-            self.rows[i].pop(j, None)
-        else:
-            self.rows[i][j] = val
-
-    def add_to(self, i: int, j: int, val: Fraction | int) -> None:
-        new = self.rows[i].get(j, ZERO) + Fraction(val)
-        if new == 0:
-            self.rows[i].pop(j, None)
-        else:
-            self.rows[i][j] = new
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Matrix):
@@ -312,7 +296,7 @@ class Matrix:
         kernel: list[Vector] = []
         for i, row in enumerate(self.rows):
             if not ech.insert(row):
-                kernel.append(vec_add({i: ONE}, ech.last_zero_combo, -ONE))
+                kernel.append(vec_add({i: ONE}, ech.last_combo, -ONE))
         return kernel
 
     def image_basis(self) -> list[Vector]:
@@ -375,13 +359,6 @@ class Subquotient:
         return not self.reduce(vec)
 
 
-def span_contains(vectors: Sequence[Vector], candidate: Vector) -> bool:
-    ech = Echelon()
-    for v in vectors:
-        ech.insert(v)
-    return ech.contains(candidate)
-
-
 def spans_equal(a: Sequence[Vector], b: Sequence[Vector]) -> bool:
     """Exact equality of two spans as subspaces."""
     ech_a = Echelon()
@@ -423,7 +400,10 @@ def preimage_by_images(
 
 
 def preimage_in_span(vectors: Sequence[Vector], matrix: Matrix, target_span: Sequence[Vector]) -> list[Vector]:
-    """Spanning set of {x ∈ span(vectors) : x·matrix ∈ span(target_span)}."""
+    """Spanning set of {x ∈ span(vectors) : x·matrix ∈ span(target_span)}.
+
+    Only the tests and the benchmark tracer (``bench/tracer.py``) name it.
+    """
     return preimage_by_images(
         vectors, [matrix.apply(v) for v in vectors], target_span, matrix.ncols
     )

@@ -158,13 +158,20 @@ def _tokenize_expression(text: str, line_no: int) -> list[str]:
     return tokens
 
 
+def _parse_int(digits: str, line_no: int) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # beyond the interpreter's limit on int() digits
+        raise ModelSyntaxError(line_no, f"number of {len(digits)} digits is too long") from None
+
+
 def _parse_rational(token: str, line_no: int) -> Fraction:
     if "/" in token:
-        num, den = token.split("/")
-        if int(den) == 0:
+        num, den = (_parse_int(part, line_no) for part in token.split("/"))
+        if den == 0:
             raise ModelSyntaxError(line_no, f"zero denominator in {token!r}")
-        return Fraction(int(num), int(den))
-    return Fraction(int(token))
+        return Fraction(num, den)
+    return Fraction(_parse_int(token, line_no))
 
 
 def _parse_terms(
@@ -212,7 +219,7 @@ def _parse_terms(
                 pos += 1
                 if pos >= len(tokens) or not tokens[pos].isdigit():
                     raise error("expected an integer exponent after ^")
-                power = int(tokens[pos])
+                power = _parse_int(tokens[pos], line_no)
                 if power < 1:
                     raise error("exponents must be >= 1")
                 pos += 1

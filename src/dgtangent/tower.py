@@ -3,23 +3,20 @@
 A filtration here is decreasing and spanned by basis elements: each basis
 element of the underlying complex carries an integer level ≥ 0, and F^s is
 the span of the elements with level ≥ s.  The differential must not lower
-levels (checked).  The pages are computed three ways:
+levels (checked).  The pages are computed two ways:
 
-- dimensions from a per-degree barcode: one level-ordered elimination of
-  d: C^n → C^{n+1} pairs source levels with target levels, and every
-  dim E_r^{s,t} is a count of those pairs (the persistence view of
-  Basu–Parida, Expo. Math. 35 (2017), arXiv:1308.0801);
-- representatives and d_r from the filtered route:
-  E_r^{s,t} = Z_r^s / (Z_{r−1}^{s+1} + d·Z_{r−1}^{s−r+1})
-  with Z_r^s = {x ∈ F^s : dx ∈ F^{s+r}}, and d_r induced by d on
-  representatives (bidegree (r, 1−r));
+- the filtered route, one level-ordered elimination of each
+  d: C^n → C^{n+1}: every dim E_r^{s,t} counts the level pairs it makes
+  (Basu–Parida, Expo. Math. 35 (2017), arXiv:1308.0801), and, tracked, it
+  gives a basis spanning each Z_r^s = {x ∈ F^s : dx ∈ F^{s+r}} by a subset,
+  hence representatives of E_r^{s,t} = Z_r^s / (Z_{r−1}^{s+1} +
+  d·Z_{r−1}^{s−r+1}) and d_r, induced by d (bidegree (r, 1−r));
 - the exact-couple route, kept as an independent oracle:
   D^{s} = H(F^0/F^{s+1}), E^{s} = H(F^s/F^{s+1}), with the derived couples
   unwound by reducing against the tracked rows of i^{r−1}.
 
-All are exact; ``alignment_check`` verifies that the filtered and couple
-routes produce identical page dimensions and, after the canonical change of
-basis, identical d_r matrices.
+Both are exact; ``alignment_check`` verifies that they give identical page
+dimensions and, after the canonical change of basis, identical d_r matrices.
 """
 
 from __future__ import annotations
@@ -36,10 +33,10 @@ from .linalg import (
     Subquotient,
     Vector,
     preimage_by_images,
-    preimage_in_span,
-    span_contains,
     vec_add,
 )
+
+Run = list[tuple[int, int | None, Vector | None]]
 
 
 class FilteredComplex:
@@ -73,14 +70,6 @@ class FilteredComplex:
         """The levels of the degree-n basis; dim E_r^{s, n−s} is 0 off them."""
         return sorted(set(self.levels(n)))
 
-    def basis_vectors_at_least(self, n: int, s: int) -> list[Vector]:
-        """Unit vectors spanning F^s in degree n."""
-        return [
-            {i: Fraction(1)}
-            for i, lvl in enumerate(self.levels(n))
-            if lvl >= s
-        ]
-
     def check_filtration(self, degrees: Sequence[int]) -> list[str]:
         """Degrees and positions where d lowers the filtration level."""
         bad = []
@@ -98,49 +87,64 @@ class FilteredComplex:
 class SpectralSequence:
     """Pages of a filtered complex.
 
-    Dimensions come from the barcode of each degree (``barcode``); the Z/B
-    subquotients (``entry``) supply representatives for ``d_matrix``,
-    ``death_page`` and chain maps.  ``ExactCoupleSS`` is the independent
-    oracle for both.
+    One level-ordered elimination per degree (``eliminate``) gives every
+    dimension, counted untracked in ``barcode``, and, tracked, the Z_r^s
+    (``z_span``) of the subquotients (``entry``) that supply representatives
+    for ``d_matrix``, ``death_page`` and chain maps.  ``ExactCoupleSS`` is
+    the independent oracle for both.
     """
 
     def __init__(self, fc: FilteredComplex) -> None:
         self.fc = fc
-        self._z_cache: dict[tuple[int, int, int], list[Vector]] = {}
         self._entry_cache: dict[tuple[int, int, int], Subquotient] = {}
         self._bar_cache: dict[int, tuple[Counter, Counter]] = {}
+        self._run_cache: dict[int, Run] = {}
 
     @property
     def stable_page(self) -> int:
         """Every page from here on equals E_∞ (finite filtration)."""
         return self.fc.max_level + 2
 
-    def barcode(self, n: int) -> tuple[Counter, Counter]:
-        """``(pairs, kernel)`` of d: C^n → C^{n+1}.
+    def eliminate(self, n: int, track: bool = False) -> Run:
+        """``(i, b, v)`` per row i of d: C^n → C^{n+1}, in elimination order.
 
-        Rows are eliminated in the order (−level, index) with target columns
-        ordered by (level, index), so each pivot is the lowest-level entry.
-        A row that enlarges the span adds the pair (source level, pivot
-        level) to ``pairs``; one that does not adds its level to ``kernel``.
+        Rows go in the order (−level, index), target columns in the order
+        (level, index), so each pivot is the lowest-level entry; b is the
+        level of the pivot that row i adds, None if it adds none.  Tracked
+        (and cached), v is e_i minus the earlier rows subtracted from row i,
+        so dv is its residue (R = D·V of Edelsbrunner–Letscher–Zomorodian,
+        DCG 28 (2002)): the v are a basis of C^n, v ∈ F^{level i}, and dv is
+        0 or has lowest level b.  Untracked, v is None.
+        """
+        if track and n in self._run_cache:
+            return self._run_cache[n]
+        src, tgt = self.fc.levels(n), self.fc.levels(n + 1)
+        order = sorted(range(len(tgt)), key=lambda j: (tgt[j], j))
+        column = {j: pos for pos, j in enumerate(order)}
+        d = self.fc.complex.d(n)
+        rows = sorted(range(len(src)), key=lambda i: (-src[i], i))
+        ech = Echelon(track=track)
+        out: Run = []
+        for i in rows:
+            added = ech.insert({column[j]: c for j, c in d.rows[i].items()})
+            b = tgt[order[min(ech.rows[-1])]] if added else None  # the row just stored
+            v = None
+            if track:
+                v = {rows[k]: -c for k, c in ech.last_combo.items()} | {i: Fraction(1)}
+            out.append((i, b, v))
+        return self._run_cache.setdefault(n, out) if track else out
+
+    def barcode(self, n: int) -> tuple[Counter, Counter]:
+        """``(pairs, kernel)`` of d: C^n → C^{n+1}: (level, b) of each row of
+        ``eliminate`` that adds a pivot, and the level of each that does not.
         The number of pairs (a', b') with a' ≥ a and b' ≤ b is the rank of
         F^a C^n → C^{n+1}/F^{b+1}, whatever the order within a level.  A pair
         with b < a appears exactly when d lowers the filtration in degree n.
         """
         if n not in self._bar_cache:
-            src = self.fc.levels(n)
-            tgt = self.fc.levels(n + 1)
-            order = sorted(range(len(tgt)), key=lambda j: (tgt[j], j))
-            column = {j: pos for pos, j in enumerate(order)}
-            d = self.fc.complex.d(n)
-            ech = Echelon()
-            pairs: Counter = Counter()
-            kernel: Counter = Counter()
-            for i in sorted(range(len(src)), key=lambda i: (-src[i], i)):
-                if ech.insert({column[j]: c for j, c in d.rows[i].items()}):
-                    pivot = min(ech.rows[-1])  # the row just stored
-                    pairs[(src[i], tgt[order[pivot]])] += 1
-                else:
-                    kernel[src[i]] += 1
+            src, run = self.fc.levels(n), self.eliminate(n)
+            pairs = Counter((src[i], b) for i, b, _ in run if b is not None)
+            kernel = Counter(src[i] for i, b, _ in run if b is None)
             self._bar_cache[n] = (pairs, kernel)
         return self._bar_cache[n]
 
@@ -174,14 +178,14 @@ class SpectralSequence:
         )
 
     def z_span(self, r: int, s: int, n: int) -> list[Vector]:
-        """Spanning set of Z_r^s = {x ∈ F^s ∩ C^n : dx ∈ F^{s+r}}."""
-        key = (r, s, n)
-        if key not in self._z_cache:
-            vectors = self.fc.basis_vectors_at_least(n, s)
-            target = self.fc.basis_vectors_at_least(n + 1, s + r)
-            d = self.fc.complex.d(n)
-            self._z_cache[key] = preimage_in_span(vectors, d, target)
-        return self._z_cache[key]
+        """Basis of Z_r^s = {x ∈ F^s ∩ C^n : dx ∈ F^{s+r}}: the tracked v at
+        level ≥ s with dv = 0 or b ≥ s + r (no other dv has an entry at the
+        lowest pivot among the components of x, so it stays in dx)."""
+        levels = self.fc.levels(n)
+        return [
+            v for i, b, v in self.eliminate(n, track=True)
+            if levels[i] >= s and (b is None or b >= s + r)
+        ]
 
     def entry(self, r: int, s: int, n: int) -> Subquotient:
         """E_r^{s, n−s} as a subquotient of C^n."""
@@ -190,12 +194,10 @@ class SpectralSequence:
         key = (r, s, n)
         if key not in self._entry_cache:
             numerators = self.z_span(r, s, n)
-            denominators = list(self.z_span(r - 1, s + 1, n))
+            denominators = self.z_span(r - 1, s + 1, n)
             d_prev = self.fc.complex.d(n - 1)
-            for v in self.z_span(r - 1, s - r + 1, n - 1):
-                img = d_prev.apply(v)
-                if img:
-                    denominators.append(img)
+            lower = self.z_span(r - 1, s - r + 1, n - 1)
+            denominators += [dv for v in lower if (dv := d_prev.apply(v))]
             self._entry_cache[key] = Subquotient(numerators, denominators)
         return self._entry_cache[key]
 
@@ -224,30 +226,22 @@ class SpectralSequence:
 
     # ------------------------------------------------------- class tracking
 
-    def survives_to(self, x: Vector, n: int, s: int, r_prime: int) -> bool:
-        """True when some x + c, c ∈ F^{s+1}, has d(x+c) ∈ F^{s+r'+1}.
-
-        Equivalently the class of x is alive on page r'+1; the first r' where
-        this fails is the page whose differential kills the class.
-        """
-        d = self.fc.complex.d(n)
-        dx = d.apply(x)
-        correctable = [
-            d.apply(v) for v in self.fc.basis_vectors_at_least(n, s + 1)
-        ]
-        correctable = [v for v in correctable if v]
-        allowed = self.fc.basis_vectors_at_least(n + 1, s + r_prime + 1)
-        return span_contains(correctable + allowed, dx)
-
     def death_page(self, x: Vector, n: int, s: int) -> int | None:
-        """First page r' ≥ 1 where the class supports a differential.
+        """First page r ≥ 1 whose differential is nonzero on the class of x.
 
-        None when the class survives to E_∞.
+        The class of x ∈ F^s lives on E_{r+1} when x ∈ Z_{r+1}^s + F^{s+1},
+        that is when each tracked component v of x below level s + 1 has
+        dv = 0 or b ≥ s + r + 1.  It dies on page max(1, min(b − s)), None if no b.
         """
-        for r_prime in range(1, self.stable_page + 1):
-            if not self.survives_to(x, n, s, r_prime):
-                return r_prime
-        return None
+        levels = self.fc.levels(n)
+        gaps = []
+        # v is e_i plus multiples of rows eliminated before i: peel off the last first.
+        for i, b, v in reversed(self.eliminate(n, track=True)):
+            if c := x.get(i):
+                x = vec_add(x, v, -c)
+                if levels[i] <= s and b is not None:
+                    gaps.append(b - s)
+        return max(1, min(gaps)) if gaps else None
 
     # -------------------------------------------------- comparison with H
 

@@ -13,12 +13,15 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 import random
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
+import dgtangent
 from dgtangent.algebra import FreeDgAlgebra
 from dgtangent.derivations import (
     Coefficients,
@@ -84,6 +87,14 @@ diag z = v (x) v
 """
 
 WINDOW = list(range(-10, 11))
+
+# Child processes import the package from where this process found it, so
+# the suite also runs from a checkout with no PYTHONPATH set.
+PACKAGE_ROOT = str(Path(dgtangent.__file__).resolve().parents[1])
+CHILD_ENV = dict(
+    os.environ,
+    PYTHONPATH=os.pathsep.join(filter(None, (PACKAGE_ROOT, os.environ.get("PYTHONPATH")))),
+)
 
 
 def _algebras():
@@ -423,7 +434,7 @@ def test_criterion_06_collapse_and_vanishing():
                     for ii, i in enumerate(src):
                         for col, val in d.rows[i].items():
                             if col in tgt:
-                                m.add_to(ii, tgt[col], val)
+                                m.rows[ii][tgt[col]] = val
                     return m
 
                 quotient = CochainComplex(basis_fn, diff_fn)
@@ -676,8 +687,8 @@ def test_criterion_10_determinism():
     """Byte-identical structured records across two process runs."""
     for argv in ACCEPTANCE_COMMANDS:
         cmd = [sys.executable, "-m", "dgtangent.cli", *argv, "--format", "records"]
-        first = subprocess.run(cmd, capture_output=True)
-        second = subprocess.run(cmd, capture_output=True)
+        first = subprocess.run(cmd, capture_output=True, env=CHILD_ENV)
+        second = subprocess.run(cmd, capture_output=True, env=CHILD_ENV)
         assert first.returncode == second.returncode == 0, (argv, first.stderr)
         assert first.stdout == second.stdout, argv
         assert first.stdout.strip()

@@ -13,6 +13,7 @@ import sys
 import pytest
 
 from dgtangent.cli import main
+from test_acceptance import CHILD_ENV
 
 
 def run_main(capsys, *argv):
@@ -26,6 +27,7 @@ def run_process(*argv):
         [sys.executable, "-m", "dgtangent.cli", *argv],
         capture_output=True,
         text=True,
+        env=CHILD_ENV,
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -152,6 +154,24 @@ def test_oversized_exponent_is_refused_before_expansion(tmp_path, capsys, line):
     assert "line 5" in err
 
 
+@pytest.mark.parametrize(
+    "expr",
+    ["1" * 5000 + " x^2", "1/" + "1" * 5000 + " x^2", "x^" + "1" * 5000],
+    ids=["coefficient", "denominator", "exponent"],
+)
+def test_number_beyond_int_digit_limit_names_its_line(tmp_path, capsys, expr):
+    # CPython's int() refuses strings of more than 4 300 digits by default.
+    model = tmp_path / "long.model"
+    model.write_text(
+        f"flavor commutative\ngrading cohomological\ngen x : 2\ngen y : 3\nd y = {expr}\n",
+        encoding="utf-8",
+    )
+    code, out, err = run_main(capsys, "validate", str(model))
+    assert code == 1
+    assert out == ""
+    assert "line 5" in err and "5000 digits" in err
+
+
 def test_negative_stage_is_syntax_error(tmp_path, capsys):
     model = tmp_path / "stage.model"
     model.write_text(
@@ -187,6 +207,9 @@ def test_negative_range_needs_no_equals_sign(capsys):
     spaced = run_main(capsys, "der", model, "--range", "-6..2", "--format", "records")
     joined = run_main(capsys, "der", model, "--range=-6..2", "--format", "records")
     assert spaced == joined
+    for abbreviation in ("--ra", "--ran", "--rang"):
+        argv = ("der", model, abbreviation, "-6..2", "--format", "records")
+        assert run_main(capsys, *argv) == joined, abbreviation
     assert spaced[0] == 0
     assert [r["degree"] for r in records(spaced[1])] == list(range(-6, 3))
 

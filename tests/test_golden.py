@@ -26,7 +26,7 @@ from dgtangent.cli import main
 from dgtangent.complexes import CochainComplex, to_cohomological
 from dgtangent.derivations import ConeComplex
 from dgtangent.models import builtin, derivation_tower
-from dgtangent.tower import cone_tower
+from dgtangent.tower import SpectralSequence, cone_tower
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
@@ -166,7 +166,18 @@ def test_dimension_only_commands_build_no_subquotient(command, monkeypatch):
     def refuse(self, n):
         raise AssertionError(f"homology({n}) built for a dimension")
 
+    def refuse_z_span(self, r, s, n):
+        raise AssertionError(f"z_span({r}, {s}, {n}) built for a dimension")
+
+    eliminate = SpectralSequence.eliminate
+
+    def untracked_only(self, n, track=False):
+        assert not track, f"tracked elimination of degree {n} for a dimension"
+        return eliminate(self, n)
+
     monkeypatch.setattr(CochainComplex, "homology", refuse)
+    monkeypatch.setattr(SpectralSequence, "z_span", refuse_z_span)
+    monkeypatch.setattr(SpectralSequence, "eliminate", untracked_only)
     argv, stem = DIMENSION_ONLY[command]
     status, out = run_records(argv)
     assert status == 0

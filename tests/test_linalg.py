@@ -10,14 +10,26 @@ from dgtangent.linalg import (
     Echelon,
     Matrix,
     Subquotient,
+    Vector,
     preimage_in_span,
-    span_contains,
     spans_equal,
     vec_add,
     vec_from_list,
-    vec_scale,
 )
 from test_algebra import dense_rank
+
+
+def vec_scale(a: Vector, coeff: Fraction) -> Vector:
+    if coeff == 0:
+        return {}
+    return {idx: coeff * val for idx, val in a.items()}
+
+
+def span_contains(vectors: list[Vector], candidate: Vector) -> bool:
+    ech = Echelon()
+    for v in vectors:
+        ech.insert(v)
+    return ech.contains(candidate)
 
 
 def random_matrix(rng: random.Random, nrows: int, ncols: int, density: float = 0.5) -> Matrix:
@@ -25,7 +37,9 @@ def random_matrix(rng: random.Random, nrows: int, ncols: int, density: float = 0
     for i in range(nrows):
         for j in range(ncols):
             if rng.random() < density:
-                m.set(i, j, Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
+                val = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                if val:
+                    m.rows[i][j] = val
     return m
 
 
@@ -47,7 +61,7 @@ def test_echelon_combination_tracking() -> None:
     # v0 + 2*v1 must reduce to zero with combo {0: 1, 1: 2}.
     probe = vec_add(v0, v1, Fraction(2))
     assert not ech.insert(probe)
-    combo = ech.last_zero_combo
+    combo = ech.last_combo
     recon = vec_add(vec_scale(v0, combo.get(0, Fraction(0))), v1, combo.get(1, Fraction(0)))
     assert recon == probe
 

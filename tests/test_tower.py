@@ -15,7 +15,7 @@ from dgtangent.derivations import (
     DerComplex,
     restriction_sequence,
 )
-from dgtangent.linalg import Matrix
+from dgtangent.linalg import Echelon, Matrix, Vector, spans_equal
 from dgtangent.models import (
     builtin,
     derivation_tower,
@@ -228,7 +228,7 @@ def test_chain_map_to_trivial_coefficients() -> None:
         m = Matrix(len(src_basis), len(tgt_index))
         for i, (v, mono) in enumerate(src_basis):
             if mono == () and (v, ()) in tgt_index:
-                m.set(i, tgt_index[(v, ())], Fraction(1))
+                m.rows[i][tgt_index[(v, ())]] = Fraction(1)
         return m
 
     phi = FilteredChainMap(src, tgt, matrix_fn, name="augment")
@@ -344,6 +344,54 @@ def test_pages_are_homology_of_previous_page() -> None:
         assert_pages_are_homology(SpectralSequence(fc), window, range(1, 5), label)
 
 
+def reference_z(fc: FilteredComplex, r: int, s: int, n: int) -> list[Vector]:
+    """Z_r^s by its definition: the kernel of the F^s rows of d^n, restricted
+    to the target columns of level < s + r."""
+    rows = [i for i, lvl in enumerate(fc.levels(n)) if lvl >= s]
+    low = {j for j, lvl in enumerate(fc.levels(n + 1)) if lvl < s + r}
+    d = fc.complex.d(n)
+    m = Matrix(len(rows), d.ncols, [
+        {j: c for j, c in d.rows[i].items() if j in low} for i in rows
+    ])
+    return [{rows[k]: c for k, c in x.items()} for x in m.kernel_basis()]
+
+
+def assert_z_span_and_death_page(ss: SpectralSequence, window, label="") -> None:
+    """``z_span`` against ``reference_z`` for r ≤ stable_page, and
+    ``death_page`` against its definition: the first r ≥ 1 with
+    x ∉ Z_{r+1}^s + F^{s+1}, None if there is none up to the stable page."""
+    fc = ss.fc
+    pages = range(1, ss.stable_page + 1)
+    for n in window:
+        levels = fc.levels(n)
+        for s in range(0, fc.max_level + 1):
+            z = {r: reference_z(fc, r, s, n) for r in range(1, ss.stable_page + 2)}
+            for r in pages:
+                assert spans_equal(ss.z_span(r, s, n), z[r]), (label, r, s, n)
+            above = [{i: Fraction(1)} for i, lvl in enumerate(levels) if lvl > s]
+            lives_on = []  # lives_on[r − 1]: Z_{r+1}^s + F^{s+1}
+            for r in pages:
+                ech = Echelon()
+                for v in z[r + 1] + above:
+                    ech.insert(v)
+                lives_on.append(ech)
+            at_s = [i for i, lvl in enumerate(levels) if lvl == s]
+            # Unit vectors at level s, and one sum that also reaches above s.
+            probes = [{i: Fraction(1)} for i in at_s]
+            if at_s:
+                probes.append({i: Fraction(i + 1) for i, lvl in enumerate(levels) if lvl >= s})
+            for x in probes:
+                literal = next(
+                    (r for r in pages if not lives_on[r - 1].contains(x)), None
+                )
+                assert ss.death_page(x, n, s) == literal, (label, s, n, x)
+
+
+def test_z_span_and_death_page_match_their_definitions() -> None:
+    for label, fc, window in builtin_towers():
+        assert_z_span_and_death_page(SpectralSequence(fc), window, label)
+
+
 @st.composite
 def two_stage_towers(draw) -> FreeDgAlgebra:
     """Commutative towers: stage-0 generators are cycles, and each stage-1
@@ -393,6 +441,7 @@ def test_barcode_matches_exact_couple_on_random_towers(algebra, coefficients) ->
                 assert ss.dim(r, s, n - s) == ec.dim(r, s, n - s), (r, s, n)
                 assert alignment_check(ss, ec, r, s, n - s).ok, (r, s, n)
     assert_pages_are_homology(ss, range(-8, 3), range(1, 4))
+    assert_z_span_and_death_page(ss, range(-8, 3))
     assert all(ok for _, _, ok in ss.total_degree_check(range(-8, 3)).values())
     assert restriction_sequence(algebra, coeffs, 0, 1, list(range(-8, 3))).ok
 
