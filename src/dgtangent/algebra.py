@@ -21,17 +21,17 @@ The one insertion rule for u-twisted derivations lives here:
 ``FreeDgAlgebra.occurrences`` lists each letter of a word with the parity of
 the letters before it and the u-images around it, and ``insert`` sums a
 derivation's values over that list.  ``apply_derivation``, ∂ on Der and the
-brace use them; ``differential`` (u = id) keeps its own loop, on the hot path.
+brace use them; ``differential`` (u = id) keeps its own loop and memoizes d
+of each monomial.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .complexes import CochainComplex, to_cohomological
-from .linalg import Matrix
+from .linalg import ONE, Matrix
 
 Monomial = tuple[str, ...]
 Element = dict[Monomial, Fraction]
@@ -42,35 +42,35 @@ KIND_COMMUTATIVE = "commutative"
 UNIT: Monomial = ()
 
 
-def el_add(a: Element, b: Element, coeff: Fraction = Fraction(1)) -> Element:
+def el_add(a: Element, b: Element, coeff: Fraction = ONE) -> Element:
     """Return a + coeff*b."""
     out = dict(a)
-    for mono, val in b.items():
-        new = out.get(mono, Fraction(0)) + coeff * val
-        if new == 0:
-            out.pop(mono, None)
-        else:
-            out[mono] = new
+    for mono, val in (b if coeff == 1 else el_scale(b, coeff)).items():
+        el_add_term(out, mono, val)
     return out
 
 
 def el_scale(a: Element, coeff: Fraction) -> Element:
     if coeff == 0:
         return {}
+    if coeff == -1:
+        return {mono: -val for mono, val in a.items()}
     return {mono: coeff * val for mono, val in a.items()}
 
 
 def el_add_term(acc: Element, mono: Monomial, coeff: Fraction) -> None:
     """In-place accumulate coeff on a monomial, dropping zeros."""
-    new = acc.get(mono, Fraction(0)) + coeff
-    if new == 0:
-        acc.pop(mono, None)
-    else:
+    old = acc.get(mono)
+    if old is None:
+        if coeff:
+            acc[mono] = coeff
+    elif new := old + coeff:
         acc[mono] = new
+    else:
+        del acc[mono]
 
 
-@dataclass(frozen=True)
-class Generator:
+class Generator(NamedTuple):
     """A free algebra generator: name, native degree, tower stage, role.
 
     ``stage`` indexes the tower of subalgebras (defaults to the degree);
@@ -114,7 +114,9 @@ class FreeDgAlgebra:
             self.generators[gen.name] = gen
         # Letters sort by (degree, name); monomials by (length, letter keys).
         self._letter_key = {g.name: (g.degree, g.name) for g in self.generators.values()}
+        self._parity = {g.name: g.degree % 2 for g in self.generators.values()}
         self.diff: dict[str, Element] = {g: {} for g in self.generators}
+        self._d_memo: dict[Monomial, Element] = {}  # d of each monomial met so far
         self.warnings: list[str] = []
         for gen in self.generators.values():
             if gen.degree == 1 and grading == "cohomological":
@@ -132,7 +134,7 @@ class FreeDgAlgebra:
         return to_cohomological(self.generators[name].degree, self.grading)
 
     def gen_parity(self, name: str) -> int:
-        return self.generators[name].degree % 2
+        return self._parity[name]
 
     def gen_stage(self, name: str) -> int:
         return self.generators[name].resolved_stage()
@@ -165,37 +167,40 @@ class FreeDgAlgebra:
             raise KeyError(f"unknown generator {name!r}")
         return {(name,): Fraction(1)}
 
-    def normalize_monomial(self, letters: Monomial) -> tuple[Fraction, Monomial | None]:
-        """Canonical form of a raw word: (sign, monomial) or (0, None)."""
-        for letter in letters:
-            if letter not in self.generators:
-                raise KeyError(f"unknown generator {letter!r} in monomial")
+    def normalize_monomial(self, letters: Monomial) -> tuple[int, Monomial | None]:
+        """Canonical form of a raw word: (±1, monomial) or (0, None)."""
+        try:
+            odd = [letter for letter in letters if self._parity[letter]]
+        except KeyError as exc:
+            raise KeyError(f"unknown generator {exc.args[0]!r} in monomial") from None
         if self.kind == KIND_TENSOR:
-            return Fraction(1), letters
-        # Commutative: insertion sort, tracking Koszul swaps of odd letters.
-        arr = list(letters)
+            return 1, letters
+        # Commutative: sort the letters.  The Koszul sign is that of the
+        # permutation of the odd letters; a repeated odd letter gives zero.
         key = self._letter_key
-        parity = {name: gen.degree % 2 for name, gen in self.generators.items()}
-        sign = Fraction(1)
-        for i in range(1, len(arr)):
-            j = i
-            while j > 0 and key[arr[j]] < key[arr[j - 1]]:
-                if parity[arr[j]] and parity[arr[j - 1]]:
+        sign = 1
+        for i, a in enumerate(odd):
+            for b in odd[i + 1 :]:
+                if a == b:
+                    return 0, None
+                if key[a] > key[b]:
                     sign = -sign
-                arr[j], arr[j - 1] = arr[j - 1], arr[j]
-                j -= 1
-        for a, b in zip(arr, arr[1:]):
-            if a == b and parity[a]:
-                return Fraction(0), None
-        return sign, tuple(arr)
+        return sign, tuple(sorted(letters, key=key.__getitem__))
 
-    def mul(self, a: Element, b: Element) -> Element:
+    def mul(self, *factors: Element) -> Element:
+        """The product of the factors; each word of it is normalized once."""
+        words = factors[0]
+        for factor in factors[1:]:
+            step: Element = {}
+            for w, c in words.items():
+                for m, fc in factor.items():
+                    el_add_term(step, w + m, fc if c == 1 else c * fc)
+            words = step
         out: Element = {}
-        for m1, c1 in a.items():
-            for m2, c2 in b.items():
-                sign, mono = self.normalize_monomial(m1 + m2)
-                if mono is not None:
-                    el_add_term(out, mono, sign * c1 * c2)
+        for w, c in words.items():
+            sign, mono = self.normalize_monomial(w)
+            if mono is not None:
+                el_add_term(out, mono, c if sign > 0 else -c)
         return out
 
     def commutator(self, a: Element, b: Element) -> Element:
@@ -221,22 +226,29 @@ class FreeDgAlgebra:
                     f"d({name}) has native degree {actual}, expected {expected}"
                 )
         self.diff[name] = value
+        self._d_memo.clear()
 
     def differential(self, el: Element) -> Element:
         """Extend d over words by the (untwisted) graded Leibniz rule."""
         out: Element = {}
         for mono, coeff in el.items():
-            sign = Fraction(1)
-            for i, letter in enumerate(mono):
-                dv = self.diff.get(letter, {})
-                if dv:
-                    left, right = mono[:i], mono[i + 1 :]
-                    for dm, dc in dv.items():
-                        s2, nm = self.normalize_monomial(left + dm + right)
-                        if nm is not None:
-                            el_add_term(out, nm, sign * s2 * coeff * dc)
-                if self.gen_parity(letter):
-                    sign = -sign
+            d_mono = self._d_memo.get(mono)
+            if d_mono is None:
+                d_mono = self._d_memo[mono] = self._monomial_differential(mono)
+            for m, c in (d_mono if coeff == 1 else el_scale(d_mono, coeff)).items():
+                el_add_term(out, m, c)
+        return out
+
+    def _monomial_differential(self, mono: Monomial) -> Element:
+        out: Element = {}
+        odd = 0
+        for i, letter in enumerate(mono):
+            left, right = mono[:i], mono[i + 1 :]
+            for dm, dc in self.diff[letter].items():
+                sign, nm = self.normalize_monomial(left + dm + right)
+                if nm is not None:
+                    el_add_term(out, nm, dc if sign == (-1) ** odd else -dc)
+            odd ^= self._parity[letter]
         return out
 
     def d_squared_failures_on_generators(self) -> list[str]:
@@ -413,22 +425,28 @@ class FreeDgAlgebra:
 
 
 def insert(
-    values: dict[str, Element], parity: int, occurrences: list[tuple], target: FreeDgAlgebra
+    values: dict[str, Element],
+    parity: int,
+    occurrences: list[tuple],
+    target: FreeDgAlgebra,
+    out: Element | None = None,
+    negate: int = 0,
 ) -> Element:
     """Σ (−1)^{parity·odd}·c·P·F(x_i)·S over occurrences (mono, i, c, odd, P, S).
 
     With F given by its values on generators and the occurrences of an
     element from ``FreeDgAlgebra.occurrences``, this is the u-twisted
     derivation F applied to that element: the one insertion rule behind
-    ``apply_derivation``, the differential of Der(A, U) and the brace.
+    ``apply_derivation``, the differential of Der(A, U) and the brace.  The
+    sum is added to ``out`` when given, and subtracted when ``negate`` is 1.
     """
-    out: Element = {}
+    out = {} if out is None else out
     for mono, i, coeff, odd, before, after in occurrences:
         value = values.get(mono[i])
         if value and after:
-            c = -coeff if parity and odd else coeff
-            for mono, val in target.mul(target.mul(before, value), after).items():
-                el_add_term(out, mono, c * val)
+            c = -coeff if (parity & odd) ^ negate else coeff
+            for mono, val in target.mul(before, value, after).items():
+                el_add_term(out, mono, c if val == 1 else c * val)
     return out
 
 

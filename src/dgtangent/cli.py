@@ -76,6 +76,8 @@ def _parse_pages(text: str) -> list[int]:
 def _load(spec_text: str) -> ModelFile:
     try:
         return load_model(spec_text)
+    except UnicodeDecodeError as exc:
+        raise CliError(f"cannot read model {spec_text}: not UTF-8 text ({exc})") from None
     except (ModelSyntaxError, ValueError) as exc:
         raise CliError(str(exc)) from None
     except OSError as exc:

@@ -16,9 +16,8 @@ and ``insert``); the brace adds only the sign of its (f, g) pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .algebra import (
     AlgebraMorphism,
@@ -104,11 +103,15 @@ class DerComplex:
         )
         self.name = name
         self._complex: CochainComplex | None = None
-        # The occurrences of the letters of d_A(w): F∘d_A(w) sums ``insert``
-        # over them, and the brace puts f at each of them.
+        # The occurrences of the letters of d_A(w): the brace puts f at each
+        # of them.  ∂ reads them by letter, each with its w.
         self._d_letters = {
             w: algebra.occurrences(algebra.diff[w], self.U, self.u.images) for w in self.slots
         }
+        self._occurrences_of: dict[str, list[tuple[str, list[tuple]]]] = {}
+        for w, occs in self._d_letters.items():
+            for occ in occs:
+                self._occurrences_of.setdefault(occ[0][occ[1]], []).append((w, [occ]))
 
     # ------------------------------------------------------------- structure
 
@@ -152,15 +155,17 @@ class DerComplex:
         return self.A.apply_derivation(values, p % 2, el, self.U, self.u.images)
 
     def differential_values(self, values: Values, p: int) -> Values:
-        """∂F = d_U∘F − (−1)^p F∘d_A, as values on the non-vanishing slots."""
-        sign = Fraction(-1) if p % 2 else Fraction(1)
-        out: Values = {}
-        for w in self.slots:
-            f_d_w = insert(values, p % 2, self._d_letters[w], self.U)
-            term = el_add(self.U.differential(values.get(w, {})), f_d_w, -sign)
-            if term:
-                out[w] = term
-        return out
+        """∂F = d_U∘F − (−1)^p F∘d_A, as values on the non-vanishing slots.
+
+        Only the letters v that carry a value contribute: d_U F(v) at v, and
+        F(v) inserted at each occurrence of v in some d_A(w), at w.
+        """
+        parity = p % 2
+        out = {v: self.U.differential(el) for v, el in values.items()}
+        for v in values:
+            for w, occs in self._occurrences_of.get(v, ()):
+                insert(values, parity, occs, self.U, out.setdefault(w, {}), 1 - parity)
+        return {w: el for w, el in out.items() if el}
 
     def is_cocycle(self, values: Values, p: int) -> bool:
         return not self.differential_values(values, p)
@@ -239,7 +244,7 @@ def brace(
             if fx:
                 rest = A.apply_derivation(g, q % 2, {mono[i + 1 :]: c}, U, u_images)
                 pair = (p * odd + q * (odd + A.gen_parity(mono[i]) + p)) % 2
-                acc = el_add(acc, U.mul(U.mul(prefix, fx), rest), Fraction((-1) ** pair))
+                acc = el_add(acc, U.mul(prefix, fx, rest), Fraction((-1) ** pair))
         if acc:
             out[v] = acc
     return out
@@ -257,19 +262,18 @@ def cup_product(der: DerComplex, f: Values, p: int, g: Values, q: int) -> Values
 # ----------------------------------------------------- restriction sequences
 
 
-@dataclass
-class RestrictionSequence:
+class RestrictionSequence(NamedTuple):
     """Report on 0 → Der_{A_j}(A) → Der_{A_i}(A) → Der_{A_i}(A_j) → 0."""
 
     stage_pair: tuple[int, int]
     closed: bool
     offenders: list[str]
     degrees: list[int]
-    dims: dict[int, tuple[int, int, int]] = field(default_factory=dict)
-    additive_ok: bool = False
-    inclusion_chain_ok: bool = False
-    restriction_chain_ok: bool = False
-    exact_ok: bool = False
+    dims: dict[int, tuple[int, int, int]]
+    additive_ok: bool
+    inclusion_chain_ok: bool
+    restriction_chain_ok: bool
+    exact_ok: bool
 
     @property
     def ok(self) -> bool:
@@ -324,14 +328,10 @@ def restriction_sequence(
     below_low = {g for g in algebra.generators if algebra.gen_stage(g) < stage_low}
     offenders = closure_offenders(algebra, frozenset(below_high))
     offenders += [g for g in closure_offenders(algebra, frozenset(below_low)) if g not in offenders]
-    report = RestrictionSequence(
-        stage_pair=(stage_low, stage_high),
-        closed=not offenders,
-        offenders=offenders,
-        degrees=list(degrees),
-    )
     if offenders:
-        return report
+        return RestrictionSequence(
+            (stage_low, stage_high), False, offenders, list(degrees), {}, False, False, False, False
+        )
 
     left = DerComplex(algebra, coefficients, vanishing=below_high)
     middle = DerComplex(algebra, coefficients, vanishing=below_low)
@@ -343,6 +343,7 @@ def restriction_sequence(
     )
     right = DerComplex(sub, Coefficients(coefficients.algebra, sub_u), vanishing=below_low)
 
+    dims: dict[int, tuple[int, int, int]] = {}
     additive = True
     incl_chain = True
     rest_chain = True
@@ -361,7 +362,7 @@ def restriction_sequence(
 
     for p in degrees:
         nl, nm, nr = cx_left.dim(p), cx_mid.dim(p), cx_right.dim(p)
-        report.dims[p] = (nl, nm, nr)
+        dims[p] = (nl, nm, nr)
         if nl + nr != nm:
             additive = False
         incl_p, incl_p1 = inclusion_matrix(p), inclusion_matrix(p + 1)
@@ -377,11 +378,10 @@ def restriction_sequence(
         if not spans_equal(rest_p.kernel_basis(), incl_p.image_basis()):
             exact = False
 
-    report.additive_ok = additive
-    report.inclusion_chain_ok = incl_chain
-    report.restriction_chain_ok = rest_chain
-    report.exact_ok = exact
-    return report
+    return RestrictionSequence(
+        (stage_low, stage_high), True, [], list(degrees),
+        dims, additive, incl_chain, rest_chain, exact,
+    )
 
 
 # ---------------------------------------------------------------------- cone

@@ -260,9 +260,6 @@ class Matrix:
             return NotImplemented
         return (self.nrows, self.ncols, self.rows) == (other.nrows, other.ncols, other.rows)
 
-    def get(self, i: int, j: int) -> Fraction:
-        return self.rows[i].get(j, ZERO)
-
     def apply(self, x: Vector) -> Vector:
         """Row vector x in source coordinates -> x·M in target coordinates."""
         out: Vector = {}

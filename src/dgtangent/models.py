@@ -26,10 +26,9 @@ generator flags.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import groupby
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .algebra import (
     Element,
@@ -73,15 +72,15 @@ _EXPR_TOKEN_RE = re.compile(
 
 
 class ModelSyntaxError(ValueError):
-    """A model file failed to parse; carries the offending line number."""
+    """A model file failed to parse; carries the offending line number, or
+    None when the fault is in the file as a whole."""
 
-    def __init__(self, line_no: int, message: str) -> None:
-        super().__init__(f"line {line_no}: {message}")
+    def __init__(self, line_no: int | None, message: str) -> None:
+        super().__init__(message if line_no is None else f"line {line_no}: {message}")
         self.line_no = line_no
 
 
-@dataclass(frozen=True)
-class DiagTerm:
+class DiagTerm(NamedTuple):
     """One reduced-diagonal summand: coeff · (left ⊗ right)."""
 
     coeff: Fraction
@@ -89,20 +88,38 @@ class DiagTerm:
     right: str
 
 
-@dataclass
 class ModelFile:
     """Parsed model: flavor, grading, generators, d, optional diagonals."""
 
-    flavor: str
-    grading: str
-    generators: list[Generator]
-    differentials: dict[str, Element]
-    diagonals: dict[str, list[DiagTerm]]
-    name: str = ""
-    description: str = ""
-    _algebra: FreeDgAlgebra | None = field(
-        default=None, compare=False, repr=False
-    )
+    def __init__(
+        self,
+        flavor: str,
+        grading: str,
+        generators: list[Generator],
+        differentials: dict[str, Element],
+        diagonals: dict[str, list[DiagTerm]],
+        name: str = "",
+        description: str = "",
+    ) -> None:
+        self.flavor = flavor
+        self.grading = grading
+        self.generators = generators
+        self.differentials = differentials
+        self.diagonals = diagonals
+        self.name = name
+        self.description = description
+        self._algebra: FreeDgAlgebra | None = None
+
+    def _key(self) -> tuple:
+        return (
+            self.flavor, self.grading, self.generators, self.differentials,
+            self.diagonals, self.name, self.description,
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ModelFile):
+            return NotImplemented
+        return self._key() == other._key()
 
     # ------------------------------------------------------------ structure
 
@@ -379,16 +396,16 @@ def parse_model(text: str) -> ModelFile:
             raise ModelSyntaxError(line_no, f"unknown directive {head!r}")
 
     if flavor is None:
-        raise ModelSyntaxError(0, "missing `flavor` line")
+        raise ModelSyntaxError(None, "missing `flavor` line")
     if grading is None:
-        raise ModelSyntaxError(0, "missing `grading` line")
+        raise ModelSyntaxError(None, "missing `grading` line")
 
     try:
         bare = FreeDgAlgebra(
             KIND_OF_FLAVOR[flavor], grading, list(generators), name=name or "model"
         )
     except ValueError as exc:
-        raise ModelSyntaxError(0, str(exc)) from None
+        raise ModelSyntaxError(None, str(exc)) from None
     differentials: dict[str, Element] = {}
     for line_no, gen_name, expr in diff_lines:
         if gen_name not in seen:
@@ -535,7 +552,7 @@ def builtin(name: str) -> ModelFile:
         mf = ModelFile(
             inner.flavor,
             inner.grading,
-            [replace(g, role="") for g in inner.generators],
+            [g._replace(role="") for g in inner.generators],
             inner.differentials,
             inner.diagonals,
             name=name,
@@ -721,8 +738,7 @@ def convolution_values(
     return out
 
 
-@dataclass
-class MultiplicativityReport:
+class MultiplicativityReport(NamedTuple):
     """Derivation property of the first-page differential for convolution."""
 
     pairs_checked: int
@@ -776,15 +792,13 @@ def multiplicativity_check(
 # ---------------------------------------------------------------- validation
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     ok: bool
     detail: str = ""
 
 
-@dataclass
-class ValidationReport:
+class ValidationReport(NamedTuple):
     model: str
     family: str
     checks: list[CheckResult]
@@ -886,8 +900,7 @@ def validate_model(mf: ModelFile) -> ValidationReport:
 # ------------------------------------------------------------- loop report
 
 
-@dataclass
-class LoopHomologyReport:
+class LoopHomologyReport(NamedTuple):
     """Free-loop-space homology of a cellular model via the adjoint cone."""
 
     model: str
@@ -996,8 +1009,7 @@ def loop_homology(
 # -------------------------------------------------------------- aut report
 
 
-@dataclass
-class BracketEntry:
+class BracketEntry(NamedTuple):
     """One Lie bracket of homotopy classes: [a_i, b_j] in class coordinates."""
 
     degree_a: int
@@ -1009,8 +1021,7 @@ class BracketEntry:
     text: str
 
 
-@dataclass
-class AutHomotopyReport:
+class AutHomotopyReport(NamedTuple):
     """Rational homotopy of the identity component of fiberwise self-maps."""
 
     model: str
@@ -1021,7 +1032,7 @@ class AutHomotopyReport:
     hom_shaped: dict[tuple[int, int], int]
     assembly: dict[int, tuple[int, int, bool]]
     stable_page: int
-    der: DerComplex | None = field(default=None, repr=False, compare=False)
+    der: DerComplex | None = None
 
     @property
     def ok(self) -> bool:
@@ -1146,8 +1157,7 @@ def _bracket_table(der: DerComplex, window: int) -> list[BracketEntry]:
 # ----------------------------------------------------- generic ss reporting
 
 
-@dataclass
-class TowerReport:
+class TowerReport(NamedTuple):
     """Spectral-sequence run of a derivation tower for one coefficient choice."""
 
     model: str

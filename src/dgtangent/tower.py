@@ -22,9 +22,8 @@ dimensions and, after the canonical change of basis, identical d_r matrices.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Hashable, Sequence
+from typing import Callable, Hashable, NamedTuple, Sequence
 
 from .complexes import CochainComplex
 from .linalg import (
@@ -502,8 +501,7 @@ class ExactCoupleSS:
         return Matrix(src.dim, tgt.dim, [tgt.reduce(self.draw(r, s, n, rep)) for rep in src.basis])
 
 
-@dataclass
-class AlignmentResult:
+class AlignmentResult(NamedTuple):
     """Comparison of the filtered and exact-couple routes at one (r, s, t)."""
 
     r: int
@@ -608,17 +606,16 @@ def cone_tower(cone) -> FilteredComplex:
 # ------------------------------------------------------- collapse analysis
 
 
-@dataclass
-class CollapseReport:
+class CollapseReport(NamedTuple):
     """Support of E_1 over a window and the collapse it implies."""
 
     support: dict[tuple[int, int], int]
-    rows: list[int] = field(default_factory=list)
-    columns: list[int] = field(default_factory=list)
-    predicted_page: int | None = None
-    reason: str = ""
-    verified: bool = False
-    region_ok: bool | None = None
+    rows: list[int]
+    columns: list[int]
+    predicted_page: int | None
+    reason: str
+    verified: bool
+    region_ok: bool | None
 
     def as_record(self) -> dict:
         return {
@@ -645,21 +642,17 @@ def collapse_report(
     support = ss.page_dims(1, total_degrees)
     rows = sorted({t for (_, t) in support})
     columns = sorted({s for (s, _) in support})
-    report = CollapseReport(support=support, rows=rows, columns=columns)
+    region_ok = None
     if allowed_region is not None:
-        report.region_ok = all(allowed_region(s, t) for (s, t) in support)
+        region_ok = all(allowed_region(s, t) for (s, t) in support)
+    predicted, reason = None, ""
     if len(columns) <= 1:
-        report.predicted_page = 1
-        report.reason = "single column: every d_r changes the column"
+        predicted, reason = 1, "single column: every d_r changes the column"
     elif len(rows) <= 1:
-        report.predicted_page = 2
-        report.reason = "single row: d_r for r >= 2 leaves the row"
-    if report.predicted_page is not None:
-        r_pred = report.predicted_page
-        stable = ss.stable_page
-        report.verified = all(
-            ss.dim(r_pred, s, n - s) == ss.dim(stable, s, n - s)
-            for n in total_degrees
-            for s in ss.fc.occupied_levels(n)
-        )
-    return report
+        predicted, reason = 2, "single row: d_r for r >= 2 leaves the row"
+    verified = predicted is not None and all(
+        ss.dim(predicted, s, n - s) == ss.dim(ss.stable_page, s, n - s)
+        for n in total_degrees
+        for s in ss.fc.occupied_levels(n)
+    )
+    return CollapseReport(support, rows, columns, predicted, reason, verified, region_ok)

@@ -136,6 +136,17 @@ def test_differential_leibniz_randomized() -> None:
             assert lhs == rhs
 
 
+def test_set_differential_after_differential_takes_effect() -> None:
+    # d of each monomial is memoized; setting a differential starts afresh.
+    a = sullivan_s3_like()
+    xy = {("x", "y"): Fraction(1)}
+    assert a.differential(xy) == {("x", "x", "x"): Fraction(1)}
+    a.set_differential("y", {("x", "x"): Fraction(-3)})
+    assert a.differential(xy) == {("x", "x", "x"): Fraction(-3)}
+    a.set_differential("y", {})
+    assert a.differential(xy) == {}
+
+
 def test_d_squared_on_generators() -> None:
     assert sullivan_s3_like().d_squared_failures_on_generators() == []
     assert tensor_acyclic().d_squared_failures_on_generators() == []

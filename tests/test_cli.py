@@ -7,6 +7,7 @@ cohomology command.
 """
 
 import json
+import re
 import subprocess
 import sys
 
@@ -195,6 +196,32 @@ def test_nonpositive_degree_names_its_line(tmp_path, capsys):
     assert "line 3" in err and "nonpositive degree 0" in err
 
 
+def test_non_utf8_model_names_the_file(tmp_path, capsys):
+    model = tmp_path / "latin1.model"
+    model.write_bytes(b"\xff flavor commutative\n")
+    code, out, err = run_main(capsys, "validate", str(model))
+    assert code == 1
+    assert out == ""
+    assert f"cannot read model {model}: not UTF-8 text (" in err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "missing `flavor` line"),
+        ("flavor commutative\ngen x : 2\n", "missing `grading` line"),
+    ],
+    ids=["empty", "no-grading"],
+)
+def test_file_level_errors_name_no_line(tmp_path, capsys, text, message):
+    model = tmp_path / "partial.model"
+    model.write_text(text, encoding="utf-8")
+    code, out, err = run_main(capsys, "validate", str(model))
+    assert code == 1
+    assert out == ""
+    assert message in err and not re.search(r"line \d", err)
+
+
 def test_reversed_degree_range_is_usage_error(capsys):
     code, out, err = run_main(capsys, "der", "builtin:sullivan:cpn:2", "--range", "3..-3")
     assert code == 2
@@ -378,3 +405,17 @@ def test_loop_records_byte_identical_across_processes():
     code2, out2, _ = run_process(*argv)
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def test_import_leaves_dataclasses_and_inspect_unloaded():
+    # Both cost a short run more than its engine work; the records are
+    # NamedTuples and plain classes.
+    code = (
+        "import sys, dgtangent.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=CHILD_ENV
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
