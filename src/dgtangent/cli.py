@@ -114,8 +114,9 @@ class Output:
 
     def emit(self) -> None:
         if self.mode == RECORDS:
+            encode = json.JSONEncoder(sort_keys=True, default=str).encode
             for rec in self.records:
-                print(json.dumps(rec, sort_keys=True, default=str))
+                print(encode(rec))
         else:
             for text in self.lines:
                 print(text)
@@ -316,9 +317,9 @@ def cmd_loop(args: argparse.Namespace) -> int:
         flag = "ok" if got == want else "MISMATCH"
         out.line(f"  {key}: {got} vs {want} {flag}")
         out.record(s=key[0], t=key[1], engine=got, expected=want, table="e2")
-    ok = _assembly_rows(out, report.assembly)
+    _assembly_rows(out, report.assembly)
     out.emit()
-    return 0 if ok and report.ok else 1
+    return 0 if report.ok else 1
 
 
 def cmd_aut(args: argparse.Namespace) -> int:

@@ -10,14 +10,16 @@ identical bases, matrices and reports.
 The one elimination kernel, ``Echelon``, works over the integers: each input
 is cleared of denominators, stored rows are primitive integer vectors, and
 row operations are fraction-free.  ``Fraction``s appear only where a result
-leaves the kernel (residues, combinations, ``Matrix.image_basis``).  The
-reduced row echelon form of a span is unique, and so is a combination over
-independent inputs, so every result equals that of elimination over Q.
+leaves the kernel (residues, combinations, ``Matrix.image_basis``).  Rows
+are kept in echelon form only.  The residue of a vector modulo a span (zero
+on every pivot column) is unique, and so is a combination over independent
+inputs, so every result equals that of elimination over Q.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from typing import Sequence
 
@@ -76,16 +78,17 @@ def _lowest_terms(den: int, tag: dict[int, int]) -> tuple[int, dict[int, int]]:
 
 
 class Echelon:
-    """Incremental reduced row echelon form, eliminated over the integers.
+    """Incremental row echelon form, eliminated over the integers.
 
     Each input ``Vector`` is cleared of denominators on entry: X_k = f_k·v_k
-    with f_k the lcm of its denominators.  Stored rows are primitive integer
-    vectors (content 1, pivot entry positive); each is the only stored row
-    with a nonzero entry in its pivot column, so ``rows[p]`` is the unique
-    reduced-echelon row of the span scaled to a primitive integer vector.
-    Row operations are fraction-free, x ↦ a·x − b·y with a, b the cofactors
-    of the two pivot-column entries, followed by division by the content
-    (Bareiss, Math. Comp. 22 (1968)).
+    with f_k the lcm of its denominators.  Stored rows have distinct pivot
+    columns and no entry left of the pivot; each is a primitive integer
+    vector (content 1, pivot entry positive).  A stored row is never changed
+    again.  Row operations are fraction-free, x ↦ a·x − b·y with a, b the
+    cofactors of the two pivot-column entries (Bareiss, Math. Comp. 22
+    (1968)).  Every nonzero vector of the span leads in a pivot column, so
+    two residues of a vector, each zero on every pivot column, differ by
+    zero; a combination over the independent inputs is unique as well.
 
     Tracked mode keeps, for every stored row, integer tags and a positive
     denominator with ``dens[p]·rows[p] = Σ_k tags[p][k]·X_k`` over the
@@ -104,24 +107,12 @@ class Echelon:
         self.n_inserted = 0
         self._last: tuple[dict[int, int], int] = ({}, 1)  # combo, den of the last insert
         self._factors: list[int] = []  # f_k of every input, by insertion order
-        self._col_rows: dict[int, set[int]] = {}  # column -> positions of rows hitting it
 
     def rank(self) -> int:
         return len(self.rows)
 
-    def _replace_row(self, pos: int, new_row: dict[int, int]) -> None:
-        old_row = self.rows[pos]
-        for col in old_row.keys() - new_row.keys():
-            hits = self._col_rows[col]
-            hits.discard(pos)
-            if not hits:
-                del self._col_rows[col]
-        for col in new_row.keys() - old_row.keys():
-            self._col_rows.setdefault(col, set()).add(pos)
-        self.rows[pos] = new_row
-
     def _eliminate(self, x: dict[int, int]) -> tuple[dict[int, int], dict[int, int], int]:
-        """Clear the pivot columns of the integer vector x.
+        """Clear the pivot columns of the integer vector x, left to right.
 
         Returns ``(x', combo, mult)`` with mult·x = x' + Σ_k combo[k]·X_k
         (combo stays ``{}`` in untracked mode).  A step that scales x
@@ -129,14 +120,21 @@ class Echelon:
         """
         combo: dict[int, int] = {}
         mult = 1
-        # Stored rows vanish on every pivot column but their own, so
-        # elimination never brings new pivot columns into x.
-        for col in sorted(col for col in x if col in self.pivots):
+        pivots = self.pivots
+        pending = [col for col in x if col in pivots]
+        heapify(pending)
+        while pending:
+            col = heappop(pending)
             xc = x.get(col)
             if not xc:
                 continue
-            pos = self.pivots[col]
+            pos = pivots[col]
             row = self.rows[pos]
+            # The row has no entry left of col, so a cleared column never
+            # comes back; queue the pivot columns it brings into x.
+            for k in row:
+                if k not in x and k in pivots:
+                    heappush(pending, k)
             rc = row[col]
             g = gcd(rc, xc)
             a, b = rc // g, xc // g
@@ -190,42 +188,17 @@ class Echelon:
         content = gcd(*x.values())
         if x[pivot_col] < 0:
             content = -content
-        new_row = {k: v // content for k, v in x.items()} if content != 1 else x
-        new_tag: dict[int, int] = {}
-        new_den = 1
+        self.pivots[pivot_col] = len(self.rows)
+        self.rows.append({k: v // content for k, v in x.items()} if content != 1 else x)
         if self.track:
-            # content·new_row = mult·X_idx − Σ combo[k]·X_k.
-            new_tag = {idx: mult}
-            new_tag.update((k, -v) for k, v in combo.items())
+            # content·row = mult·X_idx − Σ combo[k]·X_k.
+            tag = {idx: mult}
+            tag.update((k, -v) for k, v in combo.items())
             if content < 0:
-                new_tag = {k: -v for k, v in new_tag.items()}
-            new_den, new_tag = _lowest_terms(abs(content), new_tag)
-        rc = new_row[pivot_col]
-        for pos in sorted(self._col_rows.get(pivot_col, ())):
-            old = self.rows[pos]
-            oc = old[pivot_col]
-            g = gcd(rc, oc)
-            a, b = rc // g, oc // g
-            row = {k: a * v for k, v in old.items()} if a != 1 else dict(old)
-            _sub_scaled(row, b, new_row)
-            content = gcd(*row.values())
-            if content != 1:
-                row = {k: v // content for k, v in row.items()}
-            self._replace_row(pos, row)
-            if self.track:
-                # With den = dens[pos]: (den·new_den·content)·row
-                # = a·new_den·tags[pos] − b·den·new_tag over the inputs.
-                den = self.dens[pos]
-                tag = {k: a * new_den * v for k, v in self.tags[pos].items()}
-                _sub_scaled(tag, b * den, new_tag)
-                self.dens[pos], self.tags[pos] = _lowest_terms(den * new_den * content, tag)
-        new_pos = len(self.rows)
-        self.pivots[pivot_col] = new_pos
-        self.rows.append(new_row)
-        self.tags.append(new_tag)
-        self.dens.append(new_den)
-        for col in new_row:
-            self._col_rows.setdefault(col, set()).add(new_pos)
+                tag = {k: -v for k, v in tag.items()}
+            den, tag = _lowest_terms(abs(content), tag)
+            self.tags.append(tag)
+            self.dens.append(den)
         return True
 
     @property
@@ -297,14 +270,20 @@ class Matrix:
         return kernel
 
     def image_basis(self) -> list[Vector]:
-        """Echelonized basis of the row space (the image of the map)."""
+        """The reduced row echelon basis of the row space (the image of the map).
+
+        Each stored row, without its pivot entry, is reduced against the
+        others; the pivot entry is put back and divides the result.
+        """
         ech = Echelon()
         for row in self.rows:
             ech.insert(row)
         out = []
         for col in sorted(ech.pivots):
             row = ech.rows[ech.pivots[col]]
-            out.append({k: Fraction(v, row[col]) for k, v in row.items()})
+            rest = {k: Fraction(v, row[col]) for k, v in row.items() if k != col}
+            residue, _ = ech.reduce(rest)
+            out.append({col: ONE} | residue)
         return out
 
 

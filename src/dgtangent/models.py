@@ -916,7 +916,7 @@ class LoopHomologyReport(NamedTuple):
 
     @property
     def ok(self) -> bool:
-        return all(ok for (_, _, ok) in self.assembly.values())
+        return self.e2_matches and all(ok for (_, _, ok) in self.assembly.values())
 
 
 def algebra_homology_dims(algebra: FreeDgAlgebra, degrees: Sequence[int]) -> dict[int, int]:

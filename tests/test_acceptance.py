@@ -684,11 +684,18 @@ ACCEPTANCE_COMMANDS = [
 
 
 def test_criterion_10_determinism():
-    """Byte-identical structured records across two process runs."""
+    """Byte-identical structured records across two process runs.
+
+    The runs use different hash seeds, so a dependence on the iteration
+    order of a set of strings would show even when the caller fixes
+    ``PYTHONHASHSEED``.
+    """
     for argv in ACCEPTANCE_COMMANDS:
         cmd = [sys.executable, "-m", "dgtangent.cli", *argv, "--format", "records"]
-        first = subprocess.run(cmd, capture_output=True, env=CHILD_ENV)
-        second = subprocess.run(cmd, capture_output=True, env=CHILD_ENV)
+        first, second = (
+            subprocess.run(cmd, capture_output=True, env=CHILD_ENV | {"PYTHONHASHSEED": seed})
+            for seed in ("0", "4242")
+        )
         assert first.returncode == second.returncode == 0, (argv, first.stderr)
         assert first.stdout == second.stdout, argv
         assert first.stdout.strip()

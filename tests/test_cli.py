@@ -289,6 +289,22 @@ def test_loop_table_for_odd_sphere(capsys):
     assert [table[m] for m in range(0, 9)] == [1, 0, 1, 1, 1, 1, 1, 1, 1]
 
 
+def test_loop_e2_mismatch_exits_one(monkeypatch, capsys):
+    from dgtangent.models import loop_homology
+
+    def mismatched(*args, **kwargs):
+        report = loop_homology(*args, **kwargs)
+        engine = dict(report.e2_engine)
+        engine[(0, 0)] += 1
+        return report._replace(e2_engine=engine, e2_matches=False)
+
+    monkeypatch.setattr("dgtangent.cli.loop_homology", mismatched)
+    code, out, _ = run_main(capsys, "loop", "builtin:ah:sphere:3", "--max-degree", "4")
+    assert "MISMATCH" in out
+    assert "assembly" in out and "MISMATCH" not in out.split("assembly", 1)[1]
+    assert code == 1
+
+
 def test_loop_respects_max_degree(capsys):
     code, out, _ = run_main(
         capsys,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from fractions import Fraction
@@ -271,8 +272,20 @@ def hard_matrix(rng: random.Random, nrows: int, ncols: int) -> Matrix:
 def test_kernel_matches_dense_gauss_jordan() -> None:
     rng = random.Random(20261018)
     shapes = [(rng.randint(1, 9), rng.randint(1, 8)) for _ in range(60)] + [(30, 6)] * 4
-    for nrows, ncols in shapes:
-        m = hard_matrix(rng, nrows, ncols)
+    # Fixed: e₀+e₁, ½e₁−e₂, e₂+3e₃, … and their sum.  Reducing the probe e₀
+    # or the dependent sum cascades through every pivot.
+    chain = [
+        {0: Fraction(1), 1: Fraction(1)},
+        {1: Fraction(1, 2), 2: Fraction(-1)},
+        {2: Fraction(1), 3: Fraction(3)},
+        {3: Fraction(-2), 4: Fraction(5, 7)},
+        {4: Fraction(4), 5: Fraction(-1, 3)},
+    ]
+    chain.append(functools.reduce(vec_add, chain))
+    e0 = {0: Fraction(1)}
+    for shape in shapes + [Matrix(len(chain), 6, chain)]:
+        m = shape if isinstance(shape, Matrix) else hard_matrix(rng, *shape)
+        nrows, ncols = m.nrows, m.ncols
         rows = [dense(row, ncols) for row in m.rows]
         rref, pivots = dense_rref(rows, ncols)
         assert m.rank() == len(pivots) == dense_rank(rows)
@@ -296,7 +309,7 @@ def test_kernel_matches_dense_gauss_jordan() -> None:
         for _ in range(3):
             x = {i: Fraction(rng.randint(-4, 4), rng.randint(1, 5)) for i in range(nrows)}
             image = m.apply({i: c for i, c in x.items() if c})
-            for target in (image, hard_matrix(rng, 1, ncols).rows[0]):
+            for target in (image, hard_matrix(rng, 1, ncols).rows[0], e0):
                 combo = dense_express([rows[j] for j in independent], dense(target, ncols))
                 expected = None if combo is None else {
                     j: c for j, c in zip(independent, combo) if c
@@ -307,12 +320,12 @@ def test_kernel_matches_dense_gauss_jordan() -> None:
             ech = Echelon(track=track)
             for row in m.rows:
                 ech.insert(row)
-            probe = hard_matrix(rng, 1, ncols).rows[0]
-            residue = dense(probe, ncols)
-            for row, col in zip(rref, pivots):
-                coeff = residue[col]
-                residue = [a - coeff * b for a, b in zip(residue, row)]
-            assert ech.reduce(probe)[0] == sparse(residue)
+            for probe in (hard_matrix(rng, 1, ncols).rows[0], e0):
+                residue = dense(probe, ncols)
+                for row, col in zip(rref, pivots):
+                    coeff = residue[col]
+                    residue = [a - coeff * b for a, b in zip(residue, row)]
+                assert ech.reduce(probe)[0] == sparse(residue)
 
 
 def test_subquotient_reduce_matches_dense() -> None:
@@ -344,7 +357,9 @@ def test_stored_rows_are_primitive_integer_vectors() -> None:
         for row in hard_matrix(rng, 12, 8).rows:
             ech.insert(row)
         assert ech.rank() > 0
-        for row in ech.rows:
+        assert len({min(row) for row in ech.rows}) == ech.rank()  # distinct pivots
+        for pos, row in enumerate(ech.rows):
             assert all(type(v) is int for v in row.values())
             assert math.gcd(*row.values()) == 1
             assert row[min(row)] > 0
+            assert ech.pivots[min(row)] == pos

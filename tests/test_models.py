@@ -318,6 +318,12 @@ def test_loop_homology_wedge_e2_shape() -> None:
     assert report.ok
 
 
+def test_loop_homology_e2_mismatch_is_not_ok() -> None:
+    report = loop_homology(builtin("ah:sphere:3"), window=4)
+    assert report.e2_matches and all(ok for (_, _, ok) in report.assembly.values())
+    assert report._replace(e2_matches=False).ok is False
+
+
 def test_loop_homology_rejects_sullivan_models() -> None:
     with pytest.raises(ValueError, match="homological"):
         loop_homology(builtin("sullivan:sphere:even:2"))
