@@ -85,6 +85,13 @@ def golden_cases() -> dict[str, tuple[str, ...]]:
     cases["der-target-sullivan_cpn_1"] = (
         "der", "builtin:sullivan:cpn:1", "--target", "builtin:sullivan:hopf", "--window", "4",
     )
+    cases["ss-trivial-sullivan_cpn_1"] = (
+        "ss", "builtin:sullivan:cpn:1", "--coefficients", "trivial", "--window", "4",
+    )
+    cases["ss-target-sullivan_cpn_1"] = (
+        "ss", "builtin:sullivan:cpn:1", "--coefficients", "target=builtin:sullivan:hopf",
+        "--window", "4",
+    )
     return cases
 
 
