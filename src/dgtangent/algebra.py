@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
 from .complexes import CochainComplex, to_cohomological
-from .linalg import ONE, Matrix
+from .linalg import Matrix, el_add, el_add_term, el_scale
 
 Monomial = tuple[str, ...]
 Element = dict[Monomial, Fraction]
@@ -40,34 +40,6 @@ KIND_TENSOR = "tensor"
 KIND_COMMUTATIVE = "commutative"
 
 UNIT: Monomial = ()
-
-
-def el_add(a: Element, b: Element, coeff: Fraction = ONE) -> Element:
-    """Return a + coeff*b."""
-    out = dict(a)
-    for mono, val in (b if coeff == 1 else el_scale(b, coeff)).items():
-        el_add_term(out, mono, val)
-    return out
-
-
-def el_scale(a: Element, coeff: Fraction) -> Element:
-    if coeff == 0:
-        return {}
-    if coeff == -1:
-        return {mono: -val for mono, val in a.items()}
-    return {mono: coeff * val for mono, val in a.items()}
-
-
-def el_add_term(acc: Element, mono: Monomial, coeff: Fraction) -> None:
-    """In-place accumulate coeff on a monomial, dropping zeros."""
-    old = acc.get(mono)
-    if old is None:
-        if coeff:
-            acc[mono] = coeff
-    elif new := old + coeff:
-        acc[mono] = new
-    else:
-        del acc[mono]
 
 
 class Generator(NamedTuple):
@@ -510,7 +482,9 @@ class AlgebraMorphism:
         return out
 
     def check(self) -> list[str]:
-        """Degree preservation and the chain property on generators."""
+        """Degree preservation and the chain property on generators; once
+        both hold, out of a commutative source, graded commutativity of the
+        images (an odd image squares to zero)."""
         problems: list[str] = []
         for g in sorted(self.source.generators):
             img = self.images[g]
@@ -530,6 +504,12 @@ class AlgebraMorphism:
             rhs = self.target.differential(img)
             if el_add(lhs, rhs, Fraction(-1)):
                 problems.append(f"morphism does not commute with d on {g!r}")
+        if self.source.kind == KIND_COMMUTATIVE and not problems:
+            gens = sorted(self.source.generators)
+            for i, g in enumerate(gens):
+                for h in gens[i:]:
+                    if self.target.commutator(self.images[g], self.images[h]):
+                        problems.append(f"images of {g!r} and {h!r} do not graded-commute")
         return problems
 
 

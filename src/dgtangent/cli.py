@@ -15,6 +15,7 @@ import json
 import sys
 from typing import Sequence
 
+from .algebra import AlgebraMorphism, trivial_algebra
 from .models import (
     CellCoalgebra,
     ModelFile,
@@ -92,6 +93,27 @@ def _validated(spec_text: str) -> ModelFile:
             "invalid model:\n" + "\n".join(report.lines())
         )
     return mf
+
+
+def _coefficients(mf: ModelFile, choice: str) -> tuple[str, AlgebraMorphism]:
+    """The label and the coefficient morphism u: A → U of ``self``, ``trivial``
+    or ``target=MODEL`` (same-named generators); exit 1 unless u is a dg
+    algebra morphism."""
+    algebra = mf.algebra()
+    if choice == "self":
+        u = AlgebraMorphism.identity(algebra)
+    elif choice == "trivial":
+        u = AlgebraMorphism.augmentation(algebra, trivial_algebra(algebra.grading))
+    elif choice.startswith("target="):
+        target = _validated(choice[len("target=") :]).algebra()
+        u, choice = AlgebraMorphism.name_matching(algebra, target), "target"
+    else:
+        raise UsageError(f"--coefficients must be self, trivial or target=PATH, not {choice!r}")
+    if problems := u.check():
+        raise CliError(
+            f"{choice} coefficients are not a dg algebra morphism: " + "; ".join(problems)
+        )
+    return choice, u
 
 
 class Output:
@@ -197,12 +219,8 @@ def cmd_quillen(args: argparse.Namespace) -> int:
 
 def cmd_der(args: argparse.Namespace) -> int:
     mf = _validated(args.model)
-    target = _validated(args.target) if args.target else None
-    coefficients = "target" if target is not None else "self"
-    try:
-        der, _ = derivation_tower(mf, coefficients, target)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    coefficients, u = _coefficients(mf, f"target={args.target}" if args.target else "self")
+    der, _ = derivation_tower(mf, u)
     if args.range:
         lo, hi = _parse_range(args.range, "degree")
     else:
@@ -226,15 +244,7 @@ def cmd_der(args: argparse.Namespace) -> int:
 
 def cmd_ss(args: argparse.Namespace) -> int:
     mf = _validated(args.model)
-    target = None
-    coefficients = args.coefficients
-    if coefficients.startswith("target="):
-        target = _validated(coefficients[len("target=") :])
-        coefficients = "target"
-    elif coefficients not in ("self", "trivial"):
-        raise UsageError(
-            f"--coefficients must be self, trivial or target=PATH, not {coefficients!r}"
-        )
+    _, u = _coefficients(mf, args.coefficients)
     pages = _parse_pages(args.pages)
     if args.check_multiplicative and not args.diag:
         raise UsageError("--check-multiplicative requires --diag primitive|model")
@@ -243,8 +253,7 @@ def cmd_ss(args: argparse.Namespace) -> int:
     try:
         report = tower_report(
             mf,
-            coefficients,
-            target,
+            u,
             window=args.window,
             pages=pages,
             check_collapse=args.check_collapse,

@@ -1,6 +1,6 @@
 """Derivation complexes of quasi-free dg algebras.
 
-Given a quasi-free algebra A, a coefficient pair (U, u: A → U) and a set of
+Given a quasi-free algebra A, a coefficient morphism u: A → U and a set of
 generators on which derivations must vanish, the complex Der(A, U) in degree
 p has basis the single-slot derivations (v ↦ m): the u-twisted derivation
 sending generator v to the U-monomial m (with cdeg(m) − cdeg(v) = p) and every
@@ -28,7 +28,6 @@ from .algebra import (
     el_add_term,
     format_element,
     insert,
-    trivial_algebra,
 )
 from .complexes import CochainComplex, images_matrix
 from .linalg import ONE, Matrix, Vector, spans_equal
@@ -42,48 +41,22 @@ def slot_images(values: Values, *tag: str) -> dict[tuple, Fraction]:
     return {(*tag, w, mono): c for w, el in values.items() for mono, c in el.items()}
 
 
-class Coefficients:
-    """A coefficient pair: an algebra U together with a morphism u: A → U."""
-
-    def __init__(self, algebra: FreeDgAlgebra, morphism: AlgebraMorphism) -> None:
-        if morphism.target is not algebra:
-            raise ValueError("coefficient morphism must land in the coefficient algebra")
-        self.algebra = algebra
-        self.morphism = morphism
-
-    @classmethod
-    def identity(cls, algebra: FreeDgAlgebra) -> "Coefficients":
-        return cls(algebra, AlgebraMorphism.identity(algebra))
-
-    @classmethod
-    def trivial(cls, algebra: FreeDgAlgebra) -> "Coefficients":
-        """The base field, with every generator sent to zero."""
-        k = trivial_algebra(algebra.grading)
-        return cls(k, AlgebraMorphism.augmentation(algebra, k))
-
-    @classmethod
-    def from_target(cls, algebra: FreeDgAlgebra, target: FreeDgAlgebra) -> "Coefficients":
-        """Name-matching morphism into an explicit target algebra."""
-        return cls(target, AlgebraMorphism.name_matching(algebra, target))
-
-    def check(self) -> list[str]:
-        return self.morphism.check()
-
-
 class DerComplex:
-    """Der(A, U) relative to a vanishing set of generators."""
+    """Der_u(A, U), U = u.target, relative to a vanishing set of generators.
+
+    The coefficient morphism u defaults to the identity of A.
+    """
 
     def __init__(
         self,
         algebra: FreeDgAlgebra,
-        coefficients: Coefficients | None = None,
+        u: AlgebraMorphism | None = None,
         vanishing: frozenset[str] | set[str] = frozenset(),
         name: str = "",
     ) -> None:
         self.A = algebra
-        self.coefficients = coefficients or Coefficients.identity(algebra)
-        self.U = self.coefficients.algebra
-        self.u = self.coefficients.morphism
+        self.u = u or AlgebraMorphism.identity(algebra)
+        self.U = self.u.target
         if self.u.source is not algebra:
             raise ValueError("coefficient morphism must start at the algebra")
         self.vanishing = frozenset(vanishing)
@@ -308,7 +281,7 @@ def subalgebra_below_stage(algebra: FreeDgAlgebra, stage: int) -> FreeDgAlgebra:
 
 def restriction_sequence(
     algebra: FreeDgAlgebra,
-    coefficients: Coefficients,
+    u: AlgebraMorphism,
     stage_low: int,
     stage_high: int,
     degrees: Sequence[int],
@@ -333,15 +306,11 @@ def restriction_sequence(
             (stage_low, stage_high), False, offenders, list(degrees), {}, False, False, False, False
         )
 
-    left = DerComplex(algebra, coefficients, vanishing=below_high)
-    middle = DerComplex(algebra, coefficients, vanishing=below_low)
+    left = DerComplex(algebra, u, vanishing=below_high)
+    middle = DerComplex(algebra, u, vanishing=below_low)
     sub = subalgebra_below_stage(algebra, stage_high)
-    sub_u = AlgebraMorphism(
-        sub,
-        coefficients.algebra,
-        {g: coefficients.morphism.images[g] for g in sub.generators},
-    )
-    right = DerComplex(sub, Coefficients(coefficients.algebra, sub_u), vanishing=below_low)
+    sub_u = AlgebraMorphism(sub, u.target, {g: u.images[g] for g in sub.generators})
+    right = DerComplex(sub, sub_u, vanishing=below_low)
 
     dims: dict[int, tuple[int, int, int]] = {}
     additive = True
@@ -375,7 +344,7 @@ def restriction_sequence(
         # Exactness: inclusion injective, restriction surjective, ker = im.
         if incl_p.rank() != nl or rest_p.rank() != nr:
             exact = False
-        if not spans_equal(rest_p.kernel_basis(), incl_p.image_basis()):
+        if not spans_equal(rest_p.kernel_basis(), incl_p.rows):
             exact = False
 
     return RestrictionSequence(
@@ -401,7 +370,7 @@ class ConeComplex:
 
     def __init__(self, algebra: FreeDgAlgebra) -> None:
         self.A = algebra
-        self.der = DerComplex(algebra, Coefficients.identity(algebra), name="Der")
+        self.der = DerComplex(algebra, name="Der")
         self._complex: CochainComplex | None = None
 
     def basis(self, p: int) -> list[ConeLabel]:

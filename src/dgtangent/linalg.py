@@ -10,10 +10,14 @@ identical bases, matrices and reports.
 The one elimination kernel, ``Echelon``, works over the integers: each input
 is cleared of denominators, stored rows are primitive integer vectors, and
 row operations are fraction-free.  ``Fraction``s appear only where a result
-leaves the kernel (residues, combinations, ``Matrix.image_basis``).  Rows
+leaves the kernel (residues, combinations, kernel vectors).  Rows
 are kept in echelon form only.  The residue of a vector modulo a span (zero
 on every pivot column) is unique, and so is a combination over independent
 inputs, so every result equals that of elimination over Q.
+
+Sparse vectors here and algebra elements (``algebra``), both dicts from keys
+to nonzero rationals, share one accumulate-and-drop-zero rule: ``el_add_term``,
+``el_add`` and ``el_scale``.
 """
 
 from __future__ import annotations
@@ -25,20 +29,35 @@ from typing import Sequence
 
 Vector = dict[int, Fraction]
 
-ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def vec_add(a: Vector, b: Vector, coeff: Fraction = ONE) -> Vector:
-    """Return a + coeff*b as a new sparse vector."""
+def el_add(a: dict, b: dict, coeff: Fraction = ONE) -> dict:
+    """Return a + coeff*b."""
     out = dict(a)
-    for idx, val in b.items():
-        new = out.get(idx, ZERO) + coeff * val
-        if new == 0:
-            out.pop(idx, None)
-        else:
-            out[idx] = new
+    for key, val in (b if coeff == 1 else el_scale(b, coeff)).items():
+        el_add_term(out, key, val)
     return out
+
+
+def el_scale(a: dict, coeff: Fraction) -> dict:
+    if coeff == 0:
+        return {}
+    if coeff == -1:
+        return {key: -val for key, val in a.items()}
+    return {key: coeff * val for key, val in a.items()}
+
+
+def el_add_term(acc: dict, key, coeff: Fraction) -> None:
+    """In-place accumulate coeff on a key, dropping zeros."""
+    old = acc.get(key)
+    if old is None:
+        if coeff:
+            acc[key] = coeff
+    elif new := old + coeff:
+        acc[key] = new
+    else:
+        del acc[key]
 
 
 def vec_from_list(values: Sequence[Fraction | int]) -> Vector:
@@ -238,11 +257,7 @@ class Matrix:
         out: Vector = {}
         for idx, coeff in x.items():
             for col, val in self.rows[idx].items():
-                new = out.get(col, ZERO) + coeff * val
-                if new == 0:
-                    out.pop(col, None)
-                else:
-                    out[col] = new
+                el_add_term(out, col, coeff * val)
         return out
 
     def compose(self, other: "Matrix") -> "Matrix":
@@ -266,25 +281,8 @@ class Matrix:
         kernel: list[Vector] = []
         for i, row in enumerate(self.rows):
             if not ech.insert(row):
-                kernel.append(vec_add({i: ONE}, ech.last_combo, -ONE))
+                kernel.append(el_add({i: ONE}, ech.last_combo, -ONE))
         return kernel
-
-    def image_basis(self) -> list[Vector]:
-        """The reduced row echelon basis of the row space (the image of the map).
-
-        Each stored row, without its pivot entry, is reduced against the
-        others; the pivot entry is put back and divides the result.
-        """
-        ech = Echelon()
-        for row in self.rows:
-            ech.insert(row)
-        out = []
-        for col in sorted(ech.pivots):
-            row = ech.rows[ech.pivots[col]]
-            rest = {k: Fraction(v, row[col]) for k, v in row.items() if k != col}
-            residue, _ = ech.reduce(rest)
-            out.append({col: ONE} | residue)
-        return out
 
 
 class Subquotient:
@@ -323,12 +321,8 @@ class Subquotient:
         coords: Vector = {}
         for ins_idx, coeff in combo.items():
             slot = self._slot_of_insertion.get(ins_idx)
-            if slot is not None and coeff != 0:
-                new = coords.get(slot, ZERO) + coeff
-                if new == 0:
-                    coords.pop(slot, None)
-                else:
-                    coords[slot] = new
+            if slot is not None:
+                el_add_term(coords, slot, coeff)
         return coords
 
     def is_zero_class(self, vec: Vector) -> bool:
@@ -369,7 +363,7 @@ def preimage_by_images(
         combo: Vector = {}
         for i, c in comb.items():
             if i < n and c != 0:
-                combo = vec_add(combo, vectors[i], c)
+                combo = el_add(combo, vectors[i], c)
         if combo:
             out.append(combo)
     return out

@@ -31,6 +31,7 @@ from itertools import groupby
 from typing import NamedTuple, Sequence
 
 from .algebra import (
+    AlgebraMorphism,
     Element,
     FreeDgAlgebra,
     Generator,
@@ -39,6 +40,7 @@ from .algebra import (
     el_add,
     el_add_term,
     tilde_extension,
+    trivial_algebra,
 )
 from .complexes import (
     GRADING_COHOMOLOGICAL,
@@ -46,7 +48,6 @@ from .complexes import (
     to_cohomological,
 )
 from .derivations import (
-    Coefficients,
     ConeComplex,
     DerComplex,
     Values,
@@ -760,7 +761,8 @@ def multiplicativity_check(
     degrees p = deg(v) up to the window; these span the nonzero first-page
     row of the trivial-coefficient tower.
     """
-    der = DerComplex(algebra, Coefficients.trivial(algebra))
+    k = trivial_algebra(algebra.grading)
+    der = DerComplex(algebra, AlgebraMorphism.augmentation(algebra, k))
     names = [
         g for g in sorted(algebra.generators) if algebra.gen_degree(g) <= window
     ]
@@ -1158,10 +1160,9 @@ def _bracket_table(der: DerComplex, window: int) -> list[BracketEntry]:
 
 
 class TowerReport(NamedTuple):
-    """Spectral-sequence run of a derivation tower for one coefficient choice."""
+    """Spectral-sequence run of a derivation tower for one coefficient morphism."""
 
     model: str
-    coefficients: str
     window: int
     pages_internal: dict[int, dict[tuple[int, int], int]]
     assembly: dict[int, tuple[int, int, bool]]
@@ -1174,49 +1175,29 @@ class TowerReport(NamedTuple):
 
 
 def derivation_tower(
-    mf: ModelFile, coefficients: str = "self", target: ModelFile | None = None
+    mf: ModelFile, u: AlgebraMorphism | None = None
 ) -> tuple[DerComplex, FilteredComplex]:
-    """Derivation complex of the model with the requested coefficients.
+    """Der_u(A, U) of the model's algebra A and its stage tower.
 
-    ``coefficients`` is "self", "trivial" or "target" (with ``target`` a
-    second model whose same-named generators receive the generators of this
-    one).  Base-flagged generators are held fixed.
+    u: A → U defaults to the identity of A; base-flagged generators are held
+    fixed.
     """
-    algebra = mf.algebra()
-    base = mf.base_names()
-    if coefficients == "self":
-        coeffs = Coefficients.identity(algebra)
-    elif coefficients == "trivial":
-        coeffs = Coefficients.trivial(algebra)
-    elif coefficients == "target":
-        if target is None:
-            raise ValueError("target coefficients need a target model")
-        coeffs = Coefficients.from_target(algebra, target.algebra())
-        problems = coeffs.check()
-        if problems:
-            raise ValueError(
-                "target coefficients are not a chain map: " + "; ".join(problems)
-            )
-    else:
-        raise ValueError(f"unknown coefficient choice {coefficients!r}")
-    der = DerComplex(algebra, coeffs, vanishing=base)
+    der = DerComplex(mf.algebra(), u, vanishing=mf.base_names())
     return der, der_tower(der)
 
 
 def tower_report(
     mf: ModelFile,
-    coefficients: str = "self",
-    target: ModelFile | None = None,
+    u: AlgebraMorphism | None = None,
     window: int = 10,
     pages: Sequence[int] = (1, 2, 3, 4, 5, 6),
     check_collapse: bool = False,
 ) -> TowerReport:
-    _, fc = derivation_tower(mf, coefficients, target)
+    _, fc = derivation_tower(mf, u)
     ss = SpectralSequence(fc)
     degrees = list(range(-window, window + 1))
     return TowerReport(
         model=mf.name,
-        coefficients=coefficients,
         window=window,
         pages_internal={r: ss.page_dims(r, degrees) for r in pages},
         assembly=ss.total_degree_check(degrees),

@@ -31,8 +31,8 @@ from .linalg import (
     Matrix,
     Subquotient,
     Vector,
+    el_add,
     preimage_by_images,
-    vec_add,
 )
 
 Run = list[tuple[int, int | None, Vector | None]]
@@ -237,7 +237,7 @@ class SpectralSequence:
         # v is e_i plus multiples of rows eliminated before i: peel off the last first.
         for i, b, v in reversed(self.eliminate(n, track=True)):
             if c := x.get(i):
-                x = vec_add(x, v, -c)
+                x = el_add(x, v, -c)
                 if levels[i] <= s and b is not None:
                     gaps.append(b - s)
         return max(1, min(gaps)) if gaps else None
@@ -437,7 +437,7 @@ class ExactCoupleSS:
         e_group = self.E(s, n)
         x_local: Vector = {}
         for i, c in z.items():
-            x_local = vec_add(x_local, e_group.basis[i], c)
+            x_local = el_add(x_local, e_group.basis[i], c)
         kx = self.k_coords(s, n, x_local)
         if r == 1:
             y = kx
@@ -451,7 +451,7 @@ class ExactCoupleSS:
         d_group = self.D(s + r - 1, n)
         y_local: Vector = {}
         for a, c in y.items():
-            y_local = vec_add(y_local, d_group.basis[a], c)
+            y_local = el_add(y_local, d_group.basis[a], c)
         return self.connecting(s + r - 1, n, y_local)
 
     def page_data(self, r: int, s: int, n: int) -> tuple[list[Vector], list[Vector]]:

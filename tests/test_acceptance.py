@@ -22,9 +22,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import dgtangent
-from dgtangent.algebra import FreeDgAlgebra
+from dgtangent.algebra import AlgebraMorphism, FreeDgAlgebra, trivial_algebra
 from dgtangent.derivations import (
-    Coefficients,
     ConeComplex,
     DerComplex,
     brace,
@@ -68,6 +67,15 @@ BUILTINS = [
     "sullivan:hopf",
     "trivial-fibration:sullivan:sphere:even:2",
 ]
+
+
+def trivial_coefficients(algebra: FreeDgAlgebra) -> AlgebraMorphism:
+    """u: A → k sending every generator to zero (base-field coefficients)."""
+    return AlgebraMorphism.augmentation(algebra, trivial_algebra(algebra.grading))
+
+
+# The coefficient morphisms of ``ss --coefficients self|trivial``.
+COEFFICIENTS = {"self": AlgebraMorphism.identity, "trivial": trivial_coefficients}
 
 # An associative homological model with interacting linear and quadratic
 # differential terms and a declared diagonal; used where the builtin models
@@ -207,12 +215,12 @@ def test_criterion_02_jacobi_zariski_exactness():
     """Short exact restriction sequences for every d-closed stage pair."""
     pairs_checked = 0
     for name, algebra in _algebras():
-        coeffs = Coefficients.identity(algebra)
+        u = AlgebraMorphism.identity(algebra)
         stages = sorted({algebra.gen_stage(g) for g in algebra.generators})
         cuts = stages + [max(stages) + 1]
         valid_pairs = 0
         for lo, hi in itertools.combinations(cuts, 2):
-            report = restriction_sequence(algebra, coeffs, lo, hi, WINDOW)
+            report = restriction_sequence(algebra, u, lo, hi, WINDOW)
             if not report.closed:
                 # a cut through a non-d-closed subset is not a cofibration
                 # stage; the check must flag it rather than report exactness
@@ -235,7 +243,7 @@ def test_criterion_03_engine_oracle_equivalence():
         t0 = time.monotonic()
         towers = []
         for coefficients in ("self", "trivial"):
-            _, fc = derivation_tower(mf, coefficients)
+            _, fc = derivation_tower(mf, COEFFICIENTS[coefficients](mf.algebra()))
             towers.append((coefficients, fc))
         cone = ConeComplex(mf.algebra())
         towers.append(("cone", cone_tower(cone)))
@@ -260,7 +268,7 @@ def test_criterion_04_dual_route_equality():
     cells = 0
     for name in BUILTINS:
         mf = builtin(name)
-        der, fc = derivation_tower(mf, "self")
+        der, fc = derivation_tower(mf)
         ss, ec = SpectralSequence(fc), ExactCoupleSS(fc)
         for r in range(1, 7):
             for s in range(0, fc.max_level + 1):
@@ -294,7 +302,7 @@ def test_criterion_05_first_page_law():
         mf = builtin(name)
         algebra = mf.algebra()
         for coefficients in ("self", "trivial"):
-            der, fc = derivation_tower(mf, coefficients)
+            der, fc = derivation_tower(mf, COEFFICIENTS[coefficients](mf.algebra()))
             ss = SpectralSequence(fc)
             if coefficients == "self":
                 u_cx = der.U.algebra_complex()
@@ -325,7 +333,7 @@ def test_criterion_05_first_page_law():
     # nonzero, killing the (x -> 1) / (y -> x) pair, while the stable page
     # still assembles to the direct cohomology.
     mf = builtin("sullivan:sphere:even:2")
-    der, fc = derivation_tower(mf, "self")
+    der, fc = derivation_tower(mf)
     ss = SpectralSequence(fc)
     assert der.differential_values({"x": {(): Fraction(1)}}, -2) == {
         "y": {("x",): Fraction(-2)}
@@ -343,7 +351,7 @@ def test_criterion_06_collapse_and_vanishing():
     # every page from the second on equals the stable page.
     for name in BUILTINS:
         mf = builtin(name)
-        _, fc = derivation_tower(mf, "trivial")
+        _, fc = derivation_tower(mf, trivial_coefficients(mf.algebra()))
         ss = SpectralSequence(fc)
         stable = ss.einf_dims(WINDOW)
         for r in range(2, ss.stable_page + 1):
@@ -375,7 +383,7 @@ def test_criterion_06_collapse_and_vanishing():
             height = next(iter(degrees)) - 1  # generators sit in degree s+1
             sub = subalgebra_below_stage(algebra, sigma + 1)
             below = {g for g in sub.generators if sub.gen_stage(g) < sigma}
-            der = DerComplex(sub, Coefficients.identity(sub), vanishing=below)
+            der = DerComplex(sub, vanishing=below)
             for k in range(0, 4):
                 for p in range(height + 2 - k, height + 2 - k + 8):
                     for (v, mono) in der.basis(p):
@@ -409,7 +417,7 @@ def test_criterion_06_collapse_and_vanishing():
             height = next(iter(degs)) - 1
             sub = subalgebra_below_stage(algebra, sigma + 1)
             below = {g for g in sub.generators if sub.gen_stage(g) < sigma}
-            der = DerComplex(sub, Coefficients.identity(sub), vanishing=below)
+            der = DerComplex(sub, vanishing=below)
             full = der.complex()
             for b in range(0, 4):
 
@@ -600,7 +608,7 @@ def test_criterion_09_products():
     # all class pairs satisfy [f][g] = (-1)^{pq} [g][f] and all triples
     # associate on the nose.
     algebra = builtin("sullivan:sphere:even:2").algebra()
-    der = DerComplex(algebra, Coefficients.trivial(algebra))
+    der = DerComplex(algebra, trivial_coefficients(algebra))
     cx = der.complex()
     f = {"x": {(): Fraction(1)}}
     assert cup_product(der, f, -2, f, -2) == {"y": {(): Fraction(1)}}
@@ -636,7 +644,7 @@ def test_criterion_09_products():
     # (c) Coboundary absorption on a model with a genuinely nonzero
     # differential: a nonzero brace against a coboundary is a boundary.
     algebra = parse_model(CELLCOALG_TEXT).algebra()
-    der = DerComplex(algebra, Coefficients.trivial(algebra))
+    der = DerComplex(algebra, trivial_coefficients(algebra))
     cx = der.complex()
     h = {"u": {(): Fraction(1)}}  # not a cocycle: its boundary hits (v -> 1)
     bdy = der.differential_values(h, 2)

@@ -262,6 +262,29 @@ def test_target_that_is_not_a_chain_map_exits_one(capsys, argv):
     assert "does not commute with d on 'y'" in err
 
 
+@pytest.mark.parametrize("command", ["der", "ss"])
+def test_target_whose_images_do_not_graded_commute_exits_one(tmp_path, capsys, command):
+    # Name matching Λ(x, y) → T(x, y) commutes with d (u(x²) = x x = d y), but
+    # x y ≠ y x and y y ≠ 0 in the tensor algebra: no algebra morphism.
+    paths = {}
+    for flavor in ("commutative", "associative"):
+        paths[flavor] = tmp_path / f"{flavor}.model"
+        paths[flavor].write_text(
+            f"flavor {flavor}\ngrading cohomological\ngen x : 2\ngen y : 3\nd y = x x\n",
+            encoding="utf-8",
+        )
+    source, target = str(paths["commutative"]), str(paths["associative"])
+    argv = {
+        "der": ("der", source, "--target", target, "--window", "6"),
+        "ss": ("ss", source, "--coefficients", f"target={target}", "--window", "4"),
+    }[command]
+    code, out, err = run_main(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "images of 'x' and 'y' do not graded-commute" in err
+    assert "images of 'y' and 'y' do not graded-commute" in err
+
+
 def test_hochschild_refuses_pages_of_unfiltered_cone(capsys):
     # The absolute cone of the circle bundle has d z = x with stage(x) > stage(z).
     code, out, err = run_main(capsys, "hochschild", "builtin:sullivan:hopf", "--window", "4")

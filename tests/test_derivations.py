@@ -7,9 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from dgtangent.algebra import FreeDgAlgebra, Generator, el_add, el_scale
+from dgtangent.algebra import AlgebraMorphism, FreeDgAlgebra, Generator, el_add, el_scale
 from dgtangent.derivations import (
-    Coefficients,
     ConeComplex,
     DerComplex,
     brace,
@@ -18,7 +17,7 @@ from dgtangent.derivations import (
     subalgebra_below_stage,
 )
 from dgtangent.models import builtin
-from test_acceptance import BUILTINS
+from test_acceptance import BUILTINS, trivial_coefficients
 
 
 def sullivan_s3() -> FreeDgAlgebra:
@@ -96,7 +95,7 @@ def test_der_euler_class_representative() -> None:
 
 def test_trivial_coefficients_kill_decomposables() -> None:
     a = sullivan_s3()
-    der = DerComplex(a, Coefficients.trivial(a))
+    der = DerComplex(a, trivial_coefficients(a))
     # d(y) = x^2 is decomposable, so the twisted differential vanishes.
     assert der.differential_values({"x": {(): Fraction(1)}}, -2) == {}
     cx = der.complex()
@@ -106,7 +105,7 @@ def test_trivial_coefficients_kill_decomposables() -> None:
 
 def test_trivial_coefficients_linear_part_only() -> None:
     a = tensor_acyclic()
-    der = DerComplex(a, Coefficients.trivial(a))
+    der = DerComplex(a, trivial_coefficients(a))
     # Homological generators have cdeg -|v|, so the slot (v -> 1) sits in
     # internal degree +|v|: (a -> 1) at 2 and (b -> 1) at 3.
     assert der.basis(2) == [("a", ())]
@@ -172,7 +171,7 @@ def test_cup_product_hopf_square() -> None:
     # With base-field coefficients on the S^3 model, (x -> 1) cups with
     # itself to the generator (y -> 1): the cup square is nonzero.
     a = sullivan_s3()
-    der = DerComplex(a, Coefficients.trivial(a))
+    der = DerComplex(a, trivial_coefficients(a))
     f = {"x": {(): Fraction(1)}}
     square = cup_product(der, f, -2, f, -2)
     assert square == {"y": {(): Fraction(1)}}
@@ -180,7 +179,7 @@ def test_cup_product_hopf_square() -> None:
 
 def test_cup_product_refuses_non_cocycle() -> None:
     a = tensor_acyclic()
-    der = DerComplex(a, Coefficients.trivial(a))
+    der = DerComplex(a, trivial_coefficients(a))
     f = {"a": {(): Fraction(1)}}  # ∂f = -(b -> 1) ≠ 0
     with pytest.raises(ValueError):
         cup_product(der, f, 2, f, 2)
@@ -191,7 +190,7 @@ def test_brace_chain_leibniz() -> None:
     # has interacting linear and quadratic parts.  The brace raises degree
     # by p + q + 1.
     a = tensor_four_stage()
-    der = DerComplex(a, Coefficients.trivial(a))
+    der = DerComplex(a, trivial_coefficients(a))
     cases = [
         ({"a": {(): Fraction(1)}}, 2, {"a": {(): Fraction(1)}}, 2),
         ({"a": {(): Fraction(1)}}, 2, {"b": {(): Fraction(1)}}, 3),
@@ -216,7 +215,7 @@ def test_brace_chain_leibniz() -> None:
 
 def test_cup_of_boundary_is_boundary() -> None:
     a = tensor_four_stage()
-    der = DerComplex(a, Coefficients.trivial(a))
+    der = DerComplex(a, trivial_coefficients(a))
     h = {"a": {(): Fraction(1)}}  # degree 2, ∂h = -(b -> 1)
     bdy = der.differential_values(h, 2)
     g = {"b": {(): Fraction(1)}}  # degree 3 cocycle? check first
@@ -232,7 +231,7 @@ def test_cup_products_vanish_without_differential() -> None:
     a = FreeDgAlgebra(
         "tensor", "homological", [Generator("x", 1), Generator("y", 2)]
     )
-    der = DerComplex(a, Coefficients.trivial(a))
+    der = DerComplex(a, trivial_coefficients(a))
     f = {"x": {(): Fraction(1)}}
     g = {"y": {(): Fraction(1)}}
     assert cup_product(der, f, 1, g, 2) == {}
@@ -240,9 +239,9 @@ def test_cup_products_vanish_without_differential() -> None:
 
 def test_restriction_sequence_exact() -> None:
     a = sullivan_s3()
-    coeffs = Coefficients.identity(a)
+    u = AlgebraMorphism.identity(a)
     for (low, high) in [(2, 3), (2, 4), (3, 4)]:
-        report = restriction_sequence(a, coeffs, low, high, list(range(-6, 3)))
+        report = restriction_sequence(a, u, low, high, list(range(-6, 3)))
         assert report.closed
         assert report.ok, (low, high, report)
         for p, (nl, nm, nr) in report.dims.items():
@@ -256,7 +255,7 @@ def test_restriction_sequence_non_cofibration_flag() -> None:
         [Generator("x", 2, stage=3), Generator("y", 3, stage=2)],
     )
     a.set_differential("y", {("x", "x"): Fraction(1)})
-    report = restriction_sequence(a, Coefficients.identity(a), 2, 3, [-2])
+    report = restriction_sequence(a, AlgebraMorphism.identity(a), 2, 3, [-2])
     assert not report.closed
     assert report.offenders == ["y"]
     assert not report.ok
@@ -316,21 +315,21 @@ def test_cone_filtration_levels() -> None:
             assert cone.filtration_level(label) == 3  # stage(x)=2, +1
 
 
-def _coefficient_cases() -> list[tuple[str, FreeDgAlgebra, Coefficients]]:
+def _coefficient_cases() -> list[tuple[str, FreeDgAlgebra, AlgebraMorphism]]:
     cases = []
     for name in BUILTINS:
         a = builtin(name).algebra()
-        cases.append((f"{name} self", a, Coefficients.identity(a)))
-        cases.append((f"{name} trivial", a, Coefficients.trivial(a)))
+        cases.append((f"{name} self", a, AlgebraMorphism.identity(a)))
+        cases.append((f"{name} trivial", a, trivial_coefficients(a)))
         # A separate copy of the same model: u is name matching, U is not A.
         copy = builtin(name).build()
-        cases.append((f"{name} target", a, Coefficients.from_target(a, copy)))
+        cases.append((f"{name} target", a, AlgebraMorphism.name_matching(a, copy)))
     for source, target in (
         ("sullivan:cpn:1", "sullivan:hopf"),
         ("sullivan:cpn:2", "sullivan:cpn:3"),
     ):
         a = builtin(source).algebra()
-        coeffs = Coefficients.from_target(a, builtin(target).build())
+        coeffs = AlgebraMorphism.name_matching(a, builtin(target).build())
         cases.append((f"{source} -> {target}", a, coeffs))
     return cases
 
@@ -437,9 +436,9 @@ def test_insertion_rule_matches_the_literal_formula() -> None:
     cases = _coefficient_cases()
     for a, copy in zip(odd_cubic_models(), odd_cubic_models()):
         cases += [
-            (f"odd cubic {a.kind} self", a, Coefficients.identity(a)),
-            (f"odd cubic {a.kind} trivial", a, Coefficients.trivial(a)),
-            (f"odd cubic {a.kind} target", a, Coefficients.from_target(a, copy)),
+            (f"odd cubic {a.kind} self", a, AlgebraMorphism.identity(a)),
+            (f"odd cubic {a.kind} trivial", a, trivial_coefficients(a)),
+            (f"odd cubic {a.kind} target", a, AlgebraMorphism.name_matching(a, copy)),
         ]
     one = {(): Fraction(1)}
     explicit = {

@@ -27,6 +27,7 @@ from dgtangent.complexes import CochainComplex, to_cohomological
 from dgtangent.derivations import ConeComplex
 from dgtangent.models import builtin, derivation_tower
 from dgtangent.tower import SpectralSequence, cone_tower
+from test_acceptance import COEFFICIENTS
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
@@ -134,7 +135,7 @@ def golden_window_complexes():
             [to_cohomological(n, grading) for n in range(1, 7)],
         )
         for coefficients in ("self", "trivial"):
-            der, _ = derivation_tower(mf, coefficients)
+            der, _ = derivation_tower(mf, COEFFICIENTS[coefficients](mf.algebra()))
             yield f"{name}/der-{coefficients}", der.complex(), range(-4, 5)
     for name in CELLULAR:
         fc = cone_tower(ConeComplex(builtin(name).algebra()))

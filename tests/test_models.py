@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from dgtangent.derivations import Coefficients, DerComplex
+from dgtangent.derivations import DerComplex
 from dgtangent.models import (
     CellCoalgebra,
     DiagTerm,
@@ -26,6 +26,7 @@ from dgtangent.models import (
     validate_model,
 )
 from dgtangent.tower import relabel
+from test_acceptance import trivial_coefficients
 
 CELLCOALG_TEXT = """\
 name cellcoalg
@@ -262,7 +263,7 @@ def test_convolution_hand_checked_example() -> None:
     mf = parse_model(CELLCOALG_TEXT)
     algebra = mf.algebra()
     coalg = CellCoalgebra(algebra, mf.diagonals)
-    der = DerComplex(algebra, Coefficients.trivial(algebra))
+    der = DerComplex(algebra, trivial_coefficients(algebra))
     one = Fraction(1)
     f = {"u": {(): one}}
     g = {"v": {(): one}}
@@ -392,9 +393,10 @@ def test_aut_bracket_table_even_sphere() -> None:
 
 
 def test_tower_report_collapse_for_truncated_coefficients() -> None:
+    mf = builtin("ah:sphere:3")
     report = tower_report(
-        builtin("ah:sphere:3"),
-        coefficients="trivial",
+        mf,
+        trivial_coefficients(mf.algebra()),
         window=6,
         pages=(1, 2),
         check_collapse=True,

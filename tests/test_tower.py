@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from dgtangent.algebra import FreeDgAlgebra, Generator
 from dgtangent.complexes import CochainComplex
 from dgtangent.derivations import (
-    Coefficients,
     ConeComplex,
     DerComplex,
     restriction_sequence,
@@ -33,7 +32,7 @@ from dgtangent.tower import (
     cone_tower,
     der_tower,
 )
-from test_acceptance import BUILTINS
+from test_acceptance import BUILTINS, COEFFICIENTS, trivial_coefficients
 
 # Two-generator tensor models have large high-degree bases; the Z/B route
 # is swept over narrower windows there (as in acceptance criterion 4).
@@ -174,7 +173,7 @@ def test_acyclic_tensor_single_row_collapse() -> None:
 def test_single_column_collapses_on_page_one() -> None:
     # d = 0 on one generator: everything sits in column s = 2.
     a = FreeDgAlgebra("tensor", "homological", [Generator("x", 2)])
-    fc = der_tower(DerComplex(a, Coefficients.trivial(a)))
+    fc = der_tower(DerComplex(a, trivial_coefficients(a)))
     ss = SpectralSequence(fc)
     report = collapse_report(ss, list(range(0, 6)))
     assert report.columns == [2]
@@ -218,7 +217,7 @@ def test_alignment_spot_checks_four_stage_tensor() -> None:
 def test_chain_map_to_trivial_coefficients() -> None:
     algebra = sullivan_s2()
     src_der = DerComplex(algebra)
-    tgt_der = DerComplex(algebra, Coefficients.trivial(algebra))
+    tgt_der = DerComplex(algebra, trivial_coefficients(algebra))
     src = der_tower(src_der)
     tgt = der_tower(tgt_der)
 
@@ -286,7 +285,7 @@ def builtin_towers():
         window = BUILTIN_WINDOWS.get(name, range(-10, 11))
         mf = builtin(name)
         for coefficients in ("self", "trivial"):
-            _, fc = derivation_tower(mf, coefficients)
+            _, fc = derivation_tower(mf, COEFFICIENTS[coefficients](mf.algebra()))
             yield f"{name}/{coefficients}", fc, window
         if model_family(mf) == "cellular":
             yield f"{name}/cone", cone_tower(ConeComplex(mf.algebra())), window
@@ -427,12 +426,8 @@ def two_stage_towers(draw) -> FreeDgAlgebra:
 @settings(max_examples=12, deadline=None, derandomize=True)
 @given(two_stage_towers(), st.sampled_from(["self", "trivial"]))
 def test_barcode_matches_exact_couple_on_random_towers(algebra, coefficients) -> None:
-    coeffs = (
-        Coefficients.identity(algebra)
-        if coefficients == "self"
-        else Coefficients.trivial(algebra)
-    )
-    fc = der_tower(DerComplex(algebra, coeffs))
+    u = COEFFICIENTS[coefficients](algebra)
+    fc = der_tower(DerComplex(algebra, u))
     assert fc.check_filtration(range(-8, 3)) == []
     ss, ec = SpectralSequence(fc), ExactCoupleSS(fc)
     for r in range(1, 4):
@@ -443,7 +438,7 @@ def test_barcode_matches_exact_couple_on_random_towers(algebra, coefficients) ->
     assert_pages_are_homology(ss, range(-8, 3), range(1, 4))
     assert_z_span_and_death_page(ss, range(-8, 3))
     assert all(ok for _, _, ok in ss.total_degree_check(range(-8, 3)).values())
-    assert restriction_sequence(algebra, coeffs, 0, 1, list(range(-8, 3))).ok
+    assert restriction_sequence(algebra, u, 0, 1, list(range(-8, 3))).ok
 
 
 def test_page_loops_skip_empty_levels(monkeypatch) -> None:
