@@ -3,7 +3,8 @@
 Each file under ``tests/golden/`` is the exact stdout of one CLI command, and
 the command must still print it byte for byte.  The corpus pins every number
 and every record layout, so a refactor that claims to change no output can be
-checked against it.
+checked against it.  A few commands also have their table-mode stdout pinned
+(``*.txt``), so the text lines built from the reports are checked too.
 
 After a change that is meant to alter output, regenerate the corpus with
 
@@ -98,12 +99,22 @@ def golden_cases() -> dict[str, tuple[str, ...]]:
 
 CASES = golden_cases()
 
+# Cases whose table-mode stdout is pinned as well, one per command that
+# prints a report.
+TABLE_CASES = (
+    "aut-sullivan_hopf",
+    "der-reps-sullivan_hopf",
+    "hochschild-ah_sphere_2",
+    "loop-ah_sphere_3",
+    "ss-sullivan_cpn_2",
+)
 
-def run_records(argv: tuple[str, ...]) -> tuple[int, str]:
-    """Exit status and stdout of one in-process ``--format records`` run."""
+
+def run_records(argv: tuple[str, ...], fmt: str = "records") -> tuple[int, str]:
+    """Exit status and stdout of one in-process run in format ``fmt``."""
     buffer = io.StringIO()
     with contextlib.redirect_stdout(buffer):
-        status = main([*argv, "--format", "records"])
+        status = main([*argv, "--format", fmt])
     return status, buffer.getvalue()
 
 
@@ -114,8 +125,22 @@ def test_golden_records(stem):
     assert out.encode("utf-8") == (GOLDEN_DIR / f"{stem}.jsonl").read_bytes()
 
 
+@pytest.mark.parametrize("stem", TABLE_CASES)
+def test_golden_tables(stem):
+    status, out = run_records(CASES[stem], "table")
+    assert status == 0
+    assert out.encode("utf-8") == (GOLDEN_DIR / f"{stem}.txt").read_bytes()
+
+
+def golden_files() -> dict[str, tuple[tuple[str, ...], str]]:
+    """Golden file name -> (CLI arguments, format)."""
+    files = {f"{stem}.jsonl": (argv, "records") for stem, argv in CASES.items()}
+    files.update({f"{stem}.txt": (CASES[stem], "table") for stem in TABLE_CASES})
+    return files
+
+
 def test_golden_corpus_has_no_stray_files():
-    assert sorted(p.stem for p in GOLDEN_DIR.glob("*.jsonl")) == sorted(CASES)
+    assert sorted(p.name for p in GOLDEN_DIR.iterdir()) == sorted(golden_files())
 
 
 def golden_window_complexes():
@@ -197,15 +222,16 @@ def test_dimension_only_commands_build_no_subquotient(command, monkeypatch):
 
 def regenerate() -> int:
     GOLDEN_DIR.mkdir(exist_ok=True)
-    for stale in GOLDEN_DIR.glob("*.jsonl"):
+    for stale in GOLDEN_DIR.iterdir():
         stale.unlink()
-    for stem, argv in sorted(CASES.items()):
-        status, out = run_records(argv)
+    files = golden_files()
+    for filename, (argv, fmt) in sorted(files.items()):
+        status, out = run_records(argv, fmt)
         if status != 0:
-            print(f"{stem}: exit status {status}", file=sys.stderr)
+            print(f"{filename}: exit status {status}", file=sys.stderr)
             return 1
-        (GOLDEN_DIR / f"{stem}.jsonl").write_bytes(out.encode("utf-8"))
-    print(f"wrote {len(CASES)} files to {GOLDEN_DIR}")
+        (GOLDEN_DIR / filename).write_bytes(out.encode("utf-8"))
+    print(f"wrote {len(files)} files to {GOLDEN_DIR}")
     return 0
 
 
