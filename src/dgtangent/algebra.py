@@ -46,7 +46,8 @@ class Generator(NamedTuple):
     """A free algebra generator: name, native degree, tower stage, role.
 
     ``stage`` indexes the tower of subalgebras (defaults to the degree);
-    ``role`` is ``""``, ``"base"`` or ``"fiber"`` for relative models.
+    ``role`` is ``"base"`` for the fixed generators of a relative model, else
+    ``""``.
     """
 
     name: str
@@ -66,15 +67,12 @@ class FreeDgAlgebra:
         kind: str,
         grading: str,
         generators: Sequence[Generator],
-        name: str = "",
         allow_nonpositive: bool = False,
     ) -> None:
         if kind not in (KIND_TENSOR, KIND_COMMUTATIVE):
             raise ValueError(f"unknown algebra kind {kind!r}")
         self.kind = kind
         self.grading = grading
-        self.name = name
-        self.allow_nonpositive = allow_nonpositive
         self.generators: dict[str, Generator] = {}
         for gen in generators:
             if gen.name in self.generators:
@@ -89,13 +87,6 @@ class FreeDgAlgebra:
         self._parity = {g.name: g.degree % 2 for g in self.generators.values()}
         self.diff: dict[str, Element] = {g: {} for g in self.generators}
         self._d_memo: dict[Monomial, Element] = {}  # d of each monomial met so far
-        self.warnings: list[str] = []
-        for gen in self.generators.values():
-            if gen.degree == 1 and grading == "cohomological":
-                self.warnings.append(
-                    f"generator {gen.name!r} has degree 1; "
-                    "model is not simply connected"
-                )
 
     # ---------------------------------------------------------------- degrees
 
@@ -282,16 +273,6 @@ class FreeDgAlgebra:
 
     # ------------------------------------------------------------ towers
 
-    def stages(self) -> list[int]:
-        """Sorted distinct stages occurring among the generators."""
-        return sorted({self.gen_stage(g) for g in self.generators})
-
-    def generators_of_stage(self, stage: int) -> list[str]:
-        return sorted(
-            (g for g in self.generators if self.gen_stage(g) == stage),
-            key=lambda g: self._letter_key[g],
-        )
-
     def stage_condition_failures(self, exempt: frozenset[str] = frozenset()) -> list[str]:
         """Generators whose differential uses letters of stage >= their own.
 
@@ -367,7 +348,7 @@ class FreeDgAlgebra:
         def diff_fn(n: int) -> Matrix:
             return cx.matrix(n, lambda mono: self.differential({mono: Fraction(1)}))
 
-        cx = CochainComplex(self.basis_in_cdeg, diff_fn, name=f"{self.name or 'algebra'}")
+        cx = CochainComplex(self.basis_in_cdeg, diff_fn, name="algebra")
         return cx
 
     def indecomposables_complex(
@@ -424,7 +405,7 @@ def insert(
 
 def trivial_algebra(grading: str) -> FreeDgAlgebra:
     """The base field as a free algebra with no generators."""
-    return FreeDgAlgebra(KIND_COMMUTATIVE, grading, [], name="k")
+    return FreeDgAlgebra(KIND_COMMUTATIVE, grading, [])
 
 
 class AlgebraMorphism:
@@ -435,17 +416,13 @@ class AlgebraMorphism:
         source: FreeDgAlgebra,
         target: FreeDgAlgebra,
         images: dict[str, Element],
-        name: str = "",
     ) -> None:
         self.source = source
         self.target = target
         self.images = {g: dict(images.get(g, {})) for g in source.generators}
-        self.name = name
 
     @classmethod
-    def name_matching(
-        cls, source: FreeDgAlgebra, target: FreeDgAlgebra, name: str = ""
-    ) -> "AlgebraMorphism":
+    def name_matching(cls, source: FreeDgAlgebra, target: FreeDgAlgebra) -> "AlgebraMorphism":
         """Send each generator to the same-named target generator (else 0)."""
         images: dict[str, Element] = {}
         for g, gen in source.generators.items():
@@ -453,21 +430,16 @@ class AlgebraMorphism:
                 images[g] = target.gen_element(g)
             else:
                 images[g] = {}
-        return cls(source, target, images, name=name)
+        return cls(source, target, images)
 
     @classmethod
     def identity(cls, algebra: FreeDgAlgebra) -> "AlgebraMorphism":
-        return cls(
-            algebra,
-            algebra,
-            {g: algebra.gen_element(g) for g in algebra.generators},
-            name="id",
-        )
+        return cls(algebra, algebra, {g: algebra.gen_element(g) for g in algebra.generators})
 
     @classmethod
     def augmentation(cls, source: FreeDgAlgebra, target: FreeDgAlgebra) -> "AlgebraMorphism":
         """Kill every generator (the unit map composed with the counit)."""
-        return cls(source, target, {g: {} for g in source.generators}, name="aug")
+        return cls(source, target, {g: {} for g in source.generators})
 
     def apply(self, el: Element) -> Element:
         out: Element = {}
@@ -528,13 +500,7 @@ def tilde_extension(algebra: FreeDgAlgebra) -> FreeDgAlgebra:
     if eps_name in algebra.generators:
         raise ValueError(f"generator name {eps_name!r} already taken")
     gens = list(algebra.generators.values()) + [Generator(eps_name, -1, stage=0)]
-    out = FreeDgAlgebra(
-        KIND_TENSOR,
-        "homological",
-        gens,
-        name=f"{algebra.name or 'algebra'}~",
-        allow_nonpositive=True,
-    )
+    out = FreeDgAlgebra(KIND_TENSOR, "homological", gens, allow_nonpositive=True)
     eps = out.gen_element(eps_name)
     out.set_differential(eps_name, out.mul(eps, eps))
     for g in algebra.generators:

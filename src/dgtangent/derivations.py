@@ -52,7 +52,6 @@ class DerComplex:
         algebra: FreeDgAlgebra,
         u: AlgebraMorphism | None = None,
         vanishing: frozenset[str] | set[str] = frozenset(),
-        name: str = "",
     ) -> None:
         self.A = algebra
         self.u = u or AlgebraMorphism.identity(algebra)
@@ -74,7 +73,6 @@ class DerComplex:
             (g for g in algebra.generators if g not in self.vanishing),
             key=lambda g: (algebra.gen_degree(g), g),
         )
-        self.name = name
         self._complex: CochainComplex | None = None
         # The occurrences of the letters of d_A(w): the brace puts f at each
         # of them.  ∂ reads them by letter, each with its w.
@@ -153,7 +151,7 @@ class DerComplex:
                     self.differential_values({slot[0]: {slot[1]: Fraction(1)}}, p)
                 ))
 
-            self._complex = CochainComplex(self.basis, diff_fn, name=self.name or "Der")
+            self._complex = CochainComplex(self.basis, diff_fn, name="Der")
         return self._complex
 
     # -------------------------------------------------------------- brackets
@@ -238,10 +236,8 @@ def cup_product(der: DerComplex, f: Values, p: int, g: Values, q: int) -> Values
 class RestrictionSequence(NamedTuple):
     """Report on 0 → Der_{A_j}(A) → Der_{A_i}(A) → Der_{A_i}(A_j) → 0."""
 
-    stage_pair: tuple[int, int]
     closed: bool
     offenders: list[str]
-    degrees: list[int]
     dims: dict[int, tuple[int, int, int]]
     additive_ok: bool
     inclusion_chain_ok: bool
@@ -262,13 +258,7 @@ class RestrictionSequence(NamedTuple):
 def subalgebra_below_stage(algebra: FreeDgAlgebra, stage: int) -> FreeDgAlgebra:
     """The subalgebra generated by all generators of stage < ``stage``."""
     gens = [g for g in algebra.generators.values() if g.resolved_stage() < stage]
-    sub = FreeDgAlgebra(
-        algebra.kind,
-        algebra.grading,
-        gens,
-        name=f"{algebra.name or 'A'}(<{stage})",
-        allow_nonpositive=algebra.allow_nonpositive,
-    )
+    sub = FreeDgAlgebra(algebra.kind, algebra.grading, gens)
     offenders = closure_offenders(algebra, frozenset(g.name for g in gens))
     if offenders:
         raise ValueError(
@@ -302,9 +292,7 @@ def restriction_sequence(
     offenders = closure_offenders(algebra, frozenset(below_high))
     offenders += [g for g in closure_offenders(algebra, frozenset(below_low)) if g not in offenders]
     if offenders:
-        return RestrictionSequence(
-            (stage_low, stage_high), False, offenders, list(degrees), {}, False, False, False, False
-        )
+        return RestrictionSequence(False, offenders, {}, False, False, False, False)
 
     left = DerComplex(algebra, u, vanishing=below_high)
     middle = DerComplex(algebra, u, vanishing=below_low)
@@ -347,10 +335,7 @@ def restriction_sequence(
         if not spans_equal(rest_p.kernel_basis(), incl_p.rows):
             exact = False
 
-    return RestrictionSequence(
-        (stage_low, stage_high), True, [], list(degrees),
-        dims, additive, incl_chain, rest_chain, exact,
-    )
+    return RestrictionSequence(True, [], dims, additive, incl_chain, rest_chain, exact)
 
 
 # ---------------------------------------------------------------------- cone
@@ -370,7 +355,7 @@ class ConeComplex:
 
     def __init__(self, algebra: FreeDgAlgebra) -> None:
         self.A = algebra
-        self.der = DerComplex(algebra, name="Der")
+        self.der = DerComplex(algebra)
         self._complex: CochainComplex | None = None
 
     def basis(self, p: int) -> list[ConeLabel]:

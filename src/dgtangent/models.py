@@ -52,6 +52,7 @@ from .derivations import (
     DerComplex,
     Values,
     closure_offenders,
+    slot_images,
 )
 from .tower import (
     FilteredComplex,
@@ -130,20 +131,16 @@ class ModelFile:
     def kind(self) -> str:
         return KIND_OF_FLAVOR[self.flavor]
 
-    def build(self) -> FreeDgAlgebra:
-        """Construct the algebra afresh, validating the differential."""
-        algebra = FreeDgAlgebra(
-            self.kind(), self.grading, list(self.generators), name=self.name or "model"
-        )
-        for gen in self.generators:
-            value = self.differentials.get(gen.name, {})
-            if value:
-                algebra.set_differential(gen.name, dict(value))
-        return algebra
-
     def algebra(self) -> FreeDgAlgebra:
+        """The model's algebra, built once; a differential of the wrong degree
+        raises ValueError."""
         if self._algebra is None:
-            self._algebra = self.build()
+            algebra = FreeDgAlgebra(self.kind(), self.grading, list(self.generators))
+            for gen in self.generators:
+                value = self.differentials.get(gen.name, {})
+                if value:
+                    algebra.set_differential(gen.name, dict(value))
+            self._algebra = algebra
         return self._algebra
 
 
@@ -301,14 +298,13 @@ def parse_diagonal(
         for letter in key:
             if letter not in algebra.generators:
                 raise ModelSyntaxError(line_no, f"unknown generator {letter!r}")
-        combined[key] = combined.get(key, Fraction(0)) + coeff
+        el_add_term(combined, key, coeff)
     letter_key = lambda n: (algebra.gen_degree(n), n)
     return [
         DiagTerm(c, a, b)
         for (a, b), c in sorted(
             combined.items(), key=lambda kv: (letter_key(kv[0][0]), letter_key(kv[0][1]))
         )
-        if c != 0
     ]
 
 
@@ -402,9 +398,7 @@ def parse_model(text: str) -> ModelFile:
         raise ModelSyntaxError(None, "missing `grading` line")
 
     try:
-        bare = FreeDgAlgebra(
-            KIND_OF_FLAVOR[flavor], grading, list(generators), name=name or "model"
-        )
+        bare = FreeDgAlgebra(KIND_OF_FLAVOR[flavor], grading, list(generators))
     except ValueError as exc:
         raise ModelSyntaxError(None, str(exc)) from None
     differentials: dict[str, Element] = {}
@@ -478,9 +472,7 @@ def format_diagonal(terms: Sequence[DiagTerm]) -> str:
 
 def print_model(mf: ModelFile) -> str:
     """Canonical text form; parse(print_model(m)) == m for normalized m."""
-    algebra = FreeDgAlgebra(
-        mf.kind(), mf.grading, list(mf.generators), name=mf.name or "model"
-    )
+    algebra = FreeDgAlgebra(mf.kind(), mf.grading, list(mf.generators))
     lines: list[str] = []
     if mf.name:
         lines.append(f"name {mf.name}")
@@ -688,19 +680,14 @@ class CellCoalgebra:
             lhs: dict[tuple[str, str], Fraction] = {}
             for target, coeff in lin[name].items():
                 for term in self.pairs.get(target, []):
-                    key = (term.left, term.right)
-                    lhs[key] = lhs.get(key, Fraction(0)) + coeff * term.coeff
+                    el_add_term(lhs, (term.left, term.right), coeff * term.coeff)
             rhs: dict[tuple[str, str], Fraction] = {}
             for term in self.pairs[name]:
                 for target, coeff in lin[term.left].items():
-                    key = (target, term.right)
-                    rhs[key] = rhs.get(key, Fraction(0)) + term.coeff * coeff
+                    el_add_term(rhs, (target, term.right), term.coeff * coeff)
                 sign = -1 if self.cell_degree(term.left) % 2 else 1
                 for target, coeff in lin[term.right].items():
-                    key = (term.left, target)
-                    rhs[key] = rhs.get(key, Fraction(0)) + sign * term.coeff * coeff
-            lhs = {k: v for k, v in lhs.items() if v}
-            rhs = {k: v for k, v in rhs.items() if v}
+                    el_add_term(rhs, (term.left, target), sign * term.coeff * coeff)
             if lhs != rhs:
                 out.append(f"diag {name}: not a coderivation against the cellular differential")
         return out
@@ -782,11 +769,7 @@ def multiplicativity_check(
             rhs = convolution_values(algebra, coalgebra, df, p_f + 1, g, p_g)
             second = convolution_values(algebra, coalgebra, f, p_f, dg, p_g + 1)
             scale = Fraction(-1 if p_f % 2 else 1)
-            for name, el in second.items():
-                rhs[name] = el_add(rhs.get(name, {}), el, scale)
-            rhs = {k: v for k, v in rhs.items() if v}
-            lhs = {k: v for k, v in lhs.items() if v}
-            if lhs != rhs:
+            if slot_images(lhs) != el_add(slot_images(rhs), slot_images(second), scale):
                 failures.append(f"({a} -> 1) * ({b} -> 1)")
     return MultiplicativityReport(checked, failures)
 
@@ -824,7 +807,7 @@ def validate_model(mf: ModelFile) -> ValidationReport:
     family = model_family(mf)
     checks: list[CheckResult] = []
     try:
-        algebra = mf.build()
+        algebra = mf.algebra()
     except ValueError as exc:
         checks.append(CheckResult("differential degrees", False, str(exc)))
         return ValidationReport(mf.name, family, checks)
@@ -905,16 +888,12 @@ def validate_model(mf: ModelFile) -> ValidationReport:
 class LoopHomologyReport(NamedTuple):
     """Free-loop-space homology of a cellular model via the adjoint cone."""
 
-    model: str
-    window: int
     betti: dict[int, int]
-    cone_homology: dict[int, int]
     assembly: dict[int, tuple[int, int, bool]]
     pages_internal: dict[int, dict[tuple[int, int], int]]
     e2_engine: dict[tuple[int, int], int]
     e2_expected: dict[tuple[int, int], int]
     e2_matches: bool
-    stable_page: int
 
     @property
     def ok(self) -> bool:
@@ -955,14 +934,21 @@ def loop_homology(
     derivation slot (v ↦ w) then sits at (s, t) = (deg v + 1, deg w), the
     bidegrees of maps from degree-s cells into the degree-t loop homology,
     and the algebra column s = 0 supplies the cell-free summand.  Pages
-    keep the internal (s, t) with loop degree −t in the window.
+    keep the internal (s, t) with loop degree −t in the window.  These
+    labels hold only when each generator's stage is its degree, so any other
+    stage is refused.
     """
     if model_family(mf) != "cellular":
         raise ValueError("loop homology requires an associative homological model")
+    for g in mf.generators:
+        if g.resolved_stage() != g.degree:
+            raise ValueError(
+                f"loop homology needs stage = degree: {g.name!r} has degree {g.degree}, "
+                f"stage {g.stage}"
+            )
     algebra = mf.algebra()
     ss = cone_spectral_sequence(mf)
     max_level = ss.fc.max_level
-    r_stable = ss.stable_page
 
     needed_n = sorted(
         {2 * s - m for s in range(0, max_level + 1) for m in range(0, window + 1)}
@@ -970,10 +956,7 @@ def loop_homology(
     betti: dict[int, int] = {m: 0 for m in range(0, window + 1)}
     for s in range(0, max_level + 1):
         for m in range(0, window + 1):
-            betti[m] += ss.dim(r_stable, s, s - m)
-
-    cone_h = {n: ss.fc.complex.homology_dim(n) for n in needed_n}
-    assembly = ss.total_degree_check(needed_n)
+            betti[m] += ss.dim(ss.stable_page, s, s - m)
 
     def window_page(r: int) -> dict[tuple[int, int], int]:
         return {
@@ -995,16 +978,12 @@ def loop_homology(
                 e2_expected[(s, t)] = dim
     e2_engine = relabel(window_page(2), "flipped")
     return LoopHomologyReport(
-        model=mf.name,
-        window=window,
         betti=betti,
-        cone_homology=cone_h,
-        assembly=assembly,
+        assembly=ss.total_degree_check(needed_n),
         pages_internal={r: window_page(r) for r in pages},
         e2_engine=e2_engine,
         e2_expected=e2_expected,
         e2_matches=e2_engine == e2_expected,
-        stable_page=r_stable,
     )
 
 
@@ -1018,7 +997,6 @@ class BracketEntry(NamedTuple):
     index_a: int
     degree_b: int
     index_b: int
-    degree_result: int
     coords: list[str]
     text: str
 
@@ -1026,14 +1004,12 @@ class BracketEntry(NamedTuple):
 class AutHomotopyReport(NamedTuple):
     """Rational homotopy of the identity component of fiberwise self-maps."""
 
-    model: str
     window: int
     dims: dict[int, int]
     degree_zero_dim: int
     pages_internal: dict[int, dict[tuple[int, int], int]]
     hom_shaped: dict[tuple[int, int], int]
     assembly: dict[int, tuple[int, int, bool]]
-    stable_page: int
     der: DerComplex | None = None
 
     @property
@@ -1077,16 +1053,13 @@ def aut_homotopy(
     degree_zero = 0
     assembly: dict[int, tuple[int, int, bool]] = {}
     pages_internal: dict[int, dict[tuple[int, int], int]] = {r: {} for r in pages}
-    stable = 0
 
     if der is not None:
         cx = der.complex()
         for n in range(1, window + 1):
             dims[n] = cx.homology_dim(-n)
         degree_zero = cx.homology_dim(0)
-        fc = der_tower(der)
-        ss = SpectralSequence(fc)
-        stable = ss.stable_page
+        ss = SpectralSequence(der_tower(der))
         degrees = list(range(-window, 1))
         assembly = ss.total_degree_check(degrees)
         for r in pages:
@@ -1102,14 +1075,12 @@ def aut_homotopy(
                 hom_shaped[(s, t)] = dim
 
     return AutHomotopyReport(
-        model=mf.name,
         window=window,
         dims=dims,
         degree_zero_dim=degree_zero,
         pages_internal=pages_internal,
         hom_shaped=hom_shaped,
         assembly=assembly,
-        stable_page=stable,
         der=der,
     )
 
@@ -1151,7 +1122,7 @@ def _bracket_table(der: DerComplex, window: int) -> list[BracketEntry]:
                         )
                     )
                     entries.append(
-                        BracketEntry(n_a, i, n_b, j, n_a + n_b, coord_list, text)
+                        BracketEntry(n_a, i, n_b, j, coord_list, text)
                     )
     return entries
 
@@ -1162,8 +1133,6 @@ def _bracket_table(der: DerComplex, window: int) -> list[BracketEntry]:
 class TowerReport(NamedTuple):
     """Spectral-sequence run of a derivation tower for one coefficient morphism."""
 
-    model: str
-    window: int
     pages_internal: dict[int, dict[tuple[int, int], int]]
     assembly: dict[int, tuple[int, int, bool]]
     stable_page: int
@@ -1197,8 +1166,6 @@ def tower_report(
     ss = SpectralSequence(fc)
     degrees = list(range(-window, window + 1))
     return TowerReport(
-        model=mf.name,
-        window=window,
         pages_internal={r: ss.page_dims(r, degrees) for r in pages},
         assembly=ss.total_degree_check(degrees),
         stable_page=ss.stable_page,

@@ -46,12 +46,10 @@ class FilteredComplex:
         complex: CochainComplex,
         level_fn: Callable[[Hashable], int],
         max_level: int,
-        name: str = "",
     ) -> None:
         self.complex = complex
         self._level_fn = level_fn
         self.max_level = max_level
-        self.name = name
         self._levels: dict[int, list[int]] = {}
 
     def levels(self, n: int) -> list[int]:
@@ -270,13 +268,11 @@ class FilteredChainMap:
         source: FilteredComplex,
         target: FilteredComplex,
         matrix_fn: Callable[[int], Matrix],
-        name: str = "",
     ) -> None:
         self.source = source
         self.target = target
         self._matrix_fn = matrix_fn
         self._cache: dict[int, Matrix] = {}
-        self.name = name
 
     def matrix(self, n: int) -> Matrix:
         if n not in self._cache:
@@ -584,12 +580,7 @@ def der_tower(der) -> FilteredComplex:
     """
     gens = [g for g in der.A.generators.values() if g.name not in der.vanishing]
     max_level = max((g.resolved_stage() for g in gens), default=0)
-    cx = der.complex()
-
-    def level(label) -> int:
-        return der.slot_stage(label)
-
-    return FilteredComplex(cx, level, max_level, name=f"tower({cx.name})")
+    return FilteredComplex(der.complex(), der.slot_stage, max_level)
 
 
 def cone_tower(cone) -> FilteredComplex:
@@ -597,19 +588,15 @@ def cone_tower(cone) -> FilteredComplex:
     slots at stage + 1."""
     gens = cone.A.generators.values()
     max_level = max((g.resolved_stage() for g in gens), default=0) + 1
-    cx = cone.complex()
-    return FilteredComplex(
-        cx, cone.filtration_level, max_level, name=f"cone-tower({cone.A.name})"
-    )
+    return FilteredComplex(cone.complex(), cone.filtration_level, max_level)
 
 
 # ------------------------------------------------------- collapse analysis
 
 
 class CollapseReport(NamedTuple):
-    """Support of E_1 over a window and the collapse it implies."""
+    """Rows and columns of E_1's support over a window and the collapse they imply."""
 
-    support: dict[tuple[int, int], int]
     rows: list[int]
     columns: list[int]
     predicted_page: int | None
@@ -655,4 +642,4 @@ def collapse_report(
         for n in total_degrees
         for s in ss.fc.occupied_levels(n)
     )
-    return CollapseReport(support, rows, columns, predicted, reason, verified, region_ok)
+    return CollapseReport(rows, columns, predicted, reason, verified, region_ok)

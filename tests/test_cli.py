@@ -120,6 +120,22 @@ def test_loop_on_commutative_model_exits_one(capsys):
     assert "associative homological" in err
 
 
+@pytest.mark.parametrize("stage", [1, 30000])
+def test_loop_refuses_a_stage_other_than_the_degree(tmp_path, capsys, stage):
+    # Loop degrees are read off the cone levels as if each generator sat at
+    # the stage of its degree; any other stage would mislabel every class.
+    model = tmp_path / "stage.model"
+    model.write_text(
+        "flavor associative\ngrading homological\ngen a : 1 stage 0\n"
+        f"gen c : 3 stage {stage}\nd c = a a\n",
+        encoding="utf-8",
+    )
+    code, out, err = run_main(capsys, "loop", str(model), "--max-degree", "4")
+    assert code == 1
+    assert out == ""
+    assert "stage = degree" in err and "'a'" in err
+
+
 @pytest.mark.parametrize(
     "text, line",
     [

@@ -230,7 +230,7 @@ def test_chain_map_to_trivial_coefficients() -> None:
                 m.rows[i][tgt_index[(v, ())]] = Fraction(1)
         return m
 
-    phi = FilteredChainMap(src, tgt, matrix_fn, name="augment")
+    phi = FilteredChainMap(src, tgt, matrix_fn)
     assert phi.check(WINDOW_S2) == []
     ss_src = SpectralSequence(src)
     ss_tgt = SpectralSequence(tgt)
