@@ -234,10 +234,13 @@ class FreeDgAlgebra:
 
         odd is the parity of the letters before x_i; P and S are the products
         in the target of the u-images of the letters before and after it.  A
-        letter whose P vanishes is left out: no insertion there survives.
+        letter whose P vanishes is left out: no insertion there survives.  A
+        scalar (the empty monomial) has no letters, hence no occurrences.
         """
         out = []
         for mono, coeff in el.items():
+            if not mono:
+                continue
             prefix = [target.one()]
             for letter in mono[:-1]:
                 prefix.append(target.mul(prefix[-1], u_images[letter]))

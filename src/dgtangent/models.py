@@ -90,65 +90,24 @@ class DiagTerm(NamedTuple):
     right: str
 
 
-class ModelFile:
-    """Parsed model: flavor, grading, generators, d, optional diagonals."""
+class ModelFile(NamedTuple):
+    """Parsed model: its algebra, the diagonals of its cells, and metadata."""
 
-    def __init__(
-        self,
-        flavor: str,
-        grading: str,
-        generators: list[Generator],
-        differentials: dict[str, Element],
-        diagonals: dict[str, list[DiagTerm]],
-        name: str = "",
-        description: str = "",
-    ) -> None:
-        self.flavor = flavor
-        self.grading = grading
-        self.generators = generators
-        self.differentials = differentials
-        self.diagonals = diagonals
-        self.name = name
-        self.description = description
-        self._algebra: FreeDgAlgebra | None = None
-
-    def _key(self) -> tuple:
-        return (
-            self.flavor, self.grading, self.generators, self.differentials,
-            self.diagonals, self.name, self.description,
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ModelFile):
-            return NotImplemented
-        return self._key() == other._key()
-
-    # ------------------------------------------------------------ structure
+    algebra: FreeDgAlgebra
+    diagonals: dict[str, list[DiagTerm]]
+    name: str = ""
+    description: str = ""
 
     def base_names(self) -> frozenset[str]:
-        return frozenset(g.name for g in self.generators if g.role == "base")
-
-    def kind(self) -> str:
-        return KIND_OF_FLAVOR[self.flavor]
-
-    def algebra(self) -> FreeDgAlgebra:
-        """The model's algebra, built once; a differential of the wrong degree
-        raises ValueError."""
-        if self._algebra is None:
-            algebra = FreeDgAlgebra(self.kind(), self.grading, list(self.generators))
-            for gen in self.generators:
-                value = self.differentials.get(gen.name, {})
-                if value:
-                    algebra.set_differential(gen.name, dict(value))
-            self._algebra = algebra
-        return self._algebra
+        return frozenset(g.name for g in self.algebra.generators.values() if g.role == "base")
 
 
 def model_family(mf: ModelFile) -> str:
     """"cellular" / "sullivan" / "generic" according to flavor and grading."""
-    if mf.flavor == "associative" and mf.grading == GRADING_HOMOLOGICAL:
+    kind, grading = mf.algebra.kind, mf.algebra.grading
+    if kind == KIND_TENSOR and grading == GRADING_HOMOLOGICAL:
         return "cellular"
-    if mf.flavor == "commutative" and mf.grading == GRADING_COHOMOLOGICAL:
+    if kind == KIND_COMMUTATIVE and grading == GRADING_COHOMOLOGICAL:
         return "sullivan"
     return "generic"
 
@@ -398,35 +357,31 @@ def parse_model(text: str) -> ModelFile:
         raise ModelSyntaxError(None, "missing `grading` line")
 
     try:
-        bare = FreeDgAlgebra(KIND_OF_FLAVOR[flavor], grading, list(generators))
+        algebra = FreeDgAlgebra(KIND_OF_FLAVOR[flavor], grading, generators)
     except ValueError as exc:
         raise ModelSyntaxError(None, str(exc)) from None
-    differentials: dict[str, Element] = {}
+    with_d: set[str] = set()
     for line_no, gen_name, expr in diff_lines:
         if gen_name not in seen:
             raise ModelSyntaxError(line_no, f"d for unknown generator {gen_name!r}")
-        if gen_name in differentials:
+        if gen_name in with_d:
             raise ModelSyntaxError(line_no, f"duplicate d line for {gen_name!r}")
-        element = parse_expression(bare, expr, line_no)
+        with_d.add(gen_name)
+        element = parse_expression(algebra, expr, line_no)
         try:
-            if element:
-                bare.set_differential(gen_name, element)
+            algebra.set_differential(gen_name, element)
         except ValueError as exc:
             raise ModelSyntaxError(line_no, str(exc)) from None
-        differentials[gen_name] = element
     diagonals: dict[str, list[DiagTerm]] = {}
     for line_no, gen_name, expr in diag_lines:
         if gen_name not in seen:
             raise ModelSyntaxError(line_no, f"diag for unknown generator {gen_name!r}")
         if gen_name in diagonals:
             raise ModelSyntaxError(line_no, f"duplicate diag line for {gen_name!r}")
-        terms = parse_diagonal(bare, expr, line_no)
+        terms = parse_diagonal(algebra, expr, line_no)
         if terms:
             diagonals[gen_name] = terms
-
-    mf = ModelFile(flavor, grading, generators, differentials, diagonals, name, description)
-    mf._algebra = bare  # fully populated and validated above
-    return mf
+    return ModelFile(algebra, diagonals, name, description)
 
 
 # ---------------------------------------------------------------- printing
@@ -471,26 +426,25 @@ def format_diagonal(terms: Sequence[DiagTerm]) -> str:
 
 
 def print_model(mf: ModelFile) -> str:
-    """Canonical text form; parse(print_model(m)) == m for normalized m."""
-    algebra = FreeDgAlgebra(mf.kind(), mf.grading, list(mf.generators))
+    """Canonical text form, a fixed point of print_model ∘ parse_model."""
+    algebra = mf.algebra
+    flavor = {kind: flavor for flavor, kind in KIND_OF_FLAVOR.items()}[algebra.kind]
     lines: list[str] = []
     if mf.name:
         lines.append(f"name {mf.name}")
     if mf.description:
         lines.append(f"description {mf.description}")
-    lines.append(f"flavor {mf.flavor}")
-    lines.append(f"grading {mf.grading}")
-    for g in mf.generators:
+    lines.append(f"flavor {flavor}")
+    lines.append(f"grading {algebra.grading}")
+    for g in algebra.generators.values():
         decl = f"gen {g.name} : {g.degree}"
         if g.stage is not None:
             decl += f" stage {g.stage}"
         if g.role == "base":
             decl += " base"
         lines.append(decl)
-    for g in mf.generators:
-        lines.append(
-            f"d {g.name} = {format_expression(algebra, mf.differentials.get(g.name, {}))}"
-        )
+    for g, value in algebra.diff.items():
+        lines.append(f"d {g} = {format_expression(algebra, value)}")
     for gen_name in sorted(
         mf.diagonals, key=lambda n: (algebra.gen_degree(n), n)
     ):
@@ -499,17 +453,6 @@ def print_model(mf: ModelFile) -> str:
 
 
 # ---------------------------------------------------------------- builtins
-
-BUILTIN_PREFIXES = (
-    "ah:sphere:",
-    "ah:wedge:",
-    "sullivan:sphere:odd:",
-    "sullivan:sphere:even:",
-    "sullivan:cpn:",
-    "sullivan:hopf",
-    "trivial-fibration:",
-)
-
 
 def builtin_names() -> list[str]:
     """Representative builtin names (the numeric families are open-ended)."""
@@ -542,17 +485,19 @@ def builtin(name: str) -> ModelFile:
             raise ValueError(
                 "trivial-fibration wrappers apply to sullivan builtins only"
             )
-        mf = ModelFile(
-            inner.flavor,
-            inner.grading,
-            [g._replace(role="") for g in inner.generators],
-            inner.differentials,
+        algebra = FreeDgAlgebra(
+            inner.algebra.kind,
+            inner.algebra.grading,
+            [g._replace(role="") for g in inner.algebra.generators.values()],
+        )
+        for g, value in inner.algebra.diff.items():
+            algebra.set_differential(g, value)
+        return ModelFile(
+            algebra,
             inner.diagonals,
             name=name,
             description=f"{inner.name} as the fiber of a fibration over a point",
         )
-        mf.algebra()
-        return mf
 
     lines = [f"name {name}"]
     if name.startswith("ah:sphere:"):
@@ -612,7 +557,7 @@ def builtin(name: str) -> ModelFile:
             "gen x : 2",
             f"gen y : {2 * n + 1}",
             "d x = 0",
-            f"d y = x^{n + 1}" if n + 1 > 1 else "d y = x",
+            f"d y = x^{n + 1}",
         ]
     elif name == "sullivan:hopf":
         lines += [
@@ -805,13 +750,9 @@ class ValidationReport(NamedTuple):
 def validate_model(mf: ModelFile) -> ValidationReport:
     """All structural checks: degrees, d² = 0, stages, family conditions."""
     family = model_family(mf)
-    checks: list[CheckResult] = []
-    try:
-        algebra = mf.algebra()
-    except ValueError as exc:
-        checks.append(CheckResult("differential degrees", False, str(exc)))
-        return ValidationReport(mf.name, family, checks)
-    checks.append(CheckResult("differential degrees", True))
+    algebra = mf.algebra
+    # set_differential refused every differential of the wrong degree already.
+    checks = [CheckResult("differential degrees", True)]
 
     bad_squares = algebra.d_squared_failures_on_generators()
     checks.append(
@@ -850,7 +791,7 @@ def validate_model(mf: ModelFile) -> ValidationReport:
         )
 
     if family == "cellular":
-        degrees_ok = all(g.degree >= 1 for g in mf.generators)
+        degrees_ok = all(g.degree >= 1 for g in algebra.generators.values())
         checks.append(CheckResult("cell degrees at least one", degrees_ok))
         if degrees_ok:
             try:
@@ -862,7 +803,7 @@ def validate_model(mf: ModelFile) -> ValidationReport:
                 )
 
     if mf.diagonals:
-        if mf.grading != GRADING_HOMOLOGICAL or mf.flavor != "associative":
+        if family != "cellular":
             checks.append(
                 CheckResult(
                     "diagonal data requires a cellular model",
@@ -895,10 +836,6 @@ class LoopHomologyReport(NamedTuple):
     e2_expected: dict[tuple[int, int], int]
     e2_matches: bool
 
-    @property
-    def ok(self) -> bool:
-        return self.e2_matches and all(ok for (_, _, ok) in self.assembly.values())
-
 
 def algebra_homology_dims(algebra: FreeDgAlgebra, degrees: Sequence[int]) -> dict[int, int]:
     """Homology of the underlying complex, keyed by native degree."""
@@ -916,12 +853,25 @@ def quillen_dims(
     return {n: cx.homology_dim(to_cohomological(n, algebra.grading)) for n in degrees}
 
 
+def hom_table(
+    rows: dict[int, int], cols: dict[int, int]
+) -> dict[tuple[int, int], int]:
+    """The nonzero products rows[s]·cols[t], keyed by (s, t): the dimensions
+    of Hom between two graded spaces, bigraded by source and target degree."""
+    return {
+        (s, t): rows[s] * cols[t]
+        for s in sorted(rows)
+        for t in sorted(cols)
+        if rows[s] * cols[t]
+    }
+
+
 def cone_spectral_sequence(mf: ModelFile) -> SpectralSequence:
     """The stage-tower spectral sequence of the model's adjoint cone.
 
     The cone itself is the filtered complex ``fc.complex`` of the result.
     """
-    return SpectralSequence(cone_tower(ConeComplex(mf.algebra())))
+    return SpectralSequence(cone_tower(ConeComplex(mf.algebra)))
 
 
 def loop_homology(
@@ -940,13 +890,13 @@ def loop_homology(
     """
     if model_family(mf) != "cellular":
         raise ValueError("loop homology requires an associative homological model")
-    for g in mf.generators:
+    algebra = mf.algebra
+    for g in algebra.generators.values():
         if g.resolved_stage() != g.degree:
             raise ValueError(
                 f"loop homology needs stage = degree: {g.name!r} has degree {g.degree}, "
                 f"stage {g.stage}"
             )
-    algebra = mf.algebra()
     ss = cone_spectral_sequence(mf)
     max_level = ss.fc.max_level
 
@@ -970,12 +920,7 @@ def loop_homology(
     for s in range(1, max_level + 1):
         h_cells[s] = q_dims.get(s - 1, 0)
     h_loops = algebra_homology_dims(algebra, list(range(0, window + 1)))
-    e2_expected = {}
-    for s in range(0, max_level + 1):
-        for t in range(0, window + 1):
-            dim = h_cells.get(s, 0) * h_loops.get(t, 0)
-            if dim:
-                e2_expected[(s, t)] = dim
+    e2_expected = hom_table(h_cells, h_loops)
     e2_engine = relabel(window_page(2), "flipped")
     return LoopHomologyReport(
         betti=betti,
@@ -1012,10 +957,6 @@ class AutHomotopyReport(NamedTuple):
     assembly: dict[int, tuple[int, int, bool]]
     der: DerComplex | None = None
 
-    @property
-    def ok(self) -> bool:
-        return all(ok for (_, _, ok) in self.assembly.values())
-
     def brackets(self) -> list[BracketEntry]:
         """Brackets of the classes in degrees 1..window, computed on request."""
         return _bracket_table(self.der, self.window) if self.der is not None else []
@@ -1024,7 +965,7 @@ class AutHomotopyReport(NamedTuple):
 def fiber_homotopy_dims(mf: ModelFile, window: int) -> dict[int, int]:
     """Linear-part homology of the fiber generators, keyed by degree."""
     dims = quillen_dims(
-        mf.algebra(), list(range(1, window + 1)), exclude=mf.base_names()
+        mf.algebra, list(range(1, window + 1)), exclude=mf.base_names()
     )
     return {n: d for n, d in dims.items() if d}
 
@@ -1042,9 +983,9 @@ def aut_homotopy(
         raise ValueError(
             "self-equivalence homotopy requires a commutative cohomological model"
         )
-    algebra = mf.algebra()
+    algebra = mf.algebra
     base = mf.base_names()
-    if len(base) == len(mf.generators):
+    if len(base) == len(algebra.generators):
         der = None  # no fiber generators: the relative complex is zero
     else:
         der = DerComplex(algebra, vanishing=base)
@@ -1067,19 +1008,12 @@ def aut_homotopy(
 
     pi_f = fiber_homotopy_dims(mf, window)
     h_total = algebra_homology_dims(algebra, list(range(0, window + 1)))
-    hom_shaped = {}
-    for s, pi_dim in sorted(pi_f.items()):
-        for t in range(0, window + 1):
-            dim = pi_dim * h_total.get(t, 0)
-            if dim:
-                hom_shaped[(s, t)] = dim
-
     return AutHomotopyReport(
         window=window,
         dims=dims,
         degree_zero_dim=degree_zero,
         pages_internal=pages_internal,
-        hom_shaped=hom_shaped,
+        hom_shaped=hom_table(pi_f, h_total),
         assembly=assembly,
         der=der,
     )
@@ -1138,10 +1072,6 @@ class TowerReport(NamedTuple):
     stable_page: int
     collapse: object | None = None
 
-    @property
-    def ok(self) -> bool:
-        return all(ok for (_, _, ok) in self.assembly.values())
-
 
 def derivation_tower(
     mf: ModelFile, u: AlgebraMorphism | None = None
@@ -1151,7 +1081,7 @@ def derivation_tower(
     u: A → U defaults to the identity of A; base-flagged generators are held
     fixed.
     """
-    der = DerComplex(mf.algebra(), u, vanishing=mf.base_names())
+    der = DerComplex(mf.algebra, u, vanishing=mf.base_names())
     return der, der_tower(der)
 
 

@@ -106,7 +106,7 @@ CHILD_ENV = dict(
 
 
 def _algebras():
-    return [(name, builtin(name).algebra()) for name in BUILTINS]
+    return [(name, builtin(name).algebra) for name in BUILTINS]
 
 
 def _native_basis(algebra, n):
@@ -243,9 +243,9 @@ def test_criterion_03_engine_oracle_equivalence():
         t0 = time.monotonic()
         towers = []
         for coefficients in ("self", "trivial"):
-            _, fc = derivation_tower(mf, COEFFICIENTS[coefficients](mf.algebra()))
+            _, fc = derivation_tower(mf, COEFFICIENTS[coefficients](mf.algebra))
             towers.append((coefficients, fc))
-        cone = ConeComplex(mf.algebra())
+        cone = ConeComplex(mf.algebra)
         towers.append(("cone", cone_tower(cone)))
         for coefficients, fc in towers:
             ss = SpectralSequence(fc)
@@ -300,9 +300,9 @@ def test_criterion_05_first_page_law():
     entries = 0
     for name in cellular:
         mf = builtin(name)
-        algebra = mf.algebra()
+        algebra = mf.algebra
         for coefficients in ("self", "trivial"):
-            der, fc = derivation_tower(mf, COEFFICIENTS[coefficients](mf.algebra()))
+            der, fc = derivation_tower(mf, COEFFICIENTS[coefficients](mf.algebra))
             ss = SpectralSequence(fc)
             if coefficients == "self":
                 u_cx = der.U.algebra_complex()
@@ -351,7 +351,7 @@ def test_criterion_06_collapse_and_vanishing():
     # every page from the second on equals the stable page.
     for name in BUILTINS:
         mf = builtin(name)
-        _, fc = derivation_tower(mf, trivial_coefficients(mf.algebra()))
+        _, fc = derivation_tower(mf, trivial_coefficients(mf.algebra))
         ss = SpectralSequence(fc)
         stable = ss.einf_dims(WINDOW)
         for r in range(2, ss.stable_page + 1):
@@ -368,9 +368,9 @@ def test_criterion_06_collapse_and_vanishing():
     slots_checked = 0
     for name in cellular + ["cellcoalg"]:
         algebra = (
-            parse_model(CELLCOALG_TEXT).algebra()
+            parse_model(CELLCOALG_TEXT).algebra
             if name == "cellcoalg"
-            else builtin(name).algebra()
+            else builtin(name).algebra
         )
         stages = sorted({algebra.gen_stage(g) for g in algebra.generators})
         for sigma in stages:
@@ -403,9 +403,9 @@ def test_criterion_06_collapse_and_vanishing():
     checked_h = 0
     for name in ["ah:sphere:2", "ah:sphere:3", "ah:wedge:2,2", "cellcoalg"]:
         algebra = (
-            parse_model(CELLCOALG_TEXT).algebra()
+            parse_model(CELLCOALG_TEXT).algebra
             if name == "cellcoalg"
-            else builtin(name).algebra()
+            else builtin(name).algebra
         )
         stages = sorted({algebra.gen_stage(g) for g in algebra.generators})
         for sigma in stages:
@@ -591,7 +591,7 @@ def test_criterion_09_products():
     # literally on every class pair in the window.
     pairs = 0
     for name in ("ah:wedge:2,2", "ah:sphere:3"):
-        algebra = builtin(name).algebra()
+        algebra = builtin(name).algebra
         der = DerComplex(algebra)
         cx = der.complex()
         reps = []
@@ -608,7 +608,7 @@ def test_criterion_09_products():
     # The square of the degree -2 class (x -> 1) is the generator (y -> 1);
     # all class pairs satisfy [f][g] = (-1)^{pq} [g][f] and all triples
     # associate on the nose.
-    algebra = builtin("sullivan:sphere:even:2").algebra()
+    algebra = builtin("sullivan:sphere:even:2").algebra
     der = DerComplex(algebra, trivial_coefficients(algebra))
     cx = der.complex()
     f = {"x": {(): Fraction(1)}}
@@ -644,7 +644,7 @@ def test_criterion_09_products():
 
     # (c) Coboundary absorption on a model with a genuinely nonzero
     # differential: a nonzero brace against a coboundary is a boundary.
-    algebra = parse_model(CELLCOALG_TEXT).algebra()
+    algebra = parse_model(CELLCOALG_TEXT).algebra
     der = DerComplex(algebra, trivial_coefficients(algebra))
     cx = der.complex()
     h = {"u": {(): Fraction(1)}}  # not a cocycle: its boundary hits (v -> 1)
@@ -660,12 +660,12 @@ def test_criterion_09_products():
     # (d) First-page product rule for the convolution product, exhaustively
     # on the wedge (primitive diagonal) and on the diagonal-carrying model.
     mf = builtin("ah:wedge:2,2")
-    coalg = CellCoalgebra(mf.algebra(), {})
-    mult = multiplicativity_check(mf.algebra(), coalg, window=8)
+    coalg = CellCoalgebra(mf.algebra, {})
+    mult = multiplicativity_check(mf.algebra, coalg, window=8)
     assert mult.ok and mult.pairs_checked == 4
     mf2 = parse_model(CELLCOALG_TEXT)
-    coalg2 = CellCoalgebra(mf2.algebra(), mf2.diagonals)
-    mult2 = multiplicativity_check(mf2.algebra(), coalg2, window=8)
+    coalg2 = CellCoalgebra(mf2.algebra, mf2.diagonals)
+    mult2 = multiplicativity_check(mf2.algebra, coalg2, window=8)
     assert mult2.ok and mult2.pairs_checked == 16
     _report(9, "products", f"{pairs} class pairs, convolution rule on {mult.pairs_checked + mult2.pairs_checked} pairs")
 

@@ -264,11 +264,11 @@ d z = w + v^2
 )
 def test_indecomposables_match_dense_linear_homology(name) -> None:
     if name == "linear-part":
-        algebra = parse_model(LINEAR_PART_MODEL).algebra()
+        algebra = parse_model(LINEAR_PART_MODEL).algebra
     elif name == "acyclic":
         algebra = tensor_acyclic()
     else:
-        algebra = builtin(name).algebra()
+        algebra = builtin(name).algebra
     ind = algebra.indecomposables_complex()
     for n in range(1, 9):
         assert ind.homology(-n).dim == dense_linear_homology(algebra, n), n
@@ -280,7 +280,7 @@ def test_indecomposables_match_dense_linear_homology(name) -> None:
 )
 def test_indecomposables_exclude_matches_fiber_homotopy(name, expected) -> None:
     mf = builtin(name)
-    algebra, base = mf.algebra(), mf.base_names()
+    algebra, base = mf.algebra, mf.base_names()
     ind = algebra.indecomposables_complex(base)
     dense = {n: dense_linear_homology(algebra, n, base) for n in range(1, 9)}
     assert {n: ind.homology(n).dim for n in range(1, 9)} == dense
@@ -365,6 +365,14 @@ def test_apply_derivation_augmentation_twist_kills_decomposables() -> None:
     assert out == {}
     out1 = a.apply_derivation(values, 0, a.gen_element("x"), k, aug.images)
     assert out1 == {(): Fraction(1)}
+
+
+def test_scalar_term_has_no_occurrences() -> None:
+    # d a = 1 in a cellular model: the unit word has no letter to insert at.
+    a = tensor_acyclic()
+    ident = AlgebraMorphism.identity(a)
+    assert a.occurrences({(): Fraction(1)}, a, ident.images) == []
+    assert len(a.occurrences({("a",): Fraction(1), (): Fraction(2)}, a, ident.images)) == 1
 
 
 def test_tilde_extension_structure() -> None:

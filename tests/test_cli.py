@@ -301,6 +301,21 @@ def test_target_whose_images_do_not_graded_commute_exits_one(tmp_path, capsys, c
     assert "images of 'y' and 'y' do not graded-commute" in err
 
 
+@pytest.mark.parametrize("command", ["der", "ss", "loop", "hochschild"])
+def test_constant_term_in_d_is_computed(tmp_path, capsys, command):
+    # d a = 1 makes the algebra acyclic; the unit word has no letters.
+    path = tmp_path / "unit.model"
+    path.write_text(
+        "flavor associative\ngrading homological\ngen a : 1\ngen b : 2\nd a = 1\n",
+        encoding="utf-8",
+    )
+    code, out, _ = run_main(capsys, command, str(path), "--format", "records")
+    assert code == 0
+    assembly = [rec for rec in records(out) if rec.get("table") == "assembly"]
+    assert all(rec["ok"] for rec in assembly)
+    assert assembly or command == "der"
+
+
 def test_hochschild_refuses_pages_of_unfiltered_cone(capsys):
     # The absolute cone of the circle bundle has d z = x with stage(x) > stage(z).
     code, out, err = run_main(capsys, "hochschild", "builtin:sullivan:hopf", "--window", "4")

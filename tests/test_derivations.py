@@ -318,18 +318,18 @@ def test_cone_filtration_levels() -> None:
 def _coefficient_cases() -> list[tuple[str, FreeDgAlgebra, AlgebraMorphism]]:
     cases = []
     for name in BUILTINS:
-        a = builtin(name).algebra()
+        a = builtin(name).algebra
         cases.append((f"{name} self", a, AlgebraMorphism.identity(a)))
         cases.append((f"{name} trivial", a, trivial_coefficients(a)))
         # A separate copy of the same model: u is name matching, U is not A.
-        copy = builtin(name).algebra()
+        copy = builtin(name).algebra
         cases.append((f"{name} target", a, AlgebraMorphism.name_matching(a, copy)))
     for source, target in (
         ("sullivan:cpn:1", "sullivan:hopf"),
         ("sullivan:cpn:2", "sullivan:cpn:3"),
     ):
-        a = builtin(source).algebra()
-        coeffs = AlgebraMorphism.name_matching(a, builtin(target).algebra())
+        a = builtin(source).algebra
+        coeffs = AlgebraMorphism.name_matching(a, builtin(target).algebra)
         cases.append((f"{source} -> {target}", a, coeffs))
     return cases
 

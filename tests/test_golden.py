@@ -147,7 +147,7 @@ def golden_window_complexes():
     """(label, complex, internal degrees) over the windows of the corpus."""
     for name in CELLULAR + SULLIVAN:
         mf = builtin(name)
-        algebra = mf.algebra()
+        algebra = mf.algebra
         grading = algebra.grading
         yield (
             f"{name}/algebra",
@@ -160,10 +160,10 @@ def golden_window_complexes():
             [to_cohomological(n, grading) for n in range(1, 7)],
         )
         for coefficients in ("self", "trivial"):
-            der, _ = derivation_tower(mf, COEFFICIENTS[coefficients](mf.algebra()))
+            der, _ = derivation_tower(mf, COEFFICIENTS[coefficients](mf.algebra))
             yield f"{name}/der-{coefficients}", der.complex(), range(-4, 5)
     for name in CELLULAR:
-        fc = cone_tower(ConeComplex(builtin(name).algebra()))
+        fc = cone_tower(ConeComplex(builtin(name).algebra))
         # hochschild --window 4 reads -4..4; loop --max-degree 4 reads
         # 2s − m for levels s ≤ max_level and 0 ≤ m ≤ 4.
         yield f"{name}/cone", fc.complex, range(-4, 2 * fc.max_level + 1)

@@ -285,10 +285,10 @@ def builtin_towers():
         window = BUILTIN_WINDOWS.get(name, range(-10, 11))
         mf = builtin(name)
         for coefficients in ("self", "trivial"):
-            _, fc = derivation_tower(mf, COEFFICIENTS[coefficients](mf.algebra()))
+            _, fc = derivation_tower(mf, COEFFICIENTS[coefficients](mf.algebra))
             yield f"{name}/{coefficients}", fc, window
         if model_family(mf) == "cellular":
-            yield f"{name}/cone", cone_tower(ConeComplex(mf.algebra())), window
+            yield f"{name}/cone", cone_tower(ConeComplex(mf.algebra)), window
 
 
 def test_barcode_dims_match_entry_route() -> None:
