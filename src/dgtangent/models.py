@@ -860,8 +860,8 @@ def hom_table(
     of Hom between two graded spaces, bigraded by source and target degree."""
     return {
         (s, t): rows[s] * cols[t]
-        for s in sorted(rows)
-        for t in sorted(cols)
+        for s in rows
+        for t in cols
         if rows[s] * cols[t]
     }
 

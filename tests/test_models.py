@@ -310,6 +310,7 @@ def test_loop_homology_odd_sphere_betti() -> None:
 def test_loop_homology_even_sphere_matches_direct_cone() -> None:
     report = loop_homology(builtin("ah:sphere:2"), window=8, pages=(2, 3))
     assert assembly_ok(report)  # engine assembly equals direct cone homology everywhere
+    assert report.e2_matches
     # Frozen from the hand computation: classes x^(2j) survive in the algebra
     # column and (x -> x^b) for b odd or zero in the derivation column.
     assert [report.betti[m] for m in range(0, 9)] == [1, 0, 2, 1, 1, 1, 1, 1, 1]
