@@ -4,8 +4,12 @@ Every computation in this package reduces to row operations on matrices with
 ``fractions.Fraction`` entries.  Vectors are sparse mappings from column index
 to a nonzero rational; matrices are row-major lists of such vectors (row i is
 the image of the i-th source basis vector).  All pivoting is deterministic —
-leftmost nonzero column, rows in the order given — so repeated runs produce
-identical bases, matrices and reports.
+leftmost nonzero column, rows in a fixed order — so repeated runs produce
+identical bases, matrices and reports.  A rank does not depend on the row
+order, so ``Matrix.rank`` and the barcode (``tower``) insert rows in the
+static order of ``pivot_order``.  ``Matrix.kernel_basis``, ``Subquotient``
+and ``spans_equal`` take rows in the order given; the bases of the first
+two depend on it.
 
 The one elimination kernel, ``Echelon``, works over the integers: each input
 is cleared of denominators, stored rows are primitive integer vectors, and
@@ -62,6 +66,18 @@ def el_add_term(acc: dict, key, coeff: Fraction) -> None:
 
 def vec_from_list(values: Sequence[Fraction | int]) -> Vector:
     return {i: Fraction(v) for i, v in enumerate(values) if v != 0}
+
+
+def pivot_order(rows: Sequence[Vector]) -> list[int]:
+    """The positions of ``rows`` by leading column, highest first, then by
+    fewest nonzeros, then by position; zero rows last.
+
+    A static order: among rows with one leading column the sparsest
+    becomes the pivot, as in Markowitz's rule (Management Sci. 3 (1957)),
+    and going from the rightmost leading column down keeps the reductions
+    of the differentials here short.  A rank does not depend on the order.
+    """
+    return sorted(range(len(rows)), key=lambda i: (-min(rows[i], default=-1), len(rows[i]), i))
 
 
 def _clear(vec: Vector) -> tuple[dict[int, int], int]:
@@ -271,8 +287,8 @@ class Matrix:
 
     def rank(self) -> int:
         ech = Echelon()
-        for row in self.rows:
-            ech.insert(row)
+        for i in pivot_order(self.rows):
+            ech.insert(self.rows[i])
         return ech.rank()
 
     def kernel_basis(self) -> list[Vector]:

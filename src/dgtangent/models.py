@@ -915,8 +915,9 @@ def loop_homology(
             if 0 <= -t <= window
         }
 
+    # Cells of degree s ≥ 1: indecomposable homology in degree s − 1 (none in 0).
     h_cells = {0: 1}
-    q_dims = quillen_dims(algebra, list(range(1, max_level + 1)))
+    q_dims = quillen_dims(algebra, list(range(1, max_level)))
     for s in range(1, max_level + 1):
         h_cells[s] = q_dims.get(s - 1, 0)
     h_loops = algebra_homology_dims(algebra, list(range(0, window + 1)))

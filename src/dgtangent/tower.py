@@ -32,6 +32,7 @@ from .linalg import (
     Subquotient,
     Vector,
     el_add,
+    pivot_order,
     preimage_by_images,
 )
 
@@ -105,13 +106,15 @@ class SpectralSequence:
     def eliminate(self, n: int, track: bool = False) -> Run:
         """``(i, b, v)`` per row i of d: C^n → C^{n+1}, in elimination order.
 
-        Rows go in the order (−level, index), target columns in the order
-        (level, index), so each pivot is the lowest-level entry; b is the
-        level of the pivot that row i adds, None if it adds none.  Tracked
-        (and cached), v is e_i minus the earlier rows subtracted from row i,
-        so dv is its residue (R = D·V of Edelsbrunner–Letscher–Zomorodian,
-        DCG 28 (2002)): the v are a basis of C^n, v ∈ F^{level i}, and dv is
-        0 or has lowest level b.  Untracked, v is None.
+        Target columns go in the order (level, index), so each pivot is the
+        lowest-level entry.  Rows go level by level, highest first, and
+        within a level in ``pivot_order`` of the column-permuted rows; the
+        barcode takes any order within a level.  b is the level of the pivot
+        that row i adds, None if it adds none.  Tracked (and cached), v is
+        e_i minus the earlier rows subtracted from row i, so dv is its
+        residue (R = D·V of Edelsbrunner–Letscher–Zomorodian, DCG 28
+        (2002)): the v are a basis of C^n, v ∈ F^{level i}, and dv is 0 or
+        has lowest level b.  Untracked, v is None.
         """
         if track and n in self._run_cache:
             return self._run_cache[n]
@@ -119,11 +122,13 @@ class SpectralSequence:
         order = sorted(range(len(tgt)), key=lambda j: (tgt[j], j))
         column = {j: pos for pos, j in enumerate(order)}
         d = self.fc.complex.d(n)
-        rows = sorted(range(len(src)), key=lambda i: (-src[i], i))
+        permuted = [{column[j]: c for j, c in row.items()} for row in d.rows]
+        rows = pivot_order(permuted)
+        rows.sort(key=lambda i: -src[i])  # stable: pivot order within a level
         ech = Echelon(track=track)
         out: Run = []
         for i in rows:
-            added = ech.insert({column[j]: c for j, c in d.rows[i].items()})
+            added = ech.insert(permuted[i])
             b = tgt[order[min(ech.rows[-1])]] if added else None  # the row just stored
             v = None
             if track:
@@ -248,8 +253,9 @@ class SpectralSequence:
         """Per total degree: (Σ_s dim E_∞^{s, n−s}, dim H^n, equal?).
 
         The two sides come from two separate eliminations of the same
-        differentials: the level-ordered barcode, and ``Matrix.rank`` in
-        natural row order (``CochainComplex.homology_dim``).
+        differentials: the barcode, level by level over level-permuted
+        columns, and ``Matrix.rank`` in ``pivot_order`` over the natural
+        columns (``CochainComplex.homology_dim``).
         """
         out: dict[int, tuple[int, int, bool]] = {}
         r = self.stable_page

@@ -78,6 +78,68 @@ def test_unknown_subcommand_exits_two(capsys):
     assert exc.value.code == 2
 
 
+TOP_USAGE = (
+    "usage: dgtangent [-h]\n"
+    "                 {validate,homology,quillen,der,ss,loop,aut,hochschild,print}\n"
+    "                 ...\n"
+)
+TOP_HELP = TOP_USAGE + """
+Exact-arithmetic tangent-cohomology workbench for quasi-free differential
+graded algebras: derivation complexes, generator-tower spectral sequences,
+free-loop-space homology, and the rational homotopy of fiberwise self-
+equivalences.
+
+positional arguments:
+  {validate,homology,quillen,der,ss,loop,aut,hochschild,print}
+    validate            run all structural checks
+    homology            algebra homology dimensions
+    quillen             generator-level (indecomposable) homology
+    der                 derivation cohomology dimensions
+    ss                  spectral-sequence pages of the derivation tower
+    loop                free-loop-space homology of a cellular model
+    aut                 rational homotopy of fiberwise self-equivalences
+    hochschild          adjoint-cone tower of a model
+    print               canonical text form of a model
+
+options:
+  -h, --help            show this help message and exit
+
+Builtin models: ah:sphere:<n>, ah:wedge:<n>,<m>, sullivan:sphere:odd:<n>,
+sullivan:sphere:even:<n>, sullivan:cpn:<n>, sullivan:hopf, trivial-
+fibration:<sullivan builtin>
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, code, out, err",
+    [
+        # Only the loop parser is built; the usage line still lists all nine.
+        # The other three build all nine.
+        (
+            ["loop", "M", "--max-degree", "0"], 2, "",
+            TOP_USAGE + "dgtangent: error: the degree window must be at least 1\n",
+        ),
+        (
+            ["frobnicate"], 2, "",
+            TOP_USAGE + "dgtangent: error: argument command: invalid choice: 'frobnicate' "
+            "(choose from 'validate', 'homology', 'quillen', 'der', 'ss', 'loop', 'aut', "
+            "'hochschild', 'print')\n",
+        ),
+        (
+            [], 2, "",
+            TOP_USAGE + "dgtangent: error: the following arguments are required: command\n",
+        ),
+        (["--help"], 0, TOP_HELP, ""),
+    ],
+)
+def test_top_level_parser_output_is_pinned(monkeypatch, capsys, argv, code, out, err):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out, captured.err) == (code, out, err)
+
+
 def test_multiplicative_without_diag_is_usage_error(capsys):
     code, _, err = run_main(
         capsys, "ss", "builtin:ah:sphere:2", "--check-multiplicative"

@@ -15,6 +15,7 @@ from dgtangent.linalg import (
     preimage_in_span,
     el_add,
     el_scale,
+    pivot_order,
     spans_equal,
     vec_from_list,
 )
@@ -355,3 +356,32 @@ def test_stored_rows_are_primitive_integer_vectors() -> None:
             assert math.gcd(*row.values()) == 1
             assert row[min(row)] > 0
             assert ech.pivots[min(row)] == pos
+
+
+def natural_rank(m: Matrix) -> int:
+    """The rank with the rows inserted in the order given."""
+    ech = Echelon()
+    for row in m.rows:
+        ech.insert(row)
+    return ech.rank()
+
+
+def test_pivot_order_is_a_permutation_that_keeps_the_rank() -> None:
+    rng = random.Random(20261018)
+    matrices = [hard_matrix(rng, rng.randint(1, 12), rng.randint(1, 8)) for _ in range(60)]
+    rng = random.Random(20260814)
+    matrices += [random_matrix(rng, rng.randint(1, 8), rng.randint(1, 8)) for _ in range(40)]
+    one = Fraction(1)
+    matrices.append(Matrix(3, 2, [{}, {1: one}, {0: one, 1: one}]))
+    for m in matrices:
+        order = pivot_order(m.rows)
+        assert sorted(order) == list(range(m.nrows))
+        # Leading column highest first, zero rows last; ties by fewest
+        # nonzeros, then by position.
+        for i, j in zip(order, order[1:]):
+            lead_i, lead_j = min(m.rows[i], default=-1), min(m.rows[j], default=-1)
+            assert lead_i >= lead_j
+            if lead_i == lead_j:
+                assert (len(m.rows[i]), i) < (len(m.rows[j]), j)
+        rows = [dense(row, m.ncols) for row in m.rows]
+        assert m.rank() == natural_rank(m) == dense_rank(rows)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from dgtangent.derivations import (
 from dgtangent.linalg import Echelon, Matrix, Vector, spans_equal
 from dgtangent.models import (
     builtin,
+    cone_spectral_sequence,
     derivation_tower,
     model_family,
     parse_model,
@@ -300,6 +302,45 @@ def test_barcode_dims_match_entry_route() -> None:
                     assert ss.dim(r, s, n - s) == ss.entry(r, s, n).dim, (
                         label, r, s, n,
                     )
+
+
+def reference_barcode(fc: FilteredComplex, n: int) -> tuple[Counter, Counter]:
+    """The barcode of d^n with rows in the order (−level, index) and target
+    columns in the order (level, index)."""
+    src, tgt = fc.levels(n), fc.levels(n + 1)
+    order = sorted(range(len(tgt)), key=lambda j: (tgt[j], j))
+    column = {j: pos for pos, j in enumerate(order)}
+    d = fc.complex.d(n)
+    ech = Echelon()
+    pairs, kernel = Counter(), Counter()
+    for i in sorted(range(len(src)), key=lambda i: (-src[i], i)):
+        if ech.insert({column[j]: c for j, c in d.rows[i].items()}):
+            pairs[src[i], tgt[order[min(ech.rows[-1])]]] += 1
+        else:
+            kernel[src[i]] += 1
+    return pairs, kernel
+
+
+CP2 = """
+name cp2
+flavor associative
+grading homological
+gen a : 1
+gen c : 3
+d c = 2 * a a
+"""
+
+
+def test_barcode_is_independent_of_the_order_within_a_level() -> None:
+    # loop --max-degree 12 on CP² reads the cone in degrees −13..8.
+    towers = [("cp2/cone", cone_spectral_sequence(parse_model(CP2)).fc, range(-13, 9))]
+    towers += builtin_towers()
+    for label, fc, window in towers:
+        ss = SpectralSequence(fc)
+        for n in window:
+            levels = [fc.levels(n)[i] for i, _, _ in ss.eliminate(n)]
+            assert levels == sorted(levels, reverse=True), (label, n)
+            assert ss.barcode(n) == reference_barcode(fc, n), (label, n)
 
 
 def test_dim_refuses_finite_pages_when_d_lowers_level() -> None:
