@@ -14,10 +14,12 @@ two depend on it.
 The one elimination kernel, ``Echelon``, works over the integers: each input
 is cleared of denominators, stored rows are primitive integer vectors, and
 row operations are fraction-free.  ``Fraction``s appear only where a result
-leaves the kernel (residues, combinations, kernel vectors).  Rows
-are kept in echelon form only.  The residue of a vector modulo a span (zero
-on every pivot column) is unique, and so is a combination over independent
-inputs, so every result equals that of elimination over Q.
+leaves the kernel (residues, combinations, kernel vectors).  Rows are kept
+in echelon form only.  The residue of a vector modulo a span (zero on every
+pivot column) is unique, and so is a combination over independent inputs,
+so every result equals that of elimination over Q.  Tracking combinations
+is the same elimination on augmented rows [input | tags]: the tags sit in
+columns from ``TAG`` up, which never hold a pivot.
 
 Sparse vectors here and algebra elements (``algebra``), both dicts from keys
 to nonzero rationals, share one accumulate-and-drop-zero rule: ``el_add_term``,
@@ -34,6 +36,7 @@ from typing import Sequence
 Vector = dict[int, Fraction]
 
 ONE = Fraction(1)
+TAG = 1 << 62  # above every column index; tracked inputs carry tags from here
 
 
 def el_add(a: dict, b: dict, coeff: Fraction = ONE) -> dict:
@@ -62,10 +65,6 @@ def el_add_term(acc: dict, key, coeff: Fraction) -> None:
         acc[key] = new
     else:
         del acc[key]
-
-
-def vec_from_list(values: Sequence[Fraction | int]) -> Vector:
-    return {i: Fraction(v) for i, v in enumerate(values) if v != 0}
 
 
 def pivot_order(rows: Sequence[Vector]) -> list[int]:
@@ -104,14 +103,6 @@ def _sub_scaled(x: dict[int, int], b: int, y: dict[int, int]) -> None:
             del x[k]
 
 
-def _lowest_terms(den: int, tag: dict[int, int]) -> tuple[int, dict[int, int]]:
-    """Divide a positive denominator and an integer tag by their common gcd."""
-    g = gcd(den, *tag.values())
-    if g == 1:
-        return den, tag
-    return den // g, {k: v // g for k, v in tag.items()}
-
-
 class Echelon:
     """Incremental row echelon form, eliminated over the integers.
 
@@ -125,35 +116,30 @@ class Echelon:
     two residues of a vector, each zero on every pivot column, differ by
     zero; a combination over the independent inputs is unique as well.
 
-    Tracked mode keeps, for every stored row, integer tags and a positive
-    denominator with ``dens[p]·rows[p] = Σ_k tags[p][k]·X_k`` over the
-    successfully inserted inputs, indexed by insertion order, and carries a
-    multiplier for the vector being reduced.  ``reduce`` and
-    ``last_combo`` turn these back into exact ``Fraction`` combinations of
-    the original inputs.
+    Tracked mode eliminates the augmented rows [X_k | f_k·e_k]: input k also
+    carries f_k in the tag column ``TAG + k``, which never holds a pivot.
+    Every vector of the augmented span is then [Σ_k c_k·v_k | Σ_k c_k·e_k],
+    so its tag columns are the combination of the original inputs that its
+    real columns hold (R = D·V of Edelsbrunner–Letscher–Zomorodian, DCG 28
+    (2002)).  ``reduce`` and ``last_combo`` read it off.
     """
 
     def __init__(self, track: bool = False) -> None:
         self.pivots: dict[int, int] = {}  # pivot column -> row position
         self.rows: list[dict[int, int]] = []
-        self.tags: list[dict[int, int]] = []
-        self.dens: list[int] = []
         self.track = track
         self.n_inserted = 0
-        self._last: tuple[dict[int, int], int] = ({}, 1)  # combo, den of the last insert
-        self._factors: list[int] = []  # f_k of every input, by insertion order
+        self._last: dict[int, int] = {}  # the last input, eliminated
 
     def rank(self) -> int:
         return len(self.rows)
 
-    def _eliminate(self, x: dict[int, int]) -> tuple[dict[int, int], dict[int, int], int]:
+    def _eliminate(self, x: dict[int, int]) -> tuple[dict[int, int], int]:
         """Clear the pivot columns of the integer vector x, left to right.
 
-        Returns ``(x', combo, mult)`` with mult·x = x' + Σ_k combo[k]·X_k
-        (combo stays ``{}`` in untracked mode).  A step that scales x
-        divides x', combo and mult by their common gcd.
+        Returns ``(x', mult)`` with x' − mult·x in the span of the rows.  A
+        step that scales x divides x' and mult by their common gcd.
         """
-        combo: dict[int, int] = {}
         mult = 1
         pivots = self.pivots
         pending = [col for col in x if col in pivots]
@@ -163,8 +149,7 @@ class Echelon:
             xc = x.get(col)
             if not xc:
                 continue
-            pos = pivots[col]
-            row = self.rows[pos]
+            row = self.rows[pivots[col]]
             # The row has no entry left of col, so a cleared column never
             # comes back; queue the pivot columns it brings into x.
             for k in row:
@@ -173,77 +158,58 @@ class Echelon:
             rc = row[col]
             g = gcd(rc, xc)
             a, b = rc // g, xc // g
-            if self.track:
-                # x ↦ d·(a·x − b·row) keeps the tags integral.
-                den = self.dens[pos]
-                scale, b_row = a * den, b * den
-            else:
-                scale, b_row = a, b
-            if scale != 1:
-                x = {k: scale * v for k, v in x.items()}
-            _sub_scaled(x, b_row, row)
-            mult *= scale
-            if self.track:
-                if scale != 1:
-                    combo = {k: scale * v for k, v in combo.items()}
-                _sub_scaled(combo, -b, self.tags[pos])
-            if scale != 1:
-                content = gcd(mult, *x.values(), *combo.values())
+            if a != 1:
+                x = {k: a * v for k, v in x.items()}
+            _sub_scaled(x, b, row)
+            if a != 1:
+                mult *= a
+                content = gcd(mult, *x.values())
                 if content != 1:
                     x = {k: v // content for k, v in x.items()}
-                    combo = {k: v // content for k, v in combo.items()}
                     mult //= content
-        return x, combo, mult
-
-    def _fractions(self, combo: dict[int, int], den: int) -> Vector:
-        """Σ_k combo[k]·X_k / den as a combination of the original inputs."""
-        factors = self._factors
-        return {k: Fraction(v * factors[k], den) for k, v in combo.items()}
+        return x, mult
 
     def reduce(self, vec: Vector) -> tuple[Vector, Vector]:
         """Return ``(residue, combo)`` with vec = residue + Σ combo[k]·input_k."""
         x, factor = _clear(vec)
-        x, combo, mult = self._eliminate(x)
+        x, mult = self._eliminate(x)
         den = mult * factor
-        residue = {k: Fraction(v, den) for k, v in x.items()}
-        return residue, self._fractions(combo, den) if self.track else {}
+        residue: Vector = {}
+        combo: Vector = {}
+        for k, v in x.items():
+            if k < TAG:
+                residue[k] = Fraction(v, den)
+            else:
+                combo[k - TAG] = Fraction(-v, den)
+        return residue, combo
 
     def insert(self, vec: Vector) -> bool:
         """Insert a vector; returns True when it enlarged the span."""
-        idx = self.n_inserted
-        self.n_inserted += 1
         x, factor = _clear(vec)
         if self.track:
-            self._factors.append(factor)
-        x, combo, mult = self._eliminate(x)
-        self._last = combo, mult * factor
-        if not x:
+            x[TAG + self.n_inserted] = factor
+        self.n_inserted += 1
+        x, _ = self._eliminate(x)
+        self._last = x
+        pivot_col = min(x, default=TAG)
+        if pivot_col >= TAG:
             return False
-        pivot_col = min(x)
         content = gcd(*x.values())
         if x[pivot_col] < 0:
             content = -content
         self.pivots[pivot_col] = len(self.rows)
         self.rows.append({k: v // content for k, v in x.items()} if content != 1 else x)
-        if self.track:
-            # content·row = mult·X_idx − Σ combo[k]·X_k.
-            tag = {idx: mult}
-            tag.update((k, -v) for k, v in combo.items())
-            if content < 0:
-                tag = {k: -v for k, v in tag.items()}
-            den, tag = _lowest_terms(abs(content), tag)
-            self.tags.append(tag)
-            self.dens.append(den)
         return True
 
     @property
     def last_combo(self) -> Vector:
         """Tracked: the last input minus its residue, over earlier inputs."""
-        return self._fractions(*self._last)
+        x, own = self._last, TAG + self.n_inserted - 1
+        return {k - TAG: Fraction(-v, x[own]) for k, v in x.items() if k >= TAG and k != own}
 
     def contains(self, vec: Vector) -> bool:
-        x, _, _ = self._eliminate(_clear(vec)[0])
-        return not x
+        x, _ = self._eliminate(_clear(vec)[0])
+        return min(x, default=TAG) >= TAG
 
 
 class Matrix:
@@ -255,13 +221,6 @@ class Matrix:
         self.rows: list[Vector] = rows if rows is not None else [{} for _ in range(nrows)]
         if len(self.rows) != nrows:
             raise ValueError("row count mismatch")
-
-    @classmethod
-    def from_dense(cls, dense: Sequence[Sequence[Fraction | int]], ncols: int | None = None) -> "Matrix":
-        nrows = len(dense)
-        if ncols is None:
-            ncols = len(dense[0]) if nrows else 0
-        return cls(nrows, ncols, [vec_from_list(r) for r in dense])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Matrix):

@@ -608,7 +608,6 @@ class CollapseReport(NamedTuple):
     predicted_page: int | None
     reason: str
     verified: bool
-    region_ok: bool | None
 
     def as_record(self) -> dict:
         return {
@@ -617,27 +616,19 @@ class CollapseReport(NamedTuple):
             "predicted_page": self.predicted_page,
             "reason": self.reason,
             "verified": self.verified,
-            "region_ok": self.region_ok,
+            "region_ok": None,  # unused; kept so that records keep their keys
         }
 
 
-def collapse_report(
-    ss: SpectralSequence,
-    total_degrees: Sequence[int],
-    allowed_region: Callable[[int, int], bool] | None = None,
-) -> CollapseReport:
+def collapse_report(ss: SpectralSequence, total_degrees: Sequence[int]) -> CollapseReport:
     """Detect single-row/column collapse and verify it against E_∞.
 
     A single row (constant t) forces E_2 = E_∞ since d_r moves t for r ≥ 2;
-    a single column (constant s) forces E_1 = E_∞.  When an expected support
-    region is supplied, membership of every nonzero entry is checked.
+    a single column (constant s) forces E_1 = E_∞.
     """
     support = ss.page_dims(1, total_degrees)
     rows = sorted({t for (_, t) in support})
     columns = sorted({s for (s, _) in support})
-    region_ok = None
-    if allowed_region is not None:
-        region_ok = all(allowed_region(s, t) for (s, t) in support)
     predicted, reason = None, ""
     if len(columns) <= 1:
         predicted, reason = 1, "single column: every d_r changes the column"
@@ -648,4 +639,4 @@ def collapse_report(
         for n in total_degrees
         for s in ss.fc.occupied_levels(n)
     )
-    return CollapseReport(rows, columns, predicted, reason, verified, region_ok)
+    return CollapseReport(rows, columns, predicted, reason, verified)

@@ -17,13 +17,20 @@ from dgtangent.linalg import (
     el_scale,
     pivot_order,
     spans_equal,
-    vec_from_list,
 )
 from test_algebra import dense_rank
 
 
-def span_contains(vectors: list[Vector], candidate: Vector) -> bool:
-    ech = Echelon()
+def vec_from_list(values: list[Fraction | int]) -> Vector:
+    return {i: Fraction(v) for i, v in enumerate(values) if v != 0}
+
+
+def from_dense(dense: list[list[Fraction | int]]) -> Matrix:
+    return Matrix(len(dense), len(dense[0]) if dense else 0, [vec_from_list(r) for r in dense])
+
+
+def span_contains(vectors: list[Vector], candidate: Vector, track: bool = False) -> bool:
+    ech = Echelon(track=track)
     for v in vectors:
         ech.insert(v)
     return ech.contains(candidate)
@@ -61,6 +68,27 @@ def test_echelon_combination_tracking() -> None:
     combo = ech.last_combo
     recon = el_add(el_scale(v0, combo.get(0, Fraction(0))), v1, combo.get(1, Fraction(0)))
     assert recon == probe
+    # After any insert, the input minus Σ combo·inputs is its residue: zero
+    # when the input is dependent, else a nonzero multiple of the row just
+    # stored (read on the real columns).
+    rng = random.Random(31)
+    for m in [hard_matrix(rng, rng.randint(2, 10), rng.randint(1, 6)) for _ in range(30)]:
+        ech = Echelon(track=True)
+        independent: list[int] = []
+        for i, row in enumerate(m.rows):
+            added = ech.insert(row)
+            combo = ech.last_combo
+            assert set(combo) <= set(independent)
+            residue = dict(row)
+            for k, c in combo.items():
+                residue = el_add(residue, m.rows[k], -c)
+            if not added:
+                assert residue == {}
+                continue
+            independent.append(i)
+            stored = {k: Fraction(v) for k, v in ech.rows[-1].items() if k < m.ncols}
+            pivot = min(stored)
+            assert residue and residue == el_scale(stored, residue[pivot] / stored[pivot])
 
 
 def test_rank_nullity_randomized() -> None:
@@ -97,7 +125,7 @@ def test_solve_consistency() -> None:
         assert sol is not None
         assert m.apply(sol) == target
     # An unsolvable system returns None.
-    m = Matrix.from_dense([[1, 0], [2, 0]])
+    m = from_dense([[1, 0], [2, 0]])
     assert solve(m, vec_from_list([0, 1])) is None
 
 
@@ -116,8 +144,10 @@ def test_span_utilities() -> None:
     v1 = vec_from_list([0, 1, 0])
     v2 = vec_from_list([1, 1, 0])
     assert Matrix(3, 3, [v0, v1, v2]).rank() == 2
-    assert span_contains([v0, v1], v2)
-    assert not span_contains([v0, v2], vec_from_list([0, 0, 1]))
+    for track in (False, True):
+        assert span_contains([v0, v1], v2, track)
+        assert span_contains([v0, v2], v1, track)
+        assert not span_contains([v0, v2], vec_from_list([0, 0, 1]), track)
     assert spans_equal([v0, v1], [v2, v1])
     assert not spans_equal([v0], [v1])
 
@@ -160,7 +190,7 @@ def test_subquotient_rejects_outside_vector() -> None:
 
 def test_preimage_in_span() -> None:
     # M: Q^3 -> Q^2 with rows e0->f0, e1->f0, e2->f1.
-    m = Matrix.from_dense([[1, 0], [1, 0], [0, 1]])
+    m = from_dense([[1, 0], [1, 0], [0, 1]])
     vectors = [vec_from_list([1, 0, 0]), vec_from_list([0, 1, 0]), vec_from_list([0, 0, 1])]
     # Preimage of 0: x0 + x1 = 0 and x2 = 0 inside span(e0,e1,e2).
     pre = preimage_in_span(vectors, m, [])
@@ -173,7 +203,7 @@ def test_preimage_in_span() -> None:
 
 
 def test_preimage_restricted_to_subspan() -> None:
-    m = Matrix.from_dense([[1, 0], [1, 0], [0, 1]])
+    m = from_dense([[1, 0], [1, 0], [0, 1]])
     # Only e0 available: preimage of 0 inside span(e0) is 0.
     pre = preimage_in_span([vec_from_list([1, 0, 0])], m, [])
     assert pre == []
@@ -308,17 +338,21 @@ def test_kernel_matches_dense_gauss_jordan() -> None:
                     j: c for j, c in zip(independent, combo) if c
                 }
                 assert solve(m, target) == expected
-        # reduce: residue vec − Σ_c vec[c]·rref_c, in both modes.
-        for track in (False, True):
-            ech = Echelon(track=track)
+        # reduce: residue vec − Σ_c vec[c]·rref_c, and contains: a zero
+        # residue, in both modes.
+        echs = [Echelon(track=track) for track in (False, True)]
+        for ech in echs:
             for row in m.rows:
                 ech.insert(row)
-            for probe in (hard_matrix(rng, 1, ncols).rows[0], e0):
-                residue = dense(probe, ncols)
-                for row, col in zip(rref, pivots):
-                    coeff = residue[col]
-                    residue = [a - coeff * b for a, b in zip(residue, row)]
+        in_span = m.apply({i: Fraction(i + 1) for i in range(nrows)})
+        for probe in [*hard_matrix(rng, 2, ncols).rows, e0, in_span, m.rows[-1]]:
+            residue = dense(probe, ncols)
+            for row, col in zip(rref, pivots):
+                coeff = residue[col]
+                residue = [a - coeff * b for a, b in zip(residue, row)]
+            for ech in echs:
                 assert ech.reduce(probe)[0] == sparse(residue)
+                assert ech.contains(probe) == (not any(residue))
 
 
 def test_subquotient_reduce_matches_dense() -> None:

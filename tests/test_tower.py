@@ -162,10 +162,9 @@ def test_acyclic_tensor_single_row_collapse() -> None:
     ss = SpectralSequence(fc)
     window = list(range(0, 7))
     assert ss.page_dims(1, window) == {(2, 0): 1, (3, 0): 1}
-    report = collapse_report(ss, window, allowed_region=lambda s, t: t == 0)
+    report = collapse_report(ss, window)
     assert report.rows == [0]
     assert report.predicted_page == 2
-    assert report.region_ok is True
     assert report.verified is True
     # The single d_1 is an isomorphism, so E_2 = E_∞ = 0.
     assert ss.d_matrix(1, 2, 0).rank() == 1
