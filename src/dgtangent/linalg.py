@@ -300,9 +300,6 @@ class Subquotient:
                 el_add_term(coords, slot, coeff)
         return coords
 
-    def is_zero_class(self, vec: Vector) -> bool:
-        return not self.reduce(vec)
-
 
 def spans_equal(a: Sequence[Vector], b: Sequence[Vector]) -> bool:
     """Exact equality of two spans as subspaces."""

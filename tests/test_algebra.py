@@ -14,7 +14,6 @@ from dgtangent.algebra import (
     el_add,
     el_scale,
     format_element,
-    tilde_extension,
     trivial_algebra,
 )
 from dgtangent.models import builtin, fiber_homotopy_dims, parse_model
@@ -167,12 +166,6 @@ def test_basis_enumeration_tensor() -> None:
     assert set(a.basis_in_degree(5)) == {("a", "b"), ("b", "a")}
     assert len(a.basis_in_degree(6)) == 2  # aaa, bb
     assert len(a.basis_in_degree(7)) == 3  # aab, aba, baa
-
-
-def test_basis_refused_for_nonpositive_degrees() -> None:
-    t = tilde_extension(tensor_acyclic())
-    with pytest.raises(ValueError):
-        t.basis_in_degree(2)
 
 
 def test_algebra_homology_sullivan_sphere() -> None:
@@ -373,17 +366,6 @@ def test_scalar_term_has_no_occurrences() -> None:
     ident = AlgebraMorphism.identity(a)
     assert a.occurrences({(): Fraction(1)}, a, ident.images) == []
     assert len(a.occurrences({("a",): Fraction(1), (): Fraction(2)}, a, ident.images)) == 1
-
-
-def test_tilde_extension_structure() -> None:
-    t = tilde_extension(tensor_acyclic())
-    assert t.gen_degree("eps") == -1
-    # dε = ε² and d̄a picks up the commutator with ε.
-    assert t.diff["eps"] == {("eps", "eps"): Fraction(1)}
-    da = t.diff["a"]
-    assert da.get(("eps", "a")) == Fraction(1)
-    assert da.get(("a", "eps")) == Fraction(-1)
-    assert t.d_squared_failures_on_generators() == []
 
 
 def test_commutator_signs() -> None:

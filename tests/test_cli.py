@@ -58,6 +58,50 @@ def test_validate_broken_model_exits_one(tmp_path, capsys):
     assert "native degree" in err
 
 
+def test_failing_validate_records_are_pinned(tmp_path, capsys):
+    # d² c = d b = a: both the d² check and the ε-extension check fail on c.
+    bad = tmp_path / "bad.model"
+    bad.write_text(
+        "name bad-square\nflavor associative\ngrading homological\n"
+        "gen a : 1\ngen b : 2\ngen c : 3\nd b = a\nd c = b\n",
+        encoding="utf-8",
+    )
+    code, out, err = run_main(capsys, "validate", str(bad), "--format", "records")
+    assert (code, err) == (1, "")
+    assert out == (
+        '{"check": "differential degrees", "command": "validate", "detail": "",'
+        ' "model": "bad-square", "ok": true}\n'
+        '{"check": "d squared is zero on generators", "command": "validate",'
+        ' "detail": "c", "model": "bad-square", "ok": false}\n'
+        '{"check": "stage condition (d lands below the stage)", "command": "validate",'
+        ' "detail": "", "model": "bad-square", "ok": true}\n'
+        '{"check": "cell degrees at least one", "command": "validate", "detail": "",'
+        ' "model": "bad-square", "ok": true}\n'
+        '{"check": "square-tracking extension squares to zero", "command": "validate",'
+        ' "detail": "\\u03b5-extension is not a complex: d\\u0304\\u00b2 \\u2260 0 on'
+        " ['c']\", \"model\": \"bad-square\", \"ok\": false}\n"
+    )
+
+
+def test_generator_named_eps_is_an_ordinary_cell(tmp_path, capsys):
+    # CP² with its 2-cell's generator renamed eps: the same model, the same loop records.
+    text = (
+        "name cp2\nflavor associative\ngrading homological\n"
+        "gen {x} : 1\ngen c : 3\nd c = {x} {x}\n"
+    )
+    outputs = []
+    for letter in ("a", "eps"):
+        model = tmp_path / f"{letter}.model"
+        model.write_text(text.format(x=letter), encoding="utf-8")
+        assert run_main(capsys, "validate", str(model))[0] == 0
+        code, out, _ = run_main(
+            capsys, "loop", str(model), "--max-degree", "4", "--format", "records"
+        )
+        assert code == 0
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+
+
 def test_unparseable_model_exits_one(tmp_path, capsys):
     bad = tmp_path / "bad.model"
     bad.write_text("flavor commutative\nfrobnicate x\n", encoding="utf-8")

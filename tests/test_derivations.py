@@ -88,7 +88,7 @@ def test_der_euler_class_representative() -> None:
     vec = der.vector_of_values(euler, 0)
     h0 = der.complex().homology(0)
     assert h0.dim == 1
-    assert not h0.is_zero_class(vec)
+    assert h0.reduce(vec)
     # (x -> x) alone is not a cocycle.
     assert not der.is_cocycle({"x": {("x",): Fraction(1)}}, 0)
 
@@ -224,7 +224,7 @@ def test_cup_of_boundary_is_boundary() -> None:
         p_prod = 3 + 3 + 1
         cx = der.complex()
         vec = der.vector_of_values(prod, p_prod)
-        assert cx.homology(p_prod).is_zero_class(vec)
+        assert not cx.homology(p_prod).reduce(vec)
 
 
 def test_cup_products_vanish_without_differential() -> None:

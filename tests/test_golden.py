@@ -31,6 +31,7 @@ from dgtangent.tower import SpectralSequence, cone_tower
 from test_acceptance import COEFFICIENTS
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+MODELS_DIR = Path(__file__).resolve().parent / "models"
 
 CELLULAR = ("ah:sphere:2", "ah:sphere:3", "ah:wedge:2,2", "ah:wedge:2,3")
 SULLIVAN = (
@@ -93,6 +94,11 @@ def golden_cases() -> dict[str, tuple[str, ...]]:
     cases["ss-target-sullivan_cpn_1"] = (
         "ss", "builtin:sullivan:cpn:1", "--coefficients", "target=builtin:sullivan:hopf",
         "--window", "4",
+    )
+    # S² × S³ → S², the model of test_models.product_model_text.
+    cases["aut-product-s2-s3"] = (
+        "aut", str(MODELS_DIR / "product-s2-s3.model"), "--window", "6", "--pages", "1..3",
+        "--brackets",
     )
     return cases
 

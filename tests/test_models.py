@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import itertools
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +16,7 @@ from dgtangent.models import (
     DiagTerm,
     ModelSyntaxError,
     ValidationReport,
+    algebra_homology_dims,
     aut_homotopy,
     builtin,
     convolution_values,
@@ -383,6 +387,60 @@ def test_aut_homotopy_stage_refinement_invariance() -> None:
     b = aut_homotopy(refined, window=8)
     assert a.dims == b.dims
     assert assembly_ok(a) and assembly_ok(b)
+
+
+# Sullivan builtins with the dimension of their top cohomology.
+PRODUCT_FACTORS = {
+    "sullivan:sphere:odd:3": 3,
+    "sullivan:sphere:odd:5": 5,
+    "sullivan:sphere:even:2": 2,
+    "sullivan:sphere:even:4": 4,
+    "sullivan:cpn:2": 4,
+    "sullivan:cpn:3": 6,
+}
+
+PRODUCT_MODEL = Path(__file__).resolve().parent / "models" / "product-s2-s3.model"
+
+
+def product_model_text(base: str, fiber: str) -> str:
+    """ΛB ⊗ ΛF of two Sullivan builtins: the model of the product fibration
+    B × F → B.  B's letters get the prefix ``b`` and the ``base`` flag, F's
+    the prefix ``f``; each factor keeps its differential."""
+    lines = [f"name product:{base},{fiber}", "flavor commutative", "grading cohomological"]
+    gens, diffs = [], []
+    for prefix, name, flag in (("b", base, " base"), ("f", fiber, "")):
+        mf = builtin(name)
+        letter = re.compile(rf"\b({'|'.join(mf.algebra.generators)})\b")
+        for line in print_model(mf).splitlines():
+            if line.startswith("gen "):
+                gens.append(letter.sub(rf"{prefix}\1", line) + flag)
+            elif line.startswith("d "):
+                diffs.append(letter.sub(rf"{prefix}\1", line))
+    return "\n".join(lines + gens + diffs) + "\n"
+
+
+def test_aut_of_a_product_fibration_is_maps_into_aut_of_the_fiber() -> None:
+    # aut₁(B × F → B) is the identity component of map(B, aut₁F), and aut₁F
+    # is rationally a product of Eilenberg–MacLane spaces, so
+    # dim π_n = Σ_k dim H^k(B) · dim π_{n+k}(aut₁F) for n ≥ 1.
+    window = 10
+    for base, fiber in itertools.product(PRODUCT_FACTORS, repeat=2):
+        top = PRODUCT_FACTORS[base]
+        h_base = algebra_homology_dims(builtin(base).algebra, range(0, top + 1))
+        pi_fiber = aut_homotopy(builtin(fiber), window=window + top).dims
+        expected = {
+            n: sum(h_base[k] * pi_fiber[n + k] for k in h_base) for n in range(1, window + 1)
+        }
+        mf = parse_model(product_model_text(base, fiber))
+        assert validate_model(mf).ok, (base, fiber)
+        report = aut_homotopy(mf, window=window)
+        assert report.dims == expected, (base, fiber)
+        assert assembly_ok(report), (base, fiber)
+
+
+def test_golden_product_model_is_the_product_of_its_factors() -> None:
+    text = product_model_text("sullivan:sphere:even:2", "sullivan:sphere:odd:3")
+    assert PRODUCT_MODEL.read_text(encoding="utf-8") == text
 
 
 def test_aut_bracket_table_even_sphere() -> None:
