@@ -83,6 +83,57 @@ def test_failing_validate_records_are_pinned(tmp_path, capsys):
     )
 
 
+BROKEN_DIAGONAL_MODEL = """\
+name cellcoalg
+flavor associative
+grading homological
+gen t : 1
+gen u : 2
+gen v : 3
+gen w : 6
+gen z : 7
+d t = -3/2
+d v = u
+d w = v u - u v
+d z = w + v^2
+diag w = v ⊗ u + u ⊗ v + u ⊗ u
+diag z = -2/3 * v ⊗ v + u ⊗ t
+"""
+
+
+def test_broken_diagonal_validate_and_print_are_pinned(tmp_path, capsys):
+    # u ⊗ u and u ⊗ t have the wrong cell degrees, and -2/3 * v ⊗ v is no
+    # coderivation; terms print and are checked in letter order.
+    model = tmp_path / "broken.model"
+    model.write_text(BROKEN_DIAGONAL_MODEL, encoding="utf-8")
+    code, out, err = run_main(capsys, "validate", str(model), "--format", "records")
+    assert (code, err) == (1, "")
+    ok = '"detail": "", "model": "cellcoalg", "ok": true}\n'
+    assert out == (
+        '{"check": "differential degrees", "command": "validate", ' + ok
+        + '{"check": "d squared is zero on generators", "command": "validate", ' + ok
+        + '{"check": "stage condition (d lands below the stage)", "command": "validate", '
+        + ok
+        + '{"check": "cell degrees at least one", "command": "validate", ' + ok
+        + '{"check": "square-tracking extension squares to zero", "command": "validate", '
+        + ok
+        + '{"check": "diagonal is a coderivation on cells", "command": "validate",'
+        ' "detail": "diag w: cell degrees of u \\u2297 u do not add up;'
+        ' diag z: cell degrees of u \\u2297 t do not add up;'
+        ' diag z: not a coderivation against the cellular differential",'
+        ' "model": "cellcoalg", "ok": false}\n'
+    )
+    code, out, err = run_main(capsys, "print", str(model))
+    assert (code, err) == (0, "")
+    assert out == (
+        "name cellcoalg\nflavor associative\ngrading homological\n"
+        "gen t : 1\ngen u : 2\ngen v : 3\ngen w : 6\ngen z : 7\n"
+        "d t = -3/2\nd u = 0\nd v = u\nd w = -u v + v u\nd z = w + v^2\n"
+        "diag w = u ⊗ u + u ⊗ v + v ⊗ u\n"
+        "diag z = u ⊗ t - 2/3 * v ⊗ v\n"
+    )
+
+
 def test_generator_named_eps_is_an_ordinary_cell(tmp_path, capsys):
     # CP² with its 2-cell's generator renamed eps: the same model, the same loop records.
     text = (
@@ -190,6 +241,15 @@ def test_multiplicative_without_diag_is_usage_error(capsys):
     )
     assert code == 2
     assert "--diag" in err
+
+
+def test_multiplicative_check_refuses_cohomological_model(capsys):
+    code, out, err = run_main(
+        capsys, "ss", "builtin:sullivan:cpn:1", "--check-multiplicative", "--diag", "primitive"
+    )
+    assert code == 1
+    assert out == ""
+    assert "cell coalgebras require homological grading" in err
 
 
 @pytest.mark.parametrize(

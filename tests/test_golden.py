@@ -100,6 +100,13 @@ def golden_cases() -> dict[str, tuple[str, ...]]:
         "aut", str(MODELS_DIR / "product-s2-s3.model"), "--window", "6", "--pages", "1..3",
         "--brackets",
     )
+    # The four-cell model of test_models.CELLCOALG_TEXT, the one with diag lines.
+    cellcoalg = str(MODELS_DIR / "cellcoalg.model")
+    cases["validate-cellcoalg"] = ("validate", cellcoalg)
+    cases["ss-multiplicative-model-cellcoalg"] = (
+        "ss", cellcoalg, "--coefficients", "trivial",
+        "--check-multiplicative", "--diag", "model",
+    )
     return cases
 
 
