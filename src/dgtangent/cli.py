@@ -17,7 +17,6 @@ from typing import Sequence
 
 from .algebra import AlgebraMorphism, trivial_algebra
 from .models import (
-    CellCoalgebra,
     ModelFile,
     ModelSyntaxError,
     algebra_homology_dims,
@@ -286,13 +285,11 @@ def cmd_ss(args: argparse.Namespace) -> int:
         if col.predicted_page is not None and not col.verified:
             ok = False
     if args.check_multiplicative:
-        algebra = mf.algebra
-        pairs = {} if args.diag == "primitive" else mf.diagonals
+        diagonals = {} if args.diag == "primitive" else mf.diagonals
         try:
-            coalg = CellCoalgebra(algebra, pairs)
+            mult = multiplicativity_check(mf.algebra, diagonals, window=args.window)
         except ValueError as exc:
             raise CliError(str(exc)) from None
-        mult = multiplicativity_check(algebra, coalg, window=args.window)
         verdict = "ok" if mult.ok else "FAILS"
         out.line(
             f"first-page product rule over {mult.pairs_checked} pairs: {verdict}"

@@ -1,6 +1,7 @@
 """Model files: grammar, builtin library, validation, and high-level reports.
 
-The model grammar is line-oriented UTF-8 with ``#`` comments:
+The model grammar is line-oriented UTF-8 with ``#`` comments; a leading
+byte-order mark is skipped, and any whitespace ends a directive:
 
     name TEXT                        optional metadata
     description TEXT                 optional metadata
@@ -12,9 +13,10 @@ The model grammar is line-oriented UTF-8 with ``#`` comments:
 
 EXPR is ``0`` or a sum of terms joined by ``+``/``-``; each term is
 ``[RATIONAL *] NAME[^INT] (NAME[^INT])*`` with rationals written ``p`` or
-``p/q``; ``1`` denotes the unit.  DEXPR is a sum of terms
-``[RATIONAL *] NAME ⊗ NAME``; the ASCII spelling ``(x)`` is accepted for
-``⊗`` on input and ``⊗`` is canonical on output.  Every generator's
+``p/q``; ``1`` denotes the unit.  DEXPR, the reduced diagonal of a cell, is
+a sum of terms ``[RATIONAL *] NAME ⊗ NAME``, stored like an element as a
+{(left, right): coefficient} dict; the ASCII spelling ``(x)`` is accepted
+for ``⊗`` on input and ``⊗`` is canonical on output.  Every generator's
 differential defaults to 0.  Names match ``[A-Za-z_][A-Za-z0-9_]*``.
 
 Two model families get extra validation and reports: homological associative
@@ -28,7 +30,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import groupby
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .algebra import (
     AlgebraMorphism,
@@ -72,6 +74,11 @@ _EXPR_TOKEN_RE = re.compile(
 )
 
 
+# The reduced diagonal of one cell, {(left, right): coefficient}; primitive
+# cells have none.
+Diagonal = dict[tuple[str, str], Fraction]
+
+
 class ModelSyntaxError(ValueError):
     """A model file failed to parse; carries the offending line number, or
     None when the fault is in the file as a whole."""
@@ -81,19 +88,11 @@ class ModelSyntaxError(ValueError):
         self.line_no = line_no
 
 
-class DiagTerm(NamedTuple):
-    """One reduced-diagonal summand: coeff · (left ⊗ right)."""
-
-    coeff: Fraction
-    left: str
-    right: str
-
-
 class ModelFile(NamedTuple):
     """Parsed model: its algebra, the diagonals of its cells, and metadata."""
 
     algebra: FreeDgAlgebra
-    diagonals: dict[str, list[DiagTerm]]
+    diagonals: dict[str, Diagonal]
     name: str = ""
     description: str = ""
 
@@ -242,10 +241,10 @@ def parse_expression(
 
 def parse_diagonal(
     algebra: FreeDgAlgebra, text: str, line_no: int = 0
-) -> list[DiagTerm]:
-    """Parse a DEXPR into combined, canonically ordered diagonal terms."""
+) -> Diagonal:
+    """Parse a DEXPR into combined terms, in the order of (left, right) as a word."""
     terms = _parse_terms(_tokenize_expression(text, line_no), line_no)
-    combined: dict[tuple[str, str], Fraction] = {}
+    combined: Diagonal = {}
     for coeff, factors in terms:
         shape = [(name if name == "⊗" else "NAME", power) for name, power in factors]
         if shape != [("NAME", 1), ("⊗", 1), ("NAME", 1)]:
@@ -257,13 +256,7 @@ def parse_diagonal(
             if letter not in algebra.generators:
                 raise ModelSyntaxError(line_no, f"unknown generator {letter!r}")
         el_add_term(combined, key, coeff)
-    letter_key = lambda n: (algebra.gen_degree(n), n)
-    return [
-        DiagTerm(c, a, b)
-        for (a, b), c in sorted(
-            combined.items(), key=lambda kv: (letter_key(kv[0][0]), letter_key(kv[0][1]))
-        )
-    ]
+    return dict(sorted(combined.items(), key=lambda kv: algebra.monomial_key(kv[0])))
 
 
 def parse_model(text: str) -> ModelFile:
@@ -281,8 +274,7 @@ def parse_model(text: str) -> ModelFile:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        head, _, rest = line.partition(" ")
-        rest = rest.strip()
+        head, rest = (line.split(None, 1) + [""])[:2]
         if head == "name":
             name = rest
         elif head == "description":
@@ -371,7 +363,7 @@ def parse_model(text: str) -> ModelFile:
             algebra.set_differential(gen_name, element)
         except ValueError as exc:
             raise ModelSyntaxError(line_no, str(exc)) from None
-    diagonals: dict[str, list[DiagTerm]] = {}
+    diagonals: dict[str, Diagonal] = {}
     for line_no, gen_name, expr in diag_lines:
         if gen_name not in seen:
             raise ModelSyntaxError(line_no, f"diag for unknown generator {gen_name!r}")
@@ -386,42 +378,34 @@ def parse_model(text: str) -> ModelFile:
 # ---------------------------------------------------------------- printing
 
 
-def format_expression(algebra: FreeDgAlgebra, el: Element) -> str:
-    """Canonical EXPR text for an element (powers grouped, sorted terms)."""
-    if not el:
-        return "0"
+def _signed_sum(terms: Iterable[tuple[Fraction, str]]) -> str:
+    """``a - 2 * b + ...`` from (coefficient, body) pairs; an empty body is 1."""
     parts: list[str] = []
-    for mono in algebra.sorted_monomials(el):
-        coeff = el[mono]
+    for coeff, body in terms:
         magnitude = abs(coeff)
-        if mono == ():
+        if not body:
             term = str(magnitude)
         else:
-            word = " ".join(
-                letter if size == 1 else f"{letter}^{size}"
-                for letter, size in (
-                    (letter, len(list(run))) for letter, run in groupby(mono)
-                )
-            )
-            term = word if magnitude == 1 else f"{magnitude} * {word}"
+            term = body if magnitude == 1 else f"{magnitude} * {body}"
         if not parts:
             parts.append(term if coeff > 0 else f"-{term}")
         else:
             parts.append(f"{'+' if coeff > 0 else '-'} {term}")
-    return " ".join(parts)
+    return " ".join(parts) or "0"
 
 
-def format_diagonal(terms: Sequence[DiagTerm]) -> str:
-    parts: list[str] = []
-    for term in terms:
-        magnitude = abs(term.coeff)
-        body = f"{term.left} ⊗ {term.right}"
-        text = body if magnitude == 1 else f"{magnitude} * {body}"
-        if not parts:
-            parts.append(text if term.coeff > 0 else f"-{text}")
-        else:
-            parts.append(f"{'+' if term.coeff > 0 else '-'} {text}")
-    return " ".join(parts)
+def format_expression(algebra: FreeDgAlgebra, el: Element) -> str:
+    """Canonical EXPR text for an element (powers grouped, sorted terms)."""
+    return _signed_sum(
+        (
+            el[mono],
+            " ".join(
+                letter if size == 1 else f"{letter}^{size}"
+                for letter, size in ((letter, len(list(run))) for letter, run in groupby(mono))
+            ),
+        )
+        for mono in algebra.sorted_monomials(el)
+    )
 
 
 def print_model(mf: ModelFile) -> str:
@@ -447,7 +431,8 @@ def print_model(mf: ModelFile) -> str:
     for gen_name in sorted(
         mf.diagonals, key=lambda n: (algebra.gen_degree(n), n)
     ):
-        lines.append(f"diag {gen_name} = {format_diagonal(mf.diagonals[gen_name])}")
+        terms = ((c, f"{a} ⊗ {b}") for (a, b), c in mf.diagonals[gen_name].items())
+        lines.append(f"diag {gen_name} = {_signed_sum(terms)}")
     return "\n".join(lines) + "\n"
 
 
@@ -579,67 +564,47 @@ def load_model(spec_text: str) -> ModelFile:
     """Resolve ``builtin:NAME`` or a file path into a parsed model."""
     if spec_text.startswith("builtin:"):
         return builtin(spec_text[len("builtin:") :])
-    with open(spec_text, "r", encoding="utf-8") as handle:
+    with open(spec_text, "r", encoding="utf-8-sig") as handle:
         return parse_model(handle.read())
 
 
-# ------------------------------------------------------------ cell coalgebra
+# ------------------------------------------------------------ cell diagonals
 
 
-class CellCoalgebra:
-    """Reduced diagonal data on the cells of a homological cellular model.
+def diagonal_problems(algebra: FreeDgAlgebra, diagonals: dict[str, Diagonal]) -> list[str]:
+    """Degree mismatches and failures of the coderivation condition.
 
-    Each generator v names one cell of dimension deg(v) + 1; the reduced
-    diagonal of that cell is a sum of tensor pairs of other cells.  Pairs
-    default to empty (primitive cells).
+    Each generator v names one cell of dimension deg(v) + 1; cells without a
+    diagonal are primitive.
     """
-
-    def __init__(self, algebra: FreeDgAlgebra, pairs: dict[str, list[DiagTerm]]) -> None:
-        if algebra.grading != GRADING_HOMOLOGICAL:
-            raise ValueError("cell coalgebras require homological grading")
-        self.algebra = algebra
-        self.pairs = {g: list(pairs.get(g, [])) for g in algebra.generators}
-
-    def cell_degree(self, name: str) -> int:
-        return self.algebra.gen_degree(name) + 1
-
-    def reduced_diagonal(self, name: str) -> list[DiagTerm]:
-        return self.pairs.get(name, [])
-
-    def problems(self) -> list[str]:
-        """Degree mismatches and failures of the coderivation condition."""
-        out: list[str] = []
-        lin = {
-            g: self.algebra.linear_part(self.algebra.diff[g])
-            for g in self.algebra.generators
-        }
-        for name in sorted(self.pairs):
-            for term in self.pairs[name]:
-                if self.cell_degree(term.left) + self.cell_degree(term.right) != self.cell_degree(name):
-                    out.append(
-                        f"diag {name}: cell degrees of {term.left} ⊗ {term.right} do not add up"
-                    )
-        for name in sorted(self.pairs):
-            # Both sides of Δ̄(∂c) = (∂⊗1 + 1⊗∂)(Δ̄c) as pair dictionaries.
-            lhs: dict[tuple[str, str], Fraction] = {}
-            for target, coeff in lin[name].items():
-                for term in self.pairs.get(target, []):
-                    el_add_term(lhs, (term.left, term.right), coeff * term.coeff)
-            rhs: dict[tuple[str, str], Fraction] = {}
-            for term in self.pairs[name]:
-                for target, coeff in lin[term.left].items():
-                    el_add_term(rhs, (target, term.right), term.coeff * coeff)
-                sign = -1 if self.cell_degree(term.left) % 2 else 1
-                for target, coeff in lin[term.right].items():
-                    el_add_term(rhs, (term.left, target), sign * term.coeff * coeff)
-            if lhs != rhs:
-                out.append(f"diag {name}: not a coderivation against the cellular differential")
-        return out
+    cell = lambda name: algebra.gen_degree(name) + 1
+    lin = {g: algebra.linear_part(algebra.diff[g]) for g in algebra.generators}
+    out: list[str] = []
+    for name in sorted(diagonals):
+        for left, right in diagonals[name]:
+            if cell(left) + cell(right) != cell(name):
+                out.append(f"diag {name}: cell degrees of {left} ⊗ {right} do not add up")
+    for name in sorted(algebra.generators):
+        # Both sides of Δ̄(∂c) = (∂⊗1 + 1⊗∂)(Δ̄c) as pair dictionaries.
+        lhs: Diagonal = {}
+        for target, coeff in lin[name].items():
+            for pair, c in diagonals.get(target, {}).items():
+                el_add_term(lhs, pair, coeff * c)
+        rhs: Diagonal = {}
+        for (left, right), c in diagonals.get(name, {}).items():
+            for target, coeff in lin[left].items():
+                el_add_term(rhs, (target, right), c * coeff)
+            sign = -1 if cell(left) % 2 else 1
+            for target, coeff in lin[right].items():
+                el_add_term(rhs, (left, target), sign * c * coeff)
+        if lhs != rhs:
+            out.append(f"diag {name}: not a coderivation against the cellular differential")
+    return out
 
 
 def convolution_values(
     algebra: FreeDgAlgebra,
-    coalgebra: CellCoalgebra,
+    diagonals: dict[str, Diagonal],
     f: Values,
     p_f: int,
     g: Values,
@@ -654,17 +619,17 @@ def convolution_values(
     """
     tau = Fraction(-1 if (p_f + p_g) % 2 else 1)
     out: Values = {}
-    for name in algebra.generators:
+    for name, diagonal in diagonals.items():
         total: Element = {}
-        for term in coalgebra.reduced_diagonal(name):
-            left = f.get(term.left)
-            right = g.get(term.right)
+        for (a, b), coeff in diagonal.items():
+            left = f.get(a)
+            right = g.get(b)
             if not left or not right:
                 continue
-            sign = -1 if (p_g * coalgebra.cell_degree(term.left)) % 2 else 1
+            sign = -1 if (p_g * (algebra.gen_degree(a) + 1)) % 2 else 1
             product = algebra.mul(left, right)
             for mono, c in product.items():
-                el_add_term(total, mono, tau * sign * term.coeff * c)
+                el_add_term(total, mono, tau * sign * coeff * c)
         if total:
             out[name] = total
     return out
@@ -683,7 +648,7 @@ class MultiplicativityReport(NamedTuple):
 
 def multiplicativity_check(
     algebra: FreeDgAlgebra,
-    coalgebra: CellCoalgebra,
+    diagonals: dict[str, Diagonal],
     window: int,
 ) -> MultiplicativityReport:
     """Check ∂(f∗g) = ∂f∗g + (−1)^{p_f} f∗∂g on all generator functionals.
@@ -692,6 +657,8 @@ def multiplicativity_check(
     degrees p = deg(v) up to the window; these span the nonzero first-page
     row of the trivial-coefficient tower.
     """
+    if algebra.grading != GRADING_HOMOLOGICAL:
+        raise ValueError("cell coalgebras require homological grading")
     k = trivial_algebra(algebra.grading)
     der = DerComplex(algebra, AlgebraMorphism.augmentation(algebra, k))
     names = [
@@ -706,12 +673,12 @@ def multiplicativity_check(
             f: Values = {a: {(): one}}
             g: Values = {b: {(): one}}
             checked += 1
-            product = convolution_values(algebra, coalgebra, f, p_f, g, p_g)
+            product = convolution_values(algebra, diagonals, f, p_f, g, p_g)
             lhs = der.differential_values(product, p_f + p_g + 1)
             df = der.differential_values(f, p_f)
             dg = der.differential_values(g, p_g)
-            rhs = convolution_values(algebra, coalgebra, df, p_f + 1, g, p_g)
-            second = convolution_values(algebra, coalgebra, f, p_f, dg, p_g + 1)
+            rhs = convolution_values(algebra, diagonals, df, p_f + 1, g, p_g)
+            second = convolution_values(algebra, diagonals, f, p_f, dg, p_g + 1)
             scale = Fraction(-1 if p_f % 2 else 1)
             if slot_images(lhs) != el_add(slot_images(rhs), slot_images(second), scale):
                 failures.append(f"({a} -> 1) * ({b} -> 1)")
@@ -814,7 +781,7 @@ def validate_model(mf: ModelFile) -> ValidationReport:
                 )
             )
         else:
-            problems = CellCoalgebra(algebra, mf.diagonals).problems()
+            problems = diagonal_problems(algebra, mf.diagonals)
             checks.append(
                 CheckResult(
                     "diagonal is a coderivation on cells",

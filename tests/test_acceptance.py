@@ -42,7 +42,6 @@ from dgtangent.models import (
     multiplicativity_check,
     parse_model,
     validate_model,
-    CellCoalgebra,
 )
 from dgtangent.tower import (
     ExactCoupleSS,
@@ -660,11 +659,11 @@ def test_criterion_09_products():
     # (d) First-page product rule for the convolution product, exhaustively
     # on the wedge (primitive diagonal) and on the diagonal-carrying model.
     mf = builtin("ah:wedge:2,2")
-    coalg = CellCoalgebra(mf.algebra, {})
+    coalg = {}
     mult = multiplicativity_check(mf.algebra, coalg, window=8)
     assert mult.ok and mult.pairs_checked == 4
     mf2 = parse_model(CELLCOALG_TEXT)
-    coalg2 = CellCoalgebra(mf2.algebra, mf2.diagonals)
+    coalg2 = mf2.diagonals
     mult2 = multiplicativity_check(mf2.algebra, coalg2, window=8)
     assert mult2.ok and mult2.pairs_checked == 16
     _report(9, "products", f"{pairs} class pairs, convolution rule on {mult.pairs_checked + mult2.pairs_checked} pairs")

@@ -10,6 +10,7 @@ import json
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -159,6 +160,34 @@ def test_unparseable_model_exits_one(tmp_path, capsys):
     code, _, err = run_main(capsys, "homology", str(bad))
     assert code == 1
     assert "line 2" in err
+
+
+def test_byte_order_mark_and_tabs_after_directives_are_accepted(tmp_path, capsys):
+    plain = (Path(__file__).resolve().parent / "models" / "cellcoalg.model").read_text(
+        encoding="utf-8"
+    )
+    variants = {
+        "plain": plain,
+        "bom": "\ufeff" + plain,
+        "tabs": "".join(line.replace(" ", "\t", 1) for line in plain.splitlines(True)),
+    }
+    outputs = {}
+    for label, text in variants.items():
+        model = tmp_path / f"{label}.model"
+        model.write_text(text, encoding="utf-8")
+        code, out, err = run_main(capsys, "validate", str(model), "--format", "records")
+        assert (code, err) == (0, ""), label
+        outputs[label] = out
+    assert outputs["bom"] == outputs["tabs"] == outputs["plain"]
+
+
+@pytest.mark.parametrize("separator", [" ", "\t"])
+def test_unknown_directive_names_itself(tmp_path, capsys, separator):
+    bad = tmp_path / "bad.model"
+    bad.write_text(f"flavor commutative\nfrobnicate{separator}x\n", encoding="utf-8")
+    code, out, err = run_main(capsys, "validate", str(bad))
+    assert (code, out) == (1, "")
+    assert "line 2: unknown directive 'frobnicate'" in err
 
 
 def test_unknown_builtin_exits_one(capsys):
@@ -609,6 +638,65 @@ def test_der_target_coefficients(tmp_path, capsys):
     )
     assert code == 0
     assert "target coefficients" in out
+
+
+# --------------------------------------------------- homotopy invariance
+
+# Two models of CP² on each side: the minimal one, and one with a contractible
+# pair (d u = w) and a triangular change of generators, y ↦ y + x u on the
+# Sullivan side and c ↦ c + a u on the Adams–Hilton side (Félix–Halperin–
+# Thomas, GTM 205, §14).  Totals are invariants of the space; page tables
+# depend on the stages and are not.
+SULLIVAN_CP2 = "flavor commutative\ngrading cohomological\n"
+CELLULAR_CP2 = "flavor associative\ngrading homological\n"
+CP2_MODELS = {
+    SULLIVAN_CP2: (
+        "gen x : 2\ngen y : 5\nd y = x^3\n",
+        # w's default stage 4 is not below u's stage 3: d u = w would break the stage condition.
+        "gen x : 2\ngen u : 3\ngen w : 4 stage 2\ngen y : 5\nd u = w\nd y = x^3 + x w\n",
+    ),
+    CELLULAR_CP2: (
+        "gen a : 1\ngen c : 3\nd c = a a\n",
+        "gen a : 1\ngen w : 1\ngen u : 2\ngen c : 3\nd u = w\nd c = a a - a w\n",
+    ),
+}
+
+# (model header, command, the table of totals it prints)
+INVARIANT_TOTALS = [
+    (SULLIVAN_CP2, ("homology", "--window", "11"), "algebra homology of cp2"),
+    (SULLIVAN_CP2, ("der", "--range=-10..5"), "derivation cohomology (self coefficients)"),
+    (
+        SULLIVAN_CP2,
+        ("aut", "--window", "10"),
+        "homotopy of the identity component of self-equivalences",
+    ),
+    # Two letters of degree one triple the cone per degree: at 6 each command
+    # takes about 3 s on the second model, at 8 about 23 s.
+    (CELLULAR_CP2, ("loop", "--max-degree", "6"), "free-loop-space homology"),
+    (CELLULAR_CP2, ("hochschild", "--window", "6"), "cone cohomology"),
+]
+
+
+@pytest.mark.parametrize(
+    "header, argv, table", INVARIANT_TOTALS, ids=[argv[0] for _, argv, _ in INVARIANT_TOTALS]
+)
+def test_cp2_totals_do_not_depend_on_the_model(tmp_path, capsys, header, argv, table):
+    totals = []
+    for i, body in enumerate(CP2_MODELS[header]):
+        model = tmp_path / f"cp2-{i}.model"
+        model.write_text("name cp2\n" + header + body, encoding="utf-8")
+        assert run_main(capsys, "validate", str(model))[0] == 0
+        code, out, _ = run_main(capsys, argv[0], str(model), *argv[1:], "--format", "records")
+        assert code == 0
+        rows = records(out)
+        assert all(r["engine"] == r["expected"] for r in rows if r.get("table") == "e2")
+        kept = [r for r in rows if r.get("table") == table]
+        assert kept
+        if argv[0] == "aut":
+            _, text, _ = run_main(capsys, argv[0], str(model), *argv[1:])
+            kept.append(re.search(r"degree-zero classes.*", text).group())
+        totals.append(kept)
+    assert totals[0] == totals[1]
 
 
 # ----------------------------------------------------------- determinism

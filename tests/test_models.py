@@ -11,9 +11,7 @@ import pytest
 
 from dgtangent.derivations import DerComplex
 from dgtangent.models import (
-    CellCoalgebra,
     CheckResult,
-    DiagTerm,
     ModelSyntaxError,
     ValidationReport,
     algebra_homology_dims,
@@ -246,7 +244,7 @@ def test_model_family_detection() -> None:
 def test_convolution_primitive_diagonal_vanishes() -> None:
     mf = builtin("ah:sphere:3")
     algebra = mf.algebra
-    coalg = CellCoalgebra(algebra, {})
+    coalg = {}
     f = {"x": {(): Fraction(1)}}
     assert convolution_values(algebra, coalg, f, 2, f, 2) == {}
 
@@ -258,7 +256,7 @@ def test_convolution_single_pair_lands_on_top_cell() -> None:
         "diag w = u ⊗ v\n"
     )
     algebra = mf.algebra
-    coalg = CellCoalgebra(algebra, mf.diagonals)
+    coalg = mf.diagonals
     f = {"u": {("u",): Fraction(1)}}
     g = {"v": {("v",): Fraction(1)}}
     out = convolution_values(algebra, coalg, f, 0, g, 0)
@@ -272,7 +270,7 @@ def test_convolution_hand_checked_example() -> None:
     # d(f*g) = -(z -> 1) matching df*g with f*dg = 0.
     mf = parse_model(CELLCOALG_TEXT)
     algebra = mf.algebra
-    coalg = CellCoalgebra(algebra, mf.diagonals)
+    coalg = mf.diagonals
     der = DerComplex(algebra, trivial_coefficients(algebra))
     one = Fraction(1)
     f = {"u": {(): one}}
@@ -289,14 +287,14 @@ def test_convolution_hand_checked_example() -> None:
 def test_multiplicativity_report() -> None:
     mf = parse_model(CELLCOALG_TEXT)
     algebra = mf.algebra
-    coalg = CellCoalgebra(algebra, mf.diagonals)
+    coalg = mf.diagonals
     report = multiplicativity_check(algebra, coalg, window=8)
     assert report.ok
     assert report.pairs_checked == 16
 
     wedge = builtin("ah:wedge:2,3")
     walg = wedge.algebra
-    report = multiplicativity_check(walg, CellCoalgebra(walg, {}), window=8)
+    report = multiplicativity_check(walg, {}, window=8)
     assert report.ok
 
 
