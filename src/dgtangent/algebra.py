@@ -347,7 +347,7 @@ class FreeDgAlgebra:
         def diff_fn(n: int) -> Matrix:
             return cx.matrix(n, lambda mono: self.differential({mono: Fraction(1)}))
 
-        cx = CochainComplex(self.basis_in_cdeg, diff_fn, name="algebra")
+        cx = CochainComplex(self.basis_in_cdeg, diff_fn)
         return cx
 
     def indecomposables_complex(
@@ -372,7 +372,7 @@ class FreeDgAlgebra:
                 w: c for w, c in self.linear_part(self.diff[g]).items() if w not in exclude
             })
 
-        cx = CochainComplex(basis_fn, diff_fn, name="indecomposables")
+        cx = CochainComplex(basis_fn, diff_fn)
         return cx
 
 

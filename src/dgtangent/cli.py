@@ -249,7 +249,12 @@ def cmd_ss(args: argparse.Namespace) -> int:
         raise UsageError("--check-multiplicative requires --diag primitive|model")
     if args.diag and not args.check_multiplicative:
         raise UsageError("--diag requires --check-multiplicative")
+    mult = None
     try:
+        # A model the product check refuses is refused before any page is built.
+        if args.check_multiplicative:
+            diagonals = {} if args.diag == "primitive" else mf.diagonals
+            mult = multiplicativity_check(mf.algebra, diagonals, window=args.window)
         report = tower_report(
             mf,
             u,
@@ -284,12 +289,7 @@ def cmd_ss(args: argparse.Namespace) -> int:
         out.record(table="collapse", **col.as_record())
         if col.predicted_page is not None and not col.verified:
             ok = False
-    if args.check_multiplicative:
-        diagonals = {} if args.diag == "primitive" else mf.diagonals
-        try:
-            mult = multiplicativity_check(mf.algebra, diagonals, window=args.window)
-        except ValueError as exc:
-            raise CliError(str(exc)) from None
+    if mult is not None:
         verdict = "ok" if mult.ok else "FAILS"
         out.line(
             f"first-page product rule over {mult.pairs_checked} pairs: {verdict}"

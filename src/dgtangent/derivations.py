@@ -151,7 +151,7 @@ class DerComplex:
                     self.differential_values({slot[0]: {slot[1]: Fraction(1)}}, p)
                 ))
 
-            self._complex = CochainComplex(self.basis, diff_fn, name="Der")
+            self._complex = CochainComplex(self.basis, diff_fn)
         return self._complex
 
     # -------------------------------------------------------------- brackets
@@ -393,5 +393,5 @@ class ConeComplex:
             def diff_fn(p: int) -> Matrix:
                 return self._complex.matrix(p, lambda label: image(label, p))
 
-            self._complex = CochainComplex(self.basis, diff_fn, name="cone")
+            self._complex = CochainComplex(self.basis, diff_fn)
         return self._complex

@@ -12,8 +12,9 @@ levels (checked).  The pages are computed two ways:
   hence representatives of E_r^{s,t} = Z_r^s / (Z_{r−1}^{s+1} +
   d·Z_{r−1}^{s−r+1}) and d_r, induced by d (bidegree (r, 1−r));
 - the exact-couple route, kept as an independent oracle:
-  D^{s} = H(F^0/F^{s+1}), E^{s} = H(F^s/F^{s+1}), with the derived couples
-  unwound by reducing against the tracked rows of i^{r−1}.
+  D^{s} = H(F^0/F^{s+1}), E^{s} = H(F^s/F^{s+1}), with each page in the
+  closed form of the derived couple, E_r = k⁻¹(im i^{r−1}) / j(ker i^{r−1}),
+  and d_r lifted through i^{r−1} by reducing against its tracked rows.
 
 Both are exact; ``alignment_check`` verifies that they give identical page
 dimensions and, after the canonical change of basis, identical d_r matrices.
@@ -329,24 +330,33 @@ class FilteredChainMap:
 # ------------------------------------------------------- exact couple route
 
 
+def _representative(group: Subquotient, coords: Vector) -> Vector:
+    """A representative of the class with these coordinates over ``group``."""
+    rep: Vector = {}
+    for a, c in coords.items():
+        rep = el_add(rep, group.basis[a], c)
+    return rep
+
+
 class ExactCoupleSS:
     """The same spectral sequence through the exact couple of the filtration.
 
     D^{s} = H(F^0/F^{s+1}) and E^{s} = H(F^s/F^{s+1}); the maps are
     i (projection-induced), j (connecting morphism of the three-layer
-    sequence) and k (inclusion-induced).  Derived pages are maintained as
-    subquotients of the E_1 class coordinates; d_r = j_r ∘ k_r lifts through
-    i^{r−1} by reducing against one tracked ``Echelon`` of its rows per
-    (s, n, r).
+    sequence) and k (inclusion-induced).  Each page is built from i, j and k
+    alone in the closed form of the derived couple (Massey, Ann. of Math. 56
+    (1952)): E_r = Z_r/B_r in E_1 class coordinates, with
+    Z_r = k⁻¹(im i^{r−1}) and B_r = j(ker i^{r−1}), so no page depends on an
+    earlier d_r.  d_r = j ∘ (i^{r−1})⁻¹ ∘ k lifts through i^{r−1} by reducing
+    against one tracked ``Echelon`` of its rows per (s, n, r).
     """
 
     def __init__(self, fc: FilteredComplex) -> None:
         self.fc = fc
         self._quot_cache: dict[tuple[int, int], CochainComplex] = {}
-        self._page_cache: dict[tuple[int, int, int], tuple[list[Vector], list[Vector]]] = {}
         self._sub_cache: dict[tuple[int, int, int], Subquotient] = {}
         self._i_cache: dict[tuple[int, int], Matrix] = {}
-        self._ipow_cache: dict[tuple[int, int, int], Echelon] = {}
+        self._ipow_cache: dict[tuple[int, int, int], tuple[Matrix, Echelon]] = {}
 
     # ----------------------------------------------------- quotient layers
 
@@ -363,7 +373,7 @@ class ExactCoupleSS:
                 rows, kept = self.fc.complex.d(n).rows, cx.index(n + 1)
                 return cx.matrix(n, lambda i: {j: c for j, c in rows[i].items() if j in kept})
 
-            cx = self._quot_cache[key] = CochainComplex(basis_fn, diff_fn, name=f"F{a}/F{b}")
+            cx = self._quot_cache[key] = CochainComplex(basis_fn, diff_fn)
         return self._quot_cache[key]
 
     def D(self, s: int, n: int) -> Subquotient:
@@ -414,21 +424,20 @@ class ExactCoupleSS:
 
     # ------------------------------------------------------------- d_r data
 
-    def _i_power(self, s: int, n: int, r: int) -> Echelon:
-        """i^{r−1}: D(s+r−1, n) → D(s, n), its class-coordinate rows tracked."""
+    def _i_power(self, s: int, n: int, r: int) -> tuple[Matrix, Echelon]:
+        """i^{r−1}: D(s+r−1, n) → D(s, n) and its class-coordinate rows tracked."""
         key = (s, n, r)
-        if key in self._ipow_cache:
-            return self._ipow_cache[key]
-        dim = self.D(s + r - 1, n).dim
-        # Identity when r == 1; otherwise compose the i-steps downwards.
-        current = Matrix(dim, dim, [{a: Fraction(1)} for a in range(dim)])
-        for sigma in range(s + r - 1, s, -1):
-            current = current.compose(self.i_matrix(sigma, n))
-        ech = Echelon(track=True)
-        for row in current.rows:
-            ech.insert(row)
-        self._ipow_cache[key] = ech
-        return ech
+        if key not in self._ipow_cache:
+            dim = self.D(s + r - 1, n).dim
+            # Identity when r == 1; otherwise compose the i-steps downwards.
+            current = Matrix(dim, dim, [{a: Fraction(1)} for a in range(dim)])
+            for sigma in range(s + r - 1, s, -1):
+                current = current.compose(self.i_matrix(sigma, n))
+            ech = Echelon(track=True)
+            for row in current.rows:
+                ech.insert(row)
+            self._ipow_cache[key] = (current, ech)
+        return self._ipow_cache[key]
 
     def draw(self, r: int, s: int, n: int, z: Vector) -> Vector:
         """d_r of an E_1-class-coordinate vector z at (s, n).
@@ -436,60 +445,29 @@ class ExactCoupleSS:
         Returns E_1 class coordinates at (s + r, n + 1).  Well defined modulo
         the page boundaries of the target; callers reduce in the target page.
         """
-        e_group = self.E(s, n)
-        x_local: Vector = {}
-        for i, c in z.items():
-            x_local = el_add(x_local, e_group.basis[i], c)
-        kx = self.k_coords(s, n, x_local)
-        if r == 1:
-            y = kx
-        else:
-            residue, y = self._i_power(s, n, r).reduce(kx)
-            if residue:
-                raise ValueError(
-                    f"class at (s={s}, n={n}) is not in the image of i^{r-1}; "
-                    "it does not live on this page"
-                )
-        d_group = self.D(s + r - 1, n)
-        y_local: Vector = {}
-        for a, c in y.items():
-            y_local = el_add(y_local, d_group.basis[a], c)
-        return self.connecting(s + r - 1, n, y_local)
-
-    def page_data(self, r: int, s: int, n: int) -> tuple[list[Vector], list[Vector]]:
-        """(numerators, denominators) of E_r in E_1 class coordinates."""
-        key = (r, s, n)
-        if key in self._page_cache:
-            return self._page_cache[key]
-        if r == 1:
-            dim = self.E(s, n).dim
-            data = ([{i: Fraction(1)} for i in range(dim)], [])
-        else:
-            z_prev, b_prev = self.page_data(r - 1, s, n)
-            sub_prev = self.page_subquotient(r - 1, s, n)
-            z_basis = sub_prev.basis  # span-basis of Z_{r-1} mod nothing extra
-            # Z_r: elements of span(Z_{r-1}) whose d_{r-1} lies in the target
-            # boundaries.
-            tgt_b = self.page_data(r - 1, s + r - 1, n + 1)[1]
-            tgt_dim = self.E(s + r - 1, n + 1).dim
-            images = [self.draw(r - 1, s, n, zb) for zb in z_prev]
-            z_new = preimage_by_images(z_prev, images, tgt_b, tgt_dim)
-            # B_r: previous boundaries plus d_{r-1} arriving from (s-r+1, n-1).
-            b_new = list(b_prev)
-            if s - (r - 1) >= 0:
-                src_z = self.page_data(r - 1, s - (r - 1), n - 1)[0]
-                for zb in src_z:
-                    img = self.draw(r - 1, s - (r - 1), n - 1, zb)
-                    if img:
-                        b_new.append(img)
-            data = (z_new, b_new)
-        self._page_cache[key] = data
-        return data
+        kx = self.k_coords(s, n, _representative(self.E(s, n), z))
+        residue, y = self._i_power(s, n, r)[1].reduce(kx)
+        if residue:
+            raise ValueError(
+                f"class at (s={s}, n={n}) is not in the image of i^{r-1}; "
+                "it does not live on this page"
+            )
+        return self.connecting(s + r - 1, n, _representative(self.D(s + r - 1, n), y))
 
     def page_subquotient(self, r: int, s: int, n: int) -> Subquotient:
+        """E_r^s(n) = k⁻¹(im i^{r−1}) / j(ker i^{r−1}) in E_1 class coordinates."""
         key = (r, s, n)
         if key not in self._sub_cache:
-            z, b = self.page_data(r, s, n)
+            e_group = self.E(s, n)
+            units = [{a: Fraction(1)} for a in range(e_group.dim)]
+            k_images = [self.k_coords(s, n, rep) for rep in e_group.basis]
+            i_rows = self._i_power(s, n, r)[0].rows
+            z = preimage_by_images(units, k_images, i_rows, self.D(s, n).dim)
+            d_group = self.D(s - 1, n - 1)
+            b = [
+                img for y in self._i_power(s - r, n - 1, r)[0].kernel_basis()
+                if (img := self.connecting(s - 1, n - 1, _representative(d_group, y)))
+            ]
             self._sub_cache[key] = Subquotient(z, b)
         return self._sub_cache[key]
 

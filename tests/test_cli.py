@@ -297,6 +297,19 @@ def test_ss_flag_mistakes_exit_before_computing(monkeypatch, capsys, flags):
     assert "--check-multiplicative" in err and "--diag" in err
 
 
+def test_multiplicative_refusal_comes_before_the_spectral_sequence(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("tower_report ran before the model was refused")
+
+    monkeypatch.setattr("dgtangent.cli.tower_report", refuse)
+    code, out, err = run_main(
+        capsys, "ss", "builtin:sullivan:cpn:1", "--check-multiplicative", "--diag", "primitive"
+    )
+    assert code == 1
+    assert out == ""
+    assert "cell coalgebras require homological grading" in err
+
+
 def test_bad_pages_is_usage_error(capsys):
     code, _, err = run_main(capsys, "ss", "builtin:ah:sphere:2", "--pages", "x")
     assert code == 2

@@ -203,6 +203,18 @@ def test_alignment_both_routes_acyclic_tensor() -> None:
                 assert result.ok, (r, s, n - s, result)
 
 
+def test_draw_refuses_a_class_that_dies_on_an_earlier_page() -> None:
+    # On the even 2-sphere, d_1 is nonzero on E_1 at (s, n) = (2, -2), so
+    # that class is not in the image of i^1 and has no d_2.
+    _, fc = derivation_tower(builtin("sullivan:sphere:even:2"))
+    ec = ExactCoupleSS(fc)
+    assert ec.E(2, -2).dim == 1
+    x = {0: Fraction(1)}
+    assert ec.draw(1, 2, -2, x)
+    with pytest.raises(ValueError, match=r"not in the image of i\^1"):
+        ec.draw(2, 2, -2, x)
+
+
 def test_alignment_spot_checks_four_stage_tensor() -> None:
     fc = der_tower(DerComplex(tensor_four_stage()))
     ss = SpectralSequence(fc)
