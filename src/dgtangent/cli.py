@@ -70,6 +70,9 @@ def _parse_pages(text: str) -> list[int]:
             raise UsageError(f"bad page list {text!r}") from None
     if not pages or any(p < 1 for p in pages):
         raise UsageError("page numbers start at 1")
+    for p in pages:
+        if pages.count(p) > 1:
+            raise UsageError(f"page {p} is listed more than once in {text!r}")
     return pages
 
 

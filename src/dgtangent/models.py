@@ -18,6 +18,8 @@ a sum of terms ``[RATIONAL *] NAME ⊗ NAME``, stored like an element as a
 {(left, right): coefficient} dict; the ASCII spelling ``(x)`` is accepted
 for ``⊗`` on input and ``⊗`` is canonical on output.  Every generator's
 differential defaults to 0.  Names match ``[A-Za-z_][A-Za-z0-9_]*``.
+Each builtin model is a text in this grammar, parsed like a file, so
+``print builtin:NAME`` shows exactly that text.
 
 Two model families get extra validation and reports: homological associative
 models ("cellular models": one cell of dimension degree + 1 per generator)
@@ -261,8 +263,7 @@ def parse_diagonal(
 
 def parse_model(text: str) -> ModelFile:
     """Parse a model file, raising ModelSyntaxError with a line number."""
-    flavor: str | None = None
-    grading: str | None = None
+    settings: dict[str, str] = {}
     name = ""
     description = ""
     generators: list[Generator] = []
@@ -279,14 +280,13 @@ def parse_model(text: str) -> ModelFile:
             name = rest
         elif head == "description":
             description = rest
-        elif head == "flavor":
-            if rest not in FLAVORS:
-                raise ModelSyntaxError(line_no, f"flavor must be one of {FLAVORS}")
-            flavor = rest
-        elif head == "grading":
-            if rest not in GRADINGS:
-                raise ModelSyntaxError(line_no, f"grading must be one of {GRADINGS}")
-            grading = rest
+        elif head in ("flavor", "grading"):
+            if head in settings:
+                raise ModelSyntaxError(line_no, f"duplicate {head} line")
+            allowed = FLAVORS if head == "flavor" else GRADINGS
+            if rest not in allowed:
+                raise ModelSyntaxError(line_no, f"{head} must be one of {allowed}")
+            settings[head] = rest
         elif head == "gen":
             words = rest.replace(":", " : ").split()
             if len(words) < 3 or words[1] != ":":
@@ -309,6 +309,8 @@ def parse_model(text: str) -> ModelFile:
             pos = 3
             while pos < len(words):
                 if words[pos] == "stage":
+                    if stage is not None:
+                        raise ModelSyntaxError(line_no, "duplicate stage in gen line")
                     if pos + 1 >= len(words):
                         raise ModelSyntaxError(line_no, "stage requires an integer")
                     try:
@@ -342,13 +344,14 @@ def parse_model(text: str) -> ModelFile:
         else:
             raise ModelSyntaxError(line_no, f"unknown directive {head!r}")
 
-    if flavor is None:
-        raise ModelSyntaxError(None, "missing `flavor` line")
-    if grading is None:
-        raise ModelSyntaxError(None, "missing `grading` line")
+    for head in ("flavor", "grading"):
+        if head not in settings:
+            raise ModelSyntaxError(None, f"missing `{head}` line")
 
     try:
-        algebra = FreeDgAlgebra(KIND_OF_FLAVOR[flavor], grading, generators)
+        algebra = FreeDgAlgebra(
+            KIND_OF_FLAVOR[settings["flavor"]], settings["grading"], generators
+        )
     except ValueError as exc:
         raise ModelSyntaxError(None, str(exc)) from None
     with_d: set[str] = set()
@@ -369,9 +372,9 @@ def parse_model(text: str) -> ModelFile:
             raise ModelSyntaxError(line_no, f"diag for unknown generator {gen_name!r}")
         if gen_name in diagonals:
             raise ModelSyntaxError(line_no, f"duplicate diag line for {gen_name!r}")
-        terms = parse_diagonal(algebra, expr, line_no)
-        if terms:
-            diagonals[gen_name] = terms
+        diagonals[gen_name] = parse_diagonal(algebra, expr, line_no)
+    # A primitive cell has no diagonal, also when its diag terms cancel.
+    diagonals = {g: terms for g, terms in diagonals.items() if terms}
     return ModelFile(algebra, diagonals, name, description)
 
 
@@ -438,126 +441,107 @@ def print_model(mf: ModelFile) -> str:
 
 # ---------------------------------------------------------------- builtins
 
+# Family pattern -> (least value of each parameter, parity the one parameter
+# must have or None, the model text after the `name` line).
+_BUILTINS = {
+    "ah:sphere:<n>": ((2,), None, lambda n: f"""
+description loop-space model of the {n}-sphere
+flavor associative
+grading homological
+gen x : {n - 1}
+d x = 0
+"""),
+    "ah:wedge:<n>,<m>": ((2, 2), None, lambda n, m: f"""
+description loop-space model of a wedge of a {n}- and a {m}-sphere
+flavor associative
+grading homological
+gen a : {n - 1}
+gen b : {m - 1}
+d a = 0
+d b = 0
+"""),
+    "sullivan:sphere:odd:<n>": ((3,), "odd", lambda n: f"""
+description minimal model of the odd {n}-sphere
+flavor commutative
+grading cohomological
+gen x : {n}
+d x = 0
+"""),
+    "sullivan:sphere:even:<n>": ((2,), "even", lambda n: f"""
+description minimal model of the even {n}-sphere
+flavor commutative
+grading cohomological
+gen x : {n}
+gen y : {2 * n - 1}
+d x = 0
+d y = x^2
+"""),
+    "sullivan:cpn:<n>": ((1,), None, lambda n: f"""
+description minimal model of complex projective {n}-space
+flavor commutative
+grading cohomological
+gen x : 2
+gen y : {2 * n + 1}
+d x = 0
+d y = x^{n + 1}
+"""),
+    "sullivan:hopf": ((), None, lambda: """
+description circle bundle over the even 2-sphere with total space the 3-sphere
+flavor commutative
+grading cohomological
+gen x : 2 base
+gen y : 3 base
+gen z : 1
+d x = 0
+d y = x^2
+d z = x
+"""),
+}
+
+
 def builtin_names() -> list[str]:
     """Representative builtin names (the numeric families are open-ended)."""
-    return [
-        "ah:sphere:<n>",
-        "ah:wedge:<n>,<m>",
-        "sullivan:sphere:odd:<n>",
-        "sullivan:sphere:even:<n>",
-        "sullivan:cpn:<n>",
-        "sullivan:hopf",
-        "trivial-fibration:<sullivan builtin>",
-    ]
+    return [*_BUILTINS, "trivial-fibration:<sullivan builtin>"]
 
 
-def _builtin_int(name: str, text: str, minimum: int) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise ValueError(f"bad parameter {text!r} in builtin {name!r}") from None
-    if value < minimum:
-        raise ValueError(f"builtin {name!r} requires parameter >= {minimum}")
-    return value
+def _builtin_text(name: str) -> str:
+    """The model text of a builtin name; ValueError if there is none."""
+    inner = name.removeprefix("trivial-fibration:")
+    if inner != name:
+        lines = _builtin_text(inner).splitlines()
+        if "flavor commutative" not in lines or "grading cohomological" not in lines:
+            raise ValueError("trivial-fibration wrappers apply to sullivan builtins only")
+        lines[:2] = [
+            f"name {name}",
+            f"description {inner} as the fiber of a fibration over a point",
+        ]
+        return "".join(line.removesuffix(" base") + "\n" for line in lines)
+    for pattern, (minimums, parity, text) in _BUILTINS.items():
+        prefix = pattern.split("<", 1)[0]
+        if not (name.startswith(prefix) if minimums else name == pattern):
+            continue
+        rest = name[len(prefix) :]
+        # A one-parameter family reads all of the rest, so `2,3` is one bad parameter.
+        params = rest.split(",") if len(minimums) > 1 else [rest][: len(minimums)]
+        if len(params) != len(minimums):
+            raise ValueError(f"builtin {name!r} requires two parameters n,m")
+        values = []
+        for param, minimum in zip(params, minimums):
+            try:
+                values.append(int(param))
+            except ValueError:
+                raise ValueError(f"bad parameter {param!r} in builtin {name!r}") from None
+            if values[-1] < minimum:
+                raise ValueError(f"builtin {name!r} requires parameter >= {minimum}")
+        if parity is not None and values[0] % 2 != (parity == "odd"):
+            raise ValueError(f"builtin {name!r} requires an {parity} degree")
+        return f"name {name}{text(*values)}"
+    raise ValueError(f"unknown builtin model {name!r}")
 
 
 def builtin(name: str) -> ModelFile:
     """The builtin model library, keyed by colon-separated names."""
-    if name.startswith("trivial-fibration:"):
-        inner = builtin(name[len("trivial-fibration:") :])
-        if model_family(inner) != "sullivan":
-            raise ValueError(
-                "trivial-fibration wrappers apply to sullivan builtins only"
-            )
-        algebra = FreeDgAlgebra(
-            inner.algebra.kind,
-            inner.algebra.grading,
-            [g._replace(role="") for g in inner.algebra.generators.values()],
-        )
-        for g, value in inner.algebra.diff.items():
-            algebra.set_differential(g, value)
-        return ModelFile(
-            algebra,
-            inner.diagonals,
-            name=name,
-            description=f"{inner.name} as the fiber of a fibration over a point",
-        )
-
-    lines = [f"name {name}"]
-    if name.startswith("ah:sphere:"):
-        n = _builtin_int(name, name[len("ah:sphere:") :], 2)
-        lines += [
-            f"description loop-space model of the {n}-sphere",
-            "flavor associative",
-            "grading homological",
-            f"gen x : {n - 1}",
-            "d x = 0",
-        ]
-    elif name.startswith("ah:wedge:"):
-        params = name[len("ah:wedge:") :].split(",")
-        if len(params) != 2:
-            raise ValueError(f"builtin {name!r} requires two parameters n,m")
-        n = _builtin_int(name, params[0], 2)
-        m = _builtin_int(name, params[1], 2)
-        lines += [
-            f"description loop-space model of a wedge of a {n}- and a {m}-sphere",
-            "flavor associative",
-            "grading homological",
-            f"gen a : {n - 1}",
-            f"gen b : {m - 1}",
-            "d a = 0",
-            "d b = 0",
-        ]
-    elif name.startswith("sullivan:sphere:odd:"):
-        n = _builtin_int(name, name[len("sullivan:sphere:odd:") :], 3)
-        if n % 2 == 0:
-            raise ValueError(f"builtin {name!r} requires an odd degree")
-        lines += [
-            f"description minimal model of the odd {n}-sphere",
-            "flavor commutative",
-            "grading cohomological",
-            f"gen x : {n}",
-            "d x = 0",
-        ]
-    elif name.startswith("sullivan:sphere:even:"):
-        n = _builtin_int(name, name[len("sullivan:sphere:even:") :], 2)
-        if n % 2 == 1:
-            raise ValueError(f"builtin {name!r} requires an even degree")
-        lines += [
-            f"description minimal model of the even {n}-sphere",
-            "flavor commutative",
-            "grading cohomological",
-            f"gen x : {n}",
-            f"gen y : {2 * n - 1}",
-            "d x = 0",
-            "d y = x^2",
-        ]
-    elif name.startswith("sullivan:cpn:"):
-        n = _builtin_int(name, name[len("sullivan:cpn:") :], 1)
-        lines += [
-            f"description minimal model of complex projective {n}-space",
-            "flavor commutative",
-            "grading cohomological",
-            "gen x : 2",
-            f"gen y : {2 * n + 1}",
-            "d x = 0",
-            f"d y = x^{n + 1}",
-        ]
-    elif name == "sullivan:hopf":
-        lines += [
-            "description circle bundle over the even 2-sphere with total space the 3-sphere",
-            "flavor commutative",
-            "grading cohomological",
-            "gen x : 2 base",
-            "gen y : 3 base",
-            "gen z : 1",
-            "d x = 0",
-            "d y = x^2",
-            "d z = x",
-        ]
-    else:
-        raise ValueError(f"unknown builtin model {name!r}")
-    return parse_model("\n".join(lines) + "\n")
+    return parse_model(_builtin_text(name))
 
 
 def load_model(spec_text: str) -> ModelFile:

@@ -347,15 +347,15 @@ class ExactCoupleSS:
     alone in the closed form of the derived couple (Massey, Ann. of Math. 56
     (1952)): E_r = Z_r/B_r in E_1 class coordinates, with
     Z_r = k⁻¹(im i^{r−1}) and B_r = j(ker i^{r−1}), so no page depends on an
-    earlier d_r.  d_r = j ∘ (i^{r−1})⁻¹ ∘ k lifts through i^{r−1} by reducing
-    against one tracked ``Echelon`` of its rows per (s, n, r).
+    earlier d_r.  i^{r−1} is induced by the one projection
+    F^0/F^{s+r} → F^0/F^{s+1}, and d_r = j ∘ (i^{r−1})⁻¹ ∘ k lifts through it
+    by reducing against one tracked ``Echelon`` of its rows per (s, n, r).
     """
 
     def __init__(self, fc: FilteredComplex) -> None:
         self.fc = fc
         self._quot_cache: dict[tuple[int, int], CochainComplex] = {}
         self._sub_cache: dict[tuple[int, int, int], Subquotient] = {}
-        self._i_cache: dict[tuple[int, int], Matrix] = {}
         self._ipow_cache: dict[tuple[int, int, int], tuple[Matrix, Echelon]] = {}
 
     # ----------------------------------------------------- quotient layers
@@ -395,20 +395,6 @@ class ExactCoupleSS:
 
     # ------------------------------------------------------------- the maps
 
-    def i_matrix(self, s: int, n: int) -> Matrix:
-        """D(s, n) → D(s−1, n), induced by the projection F0/F^{s+1} → F0/F^s."""
-        key = (s, n)
-        if key in self._i_cache:
-            return self._i_cache[key]
-        src = self.D(s, n)
-        tgt = self.D(s - 1, n)
-        m = Matrix(src.dim, tgt.dim, [
-            tgt.reduce(self.to_local(0, s, n, self.to_ambient(0, s + 1, n, rep)))
-            for rep in src.basis
-        ])
-        self._i_cache[key] = m
-        return m
-
     def connecting(self, s: int, n: int, rep_local: Vector) -> Vector:
         """j on a D(s, n) representative: class coords in E(s+1, n+1)."""
         amb = self.to_ambient(0, s + 1, n, rep_local)
@@ -425,18 +411,19 @@ class ExactCoupleSS:
     # ------------------------------------------------------------- d_r data
 
     def _i_power(self, s: int, n: int, r: int) -> tuple[Matrix, Echelon]:
-        """i^{r−1}: D(s+r−1, n) → D(s, n) and its class-coordinate rows tracked."""
+        """i^{r−1}: D(s+r−1, n) → D(s, n), induced by the projection
+        F^0/F^{s+r} → F^0/F^{s+1}, and its class-coordinate rows tracked."""
         key = (s, n, r)
         if key not in self._ipow_cache:
-            dim = self.D(s + r - 1, n).dim
-            # Identity when r == 1; otherwise compose the i-steps downwards.
-            current = Matrix(dim, dim, [{a: Fraction(1)} for a in range(dim)])
-            for sigma in range(s + r - 1, s, -1):
-                current = current.compose(self.i_matrix(sigma, n))
+            src, tgt = self.D(s + r - 1, n), self.D(s, n)
+            m = Matrix(src.dim, tgt.dim, [
+                tgt.reduce(self.to_local(0, s + 1, n, self.to_ambient(0, s + r, n, rep)))
+                for rep in src.basis
+            ])
             ech = Echelon(track=True)
-            for row in current.rows:
+            for row in m.rows:
                 ech.insert(row)
-            self._ipow_cache[key] = (current, ech)
+            self._ipow_cache[key] = (m, ech)
         return self._ipow_cache[key]
 
     def draw(self, r: int, s: int, n: int, z: Vector) -> Vector:

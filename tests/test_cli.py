@@ -59,6 +59,38 @@ def test_validate_broken_model_exits_one(tmp_path, capsys):
     assert "native degree" in err
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            "flavor commutative\ngrading cohomological\nflavor associative\ngen x : 2\n",
+            "line 3: duplicate flavor line",
+        ),
+        (
+            "flavor commutative\ngrading cohomological\ngen x : 2\ngrading homological\n",
+            "line 4: duplicate grading line",
+        ),
+        (
+            "flavor commutative\ngrading cohomological\ngen x : 2 stage 0 stage 1\n",
+            "line 3: duplicate stage in gen line",
+        ),
+        (
+            "flavor associative\ngrading homological\ngen a : 1\ngen c : 3\n"
+            "diag c = a (x) a - a (x) a\ndiag c = 2 * a (x) a\n",
+            "line 6: duplicate diag line for 'c'",
+        ),
+    ],
+    ids=["flavor", "grading", "stage", "diag-after-cancelling-diag"],
+)
+@pytest.mark.parametrize("command", ["print", "validate"])
+def test_duplicate_model_line_exits_one(command, text, message, tmp_path, capsys):
+    model = tmp_path / "dup.model"
+    model.write_text(text, encoding="utf-8")
+    code, out, err = run_main(capsys, command, str(model))
+    assert (code, out) == (1, "")
+    assert message in err
+
+
 def test_failing_validate_records_are_pinned(tmp_path, capsys):
     # d² c = d b = a: both the d² check and the ε-extension check fail on c.
     bad = tmp_path / "bad.model"
@@ -313,6 +345,21 @@ def test_multiplicative_refusal_comes_before_the_spectral_sequence(monkeypatch, 
 def test_bad_pages_is_usage_error(capsys):
     code, _, err = run_main(capsys, "ss", "builtin:ah:sphere:2", "--pages", "x")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "command, model",
+    [
+        ("ss", "builtin:ah:sphere:2"),
+        ("loop", "builtin:ah:sphere:2"),
+        ("aut", "builtin:sullivan:hopf"),
+        ("hochschild", "builtin:ah:sphere:2"),
+    ],
+)
+def test_repeated_page_is_usage_error(command, model, capsys):
+    code, out, err = run_main(capsys, command, model, "--pages", "2,1,2")
+    assert (code, out) == (2, "")
+    assert "page 2 is listed more than once in '2,1,2'" in err
 
 
 def test_bad_coefficients_is_usage_error(capsys):

@@ -203,6 +203,36 @@ def test_alignment_both_routes_acyclic_tensor() -> None:
                 assert result.ok, (r, s, n - s, result)
 
 
+def two_long_differentials_tower() -> FilteredComplex:
+    """C^0 = <x, u> at levels 0, 0 and C^1 = <y, w> at levels 2, 3, with
+    d x = y and d u = 2w: a nonzero d_2 and d_3 out of (s, n) = (0, 0)."""
+    bases = {0: ["x", "u"], 1: ["y", "w"]}
+    levels = {"x": 0, "u": 0, "y": 2, "w": 3}
+    cx = CochainComplex(
+        lambda n: bases.get(n, []),
+        lambda n: Matrix(
+            len(bases.get(n, [])),
+            len(bases.get(n + 1, [])),
+            [{0: Fraction(1)}, {1: Fraction(2)}] if n == 0 else None,
+        ),
+    )
+    return FilteredComplex(cx, levels.__getitem__, max_level=3)
+
+
+def test_alignment_sees_nonzero_d2_and_d3() -> None:
+    fc = two_long_differentials_tower()
+    assert fc.check_filtration([-1, 0, 1]) == []
+    ss, ec = SpectralSequence(fc), ExactCoupleSS(fc)
+    for r in (2, 3):
+        assert ss.d_matrix(r, 0, 0).rank() == 1
+        assert ec.d_matrix(r, 0, 0).rank() == 1
+    for r in range(1, 5):
+        for s in range(0, fc.max_level + 1):
+            for n in range(-1, 3):
+                result = alignment_check(ss, ec, r, s, n - s)
+                assert result.ok, (r, s, n - s, result)
+
+
 def test_draw_refuses_a_class_that_dies_on_an_earlier_page() -> None:
     # On the even 2-sphere, d_1 is nonzero on E_1 at (s, n) = (2, -2), so
     # that class is not in the image of i^1 and has no d_2.
