@@ -698,20 +698,17 @@ class ValidationReport(NamedTuple):
 
 
 def validate_model(mf: ModelFile) -> ValidationReport:
-    """All structural checks: degrees, d² = 0, stages, family conditions."""
+    """Structural checks: d² = 0, stages, family conditions."""
     family = model_family(mf)
     algebra = mf.algebra
-    # set_differential refused every differential of the wrong degree already.
-    checks = [CheckResult("differential degrees", True)]
-
     bad_squares = algebra.d_squared_failures_on_generators()
-    checks.append(
+    checks = [
         CheckResult(
             "d squared is zero on generators",
             not bad_squares,
             ", ".join(bad_squares),
         )
-    )
+    ]
 
     base = mf.base_names()
     stage_bad = algebra.stage_condition_failures(exempt=base)
@@ -737,21 +734,6 @@ def validate_model(mf: ModelFile) -> ValidationReport:
                 "base flags require a sullivan model",
                 family == "sullivan",
                 f"family is {family}",
-            )
-        )
-
-    if family == "cellular":
-        # FreeDgAlgebra refuses a degree <= 0.  The square-tracking extension
-        # by ε of degree −1, with dε = ε² and d̄v = dv + [ε, v], has
-        # d̄²v = d²v + [ε², v] − [ε, [ε, v]] = d²v and d̄²ε = 0: it is a
-        # complex exactly when d² vanishes on generators.
-        checks.append(CheckResult("cell degrees at least one", True))
-        detail = f"ε-extension is not a complex: d̄² ≠ 0 on {bad_squares}"
-        checks.append(
-            CheckResult(
-                "square-tracking extension squares to zero",
-                not bad_squares,
-                detail if bad_squares else "",
             )
         )
 

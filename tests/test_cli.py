@@ -92,7 +92,7 @@ def test_duplicate_model_line_exits_one(command, text, message, tmp_path, capsys
 
 
 def test_failing_validate_records_are_pinned(tmp_path, capsys):
-    # d² c = d b = a: both the d² check and the ε-extension check fail on c.
+    # d² c = d b = a: the d² check fails on c.
     bad = tmp_path / "bad.model"
     bad.write_text(
         "name bad-square\nflavor associative\ngrading homological\n"
@@ -102,17 +102,10 @@ def test_failing_validate_records_are_pinned(tmp_path, capsys):
     code, out, err = run_main(capsys, "validate", str(bad), "--format", "records")
     assert (code, err) == (1, "")
     assert out == (
-        '{"check": "differential degrees", "command": "validate", "detail": "",'
-        ' "model": "bad-square", "ok": true}\n'
         '{"check": "d squared is zero on generators", "command": "validate",'
         ' "detail": "c", "model": "bad-square", "ok": false}\n'
         '{"check": "stage condition (d lands below the stage)", "command": "validate",'
         ' "detail": "", "model": "bad-square", "ok": true}\n'
-        '{"check": "cell degrees at least one", "command": "validate", "detail": "",'
-        ' "model": "bad-square", "ok": true}\n'
-        '{"check": "square-tracking extension squares to zero", "command": "validate",'
-        ' "detail": "\\u03b5-extension is not a complex: d\\u0304\\u00b2 \\u2260 0 on'
-        " ['c']\", \"model\": \"bad-square\", \"ok\": false}\n"
     )
 
 
@@ -143,12 +136,8 @@ def test_broken_diagonal_validate_and_print_are_pinned(tmp_path, capsys):
     assert (code, err) == (1, "")
     ok = '"detail": "", "model": "cellcoalg", "ok": true}\n'
     assert out == (
-        '{"check": "differential degrees", "command": "validate", ' + ok
-        + '{"check": "d squared is zero on generators", "command": "validate", ' + ok
+        '{"check": "d squared is zero on generators", "command": "validate", ' + ok
         + '{"check": "stage condition (d lands below the stage)", "command": "validate", '
-        + ok
-        + '{"check": "cell degrees at least one", "command": "validate", ' + ok
-        + '{"check": "square-tracking extension squares to zero", "command": "validate", '
         + ok
         + '{"check": "diagonal is a coderivation on cells", "command": "validate",'
         ' "detail": "diag w: cell degrees of u \\u2297 u do not add up;'
