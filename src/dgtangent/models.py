@@ -17,7 +17,10 @@ EXPR is ``0`` or a sum of terms joined by ``+``/``-``; each term is
 a sum of terms ``[RATIONAL *] NAME ⊗ NAME``, stored like an element as a
 {(left, right): coefficient} dict; the ASCII spelling ``(x)`` is accepted
 for ``⊗`` on input and ``⊗`` is canonical on output.  Every generator's
-differential defaults to 0.  Names match ``[A-Za-z_][A-Za-z0-9_]*``.
+differential defaults to 0.  Names match ``[A-Za-z_][A-Za-z0-9_]*``; INT is
+an optionally signed run of ASCII digits, ``-?[0-9]+``.  A file has at most
+one line of each header directive (``name`` to ``grading``), each generator
+at most one ``d`` and one ``diag``, and a ``gen`` line each option at most once.
 Each builtin model is a text in this grammar, parsed like a file, so
 ``print builtin:NAME`` shows exactly that text.
 
@@ -70,9 +73,13 @@ KIND_OF_FLAVOR = {"associative": KIND_TENSOR, "commutative": KIND_COMMUTATIVE}
 FLAVORS = tuple(KIND_OF_FLAVOR)
 GRADINGS = (GRADING_HOMOLOGICAL, GRADING_COHOMOLOGICAL)
 
+# Header directives, each allowed once, and the values each may take (None: any text).
+_HEADERS = {"name": None, "description": None, "flavor": FLAVORS, "grading": GRADINGS}
+
 NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+INT_RE = re.compile(r"-?[0-9]+")
 _EXPR_TOKEN_RE = re.compile(
-    r"\s*(\d+/\d+|\d+|[A-Za-z_][A-Za-z0-9_]*|\^|\*|\+|-|⊗|\(x\))"
+    r"\s*([0-9]+/[0-9]+|[0-9]+|[A-Za-z_][A-Za-z0-9_]*|\^|\*|\+|-|⊗|\(x\))"
 )
 
 
@@ -132,20 +139,23 @@ def _tokenize_expression(text: str, line_no: int) -> list[str]:
     return tokens
 
 
-def _parse_int(digits: str, line_no: int) -> int:
+def _parse_int(text: str, line_no: int | None, what: str) -> int:
+    """The one integer reader: an optionally signed run of ASCII digits."""
+    if not INT_RE.fullmatch(text):
+        raise ModelSyntaxError(line_no, f"bad {what} {text!r}")
     try:
-        return int(digits)
+        return int(text)
     except ValueError:  # beyond the interpreter's limit on int() digits
-        raise ModelSyntaxError(line_no, f"number of {len(digits)} digits is too long") from None
+        raise ModelSyntaxError(line_no, f"number of {len(text)} digits is too long") from None
 
 
 def _parse_rational(token: str, line_no: int) -> Fraction:
     if "/" in token:
-        num, den = (_parse_int(part, line_no) for part in token.split("/"))
+        num, den = (_parse_int(part, line_no, "coefficient") for part in token.split("/"))
         if den == 0:
             raise ModelSyntaxError(line_no, f"zero denominator in {token!r}")
         return Fraction(num, den)
-    return Fraction(_parse_int(token, line_no))
+    return Fraction(_parse_int(token, line_no, "coefficient"))
 
 
 def _parse_terms(
@@ -174,7 +184,7 @@ def _parse_terms(
             continue
         coeff = sign
         factors: list[tuple[str, int]] = []
-        if re.fullmatch(r"\d+(/\d+)?", token):
+        if re.fullmatch(r"[0-9]+(/[0-9]+)?", token):
             coeff *= _parse_rational(token, line_no)
             pos += 1
             if pos < len(tokens) and tokens[pos] == "*":
@@ -191,9 +201,9 @@ def _parse_terms(
             power = 1
             if pos < len(tokens) and tokens[pos] == "^":
                 pos += 1
-                if pos >= len(tokens) or not tokens[pos].isdigit():
+                if pos >= len(tokens):
                     raise error("expected an integer exponent after ^")
-                power = _parse_int(tokens[pos], line_no)
+                power = _parse_int(tokens[pos], line_no, "exponent")
                 if power < 1:
                     raise error("exponents must be >= 1")
                 pos += 1
@@ -264,27 +274,19 @@ def parse_diagonal(
 def parse_model(text: str) -> ModelFile:
     """Parse a model file, raising ModelSyntaxError with a line number."""
     settings: dict[str, str] = {}
-    name = ""
-    description = ""
-    generators: list[Generator] = []
-    seen: set[str] = set()
-    diff_lines: list[tuple[int, str, str]] = []
-    diag_lines: list[tuple[int, str, str]] = []
+    generators: dict[str, Generator] = {}
+    body: list[tuple[int, str, str, str]] = []
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         head, rest = (line.split(None, 1) + [""])[:2]
-        if head == "name":
-            name = rest
-        elif head == "description":
-            description = rest
-        elif head in ("flavor", "grading"):
+        if head in _HEADERS:
             if head in settings:
                 raise ModelSyntaxError(line_no, f"duplicate {head} line")
-            allowed = FLAVORS if head == "flavor" else GRADINGS
-            if rest not in allowed:
+            allowed = _HEADERS[head]
+            if allowed is not None and rest not in allowed:
                 raise ModelSyntaxError(line_no, f"{head} must be one of {allowed}")
             settings[head] = rest
         elif head == "gen":
@@ -294,53 +296,36 @@ def parse_model(text: str) -> ModelFile:
             gen_name = words[0]
             if not NAME_RE.fullmatch(gen_name):
                 raise ModelSyntaxError(line_no, f"bad generator name {gen_name!r}")
-            if gen_name in seen:
+            if gen_name in generators:
                 raise ModelSyntaxError(line_no, f"duplicate generator {gen_name!r}")
-            try:
-                degree = int(words[2])
-            except ValueError:
-                raise ModelSyntaxError(line_no, f"bad degree {words[2]!r}") from None
+            degree = _parse_int(words[2], line_no, "degree")
             if degree <= 0:
                 raise ModelSyntaxError(
                     line_no, f"generator {gen_name!r} has nonpositive degree {degree}"
                 )
-            stage: int | None = None
-            role = ""
-            pos = 3
-            while pos < len(words):
-                if words[pos] == "stage":
-                    if stage is not None:
-                        raise ModelSyntaxError(line_no, "duplicate stage in gen line")
-                    if pos + 1 >= len(words):
+            options: dict[str, int | None] = {}
+            option_words = iter(words[3:])
+            for word in option_words:
+                if word not in ("stage", "base"):
+                    raise ModelSyntaxError(line_no, f"unexpected token {word!r} in gen line")
+                if word in options:
+                    raise ModelSyntaxError(line_no, f"duplicate {word} in gen line")
+                options[word] = None
+                if word == "stage":
+                    value = next(option_words, None)
+                    if value is None:
                         raise ModelSyntaxError(line_no, "stage requires an integer")
-                    try:
-                        stage = int(words[pos + 1])
-                    except ValueError:
-                        raise ModelSyntaxError(
-                            line_no, f"bad stage {words[pos + 1]!r}"
-                        ) from None
+                    options[word] = stage = _parse_int(value, line_no, "stage")
                     if stage < 0:
                         raise ModelSyntaxError(line_no, f"stage {stage} is negative")
-                    pos += 2
-                elif words[pos] == "base":
-                    role = "base"
-                    pos += 1
-                else:
-                    raise ModelSyntaxError(
-                        line_no, f"unexpected token {words[pos]!r} in gen line"
-                    )
-            seen.add(gen_name)
-            generators.append(Generator(gen_name, degree, stage, role))
-        elif head == "d":
+            role = "base" if "base" in options else ""
+            generators[gen_name] = Generator(gen_name, degree, options.get("stage"), role)
+        elif head in ("d", "diag"):
             lhs, eq, rhs = rest.partition("=")
             if not eq:
-                raise ModelSyntaxError(line_no, "expected `d NAME = EXPR`")
-            diff_lines.append((line_no, lhs.strip(), rhs.strip()))
-        elif head == "diag":
-            lhs, eq, rhs = rest.partition("=")
-            if not eq:
-                raise ModelSyntaxError(line_no, "expected `diag NAME = DEXPR`")
-            diag_lines.append((line_no, lhs.strip(), rhs.strip()))
+                value = "EXPR" if head == "d" else "DEXPR"
+                raise ModelSyntaxError(line_no, f"expected `{head} NAME = {value}`")
+            body.append((line_no, head, lhs.strip(), rhs.strip()))
         else:
             raise ModelSyntaxError(line_no, f"unknown directive {head!r}")
 
@@ -350,32 +335,29 @@ def parse_model(text: str) -> ModelFile:
 
     try:
         algebra = FreeDgAlgebra(
-            KIND_OF_FLAVOR[settings["flavor"]], settings["grading"], generators
+            KIND_OF_FLAVOR[settings["flavor"]], settings["grading"], list(generators.values())
         )
     except ValueError as exc:
         raise ModelSyntaxError(None, str(exc)) from None
-    with_d: set[str] = set()
-    for line_no, gen_name, expr in diff_lines:
-        if gen_name not in seen:
-            raise ModelSyntaxError(line_no, f"d for unknown generator {gen_name!r}")
-        if gen_name in with_d:
-            raise ModelSyntaxError(line_no, f"duplicate d line for {gen_name!r}")
-        with_d.add(gen_name)
+    done: set[tuple[str, str]] = set()
+    diagonals: dict[str, Diagonal] = {}
+    for line_no, head, gen_name, expr in body:
+        if gen_name not in generators:
+            raise ModelSyntaxError(line_no, f"{head} for unknown generator {gen_name!r}")
+        if (head, gen_name) in done:
+            raise ModelSyntaxError(line_no, f"duplicate {head} line for {gen_name!r}")
+        done.add((head, gen_name))
+        if head == "diag":
+            diagonals[gen_name] = parse_diagonal(algebra, expr, line_no)
+            continue
         element = parse_expression(algebra, expr, line_no)
         try:
             algebra.set_differential(gen_name, element)
         except ValueError as exc:
             raise ModelSyntaxError(line_no, str(exc)) from None
-    diagonals: dict[str, Diagonal] = {}
-    for line_no, gen_name, expr in diag_lines:
-        if gen_name not in seen:
-            raise ModelSyntaxError(line_no, f"diag for unknown generator {gen_name!r}")
-        if gen_name in diagonals:
-            raise ModelSyntaxError(line_no, f"duplicate diag line for {gen_name!r}")
-        diagonals[gen_name] = parse_diagonal(algebra, expr, line_no)
     # A primitive cell has no diagonal, also when its diag terms cancel.
     diagonals = {g: terms for g, terms in diagonals.items() if terms}
-    return ModelFile(algebra, diagonals, name, description)
+    return ModelFile(algebra, diagonals, settings.get("name", ""), settings.get("description", ""))
 
 
 # ---------------------------------------------------------------- printing
@@ -528,8 +510,8 @@ def _builtin_text(name: str) -> str:
         values = []
         for param, minimum in zip(params, minimums):
             try:
-                values.append(int(param))
-            except ValueError:
+                values.append(_parse_int(param, None, "parameter"))
+            except ModelSyntaxError:
                 raise ValueError(f"bad parameter {param!r} in builtin {name!r}") from None
             if values[-1] < minimum:
                 raise ValueError(f"builtin {name!r} requires parameter >= {minimum}")

@@ -29,14 +29,6 @@ grading homological
 gen x : 2
 d x = 0
 """,
-    "ah:sphere:+3": """\
-name ah:sphere:+3
-description loop-space model of the 3-sphere
-flavor associative
-grading homological
-gen x : 2
-d x = 0
-""",
     "ah:wedge:2,2": """\
 name ah:wedge:2,2
 description loop-space model of a wedge of a 2- and a 2-sphere
@@ -164,16 +156,19 @@ REFUSED = {
     "ah:sphere:1": "builtin 'ah:sphere:1' requires parameter >= 2",
     "ah:sphere:x": "bad parameter 'x' in builtin 'ah:sphere:x'",
     "ah:sphere:2,3": "bad parameter '2,3' in builtin 'ah:sphere:2,3'",
+    "ah:sphere:+3": "bad parameter '+3' in builtin 'ah:sphere:+3'",
     "ah:wedge:2": "builtin 'ah:wedge:2' requires two parameters n,m",
     "ah:wedge:2,3,4": "builtin 'ah:wedge:2,3,4' requires two parameters n,m",
     "ah:wedge:1,3": "builtin 'ah:wedge:1,3' requires parameter >= 2",
     "ah:wedge:2,y": "bad parameter 'y' in builtin 'ah:wedge:2,y'",
+    "ah:wedge:2,+3": "bad parameter '+3' in builtin 'ah:wedge:2,+3'",
     "sullivan:sphere:odd:4": "builtin 'sullivan:sphere:odd:4' requires an odd degree",
     "sullivan:sphere:odd:1": "builtin 'sullivan:sphere:odd:1' requires parameter >= 3",
     "sullivan:sphere:even:3": "builtin 'sullivan:sphere:even:3' requires an even degree",
     "sullivan:sphere:even:0": "builtin 'sullivan:sphere:even:0' requires parameter >= 2",
     "sullivan:cpn:0": "builtin 'sullivan:cpn:0' requires parameter >= 1",
     "sullivan:cpn:": "bad parameter '' in builtin 'sullivan:cpn:'",
+    "sullivan:cpn:1_0": "bad parameter '1_0' in builtin 'sullivan:cpn:1_0'",
     "sullivan:hopf:1": "unknown builtin model 'sullivan:hopf:1'",
     "ah:torus:2": "unknown builtin model 'ah:torus:2'",
     "ah:sphere": "unknown builtin model 'ah:sphere'",

@@ -79,8 +79,24 @@ def test_validate_broken_model_exits_one(tmp_path, capsys):
             "diag c = a (x) a - a (x) a\ndiag c = 2 * a (x) a\n",
             "line 6: duplicate diag line for 'c'",
         ),
+        (
+            "name a\nname b\nflavor commutative\ngrading cohomological\ngen x : 2\n",
+            "line 2: duplicate name line",
+        ),
+        (
+            "flavor commutative\ngrading cohomological\ndescription one\ngen x : 2\n"
+            "description two\n",
+            "line 5: duplicate description line",
+        ),
+        (
+            "flavor commutative\ngrading cohomological\ngen x : 2 base base\n",
+            "line 3: duplicate base in gen line",
+        ),
     ],
-    ids=["flavor", "grading", "stage", "diag-after-cancelling-diag"],
+    ids=[
+        "flavor", "grading", "stage", "diag-after-cancelling-diag", "name", "description",
+        "base",
+    ],
 )
 @pytest.mark.parametrize("command", ["print", "validate"])
 def test_duplicate_model_line_exits_one(command, text, message, tmp_path, capsys):
@@ -89,6 +105,19 @@ def test_duplicate_model_line_exits_one(command, text, message, tmp_path, capsys
     code, out, err = run_main(capsys, command, str(model))
     assert (code, out) == (1, "")
     assert message in err
+
+
+def test_first_bad_body_line_in_file_order_is_named(tmp_path, capsys):
+    # The diag line for an unknown generator comes before the bad d line.
+    model = tmp_path / "order.model"
+    model.write_text(
+        "flavor associative\ngrading homological\ngen a : 1\n"
+        "diag q = a ⊗ a\nd a = b\n",
+        encoding="utf-8",
+    )
+    code, out, err = run_main(capsys, "print", str(model))
+    assert (code, out) == (1, "")
+    assert "line 4: diag for unknown generator 'q'" in err
 
 
 def test_failing_validate_records_are_pinned(tmp_path, capsys):
@@ -431,6 +460,30 @@ def test_number_beyond_int_digit_limit_names_its_line(tmp_path, capsys, expr):
     assert code == 1
     assert out == ""
     assert "line 5" in err and "5000 digits" in err
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("gen x : 1_0", "line 3: bad degree '1_0'"),
+        ("gen x : +2", "line 3: bad degree '+2'"),
+        ("gen x : ٣", "line 3: bad degree '٣'"),
+        ("gen x : 2 stage 0_1", "line 3: bad stage '0_1'"),
+        ("gen x : 2\ngen y : 3\nd y = ٢ x^2", "line 5: unexpected character '٢'"),
+        ("gen x : 2\ngen y : 3\nd y = x^٢", "line 5: unexpected character '٢'"),
+    ],
+    ids=[
+        "degree-underscore", "degree-plus", "degree-arabic-indic", "stage-underscore",
+        "coefficient-arabic-indic", "exponent-arabic-indic",
+    ],
+)
+def test_integer_that_is_not_ascii_digits_names_its_line(tmp_path, capsys, line, message):
+    # Python's int() reads all six; a model integer is -?[0-9]+ only.
+    model = tmp_path / "int.model"
+    model.write_text(f"flavor commutative\ngrading cohomological\n{line}\n", encoding="utf-8")
+    code, out, err = run_main(capsys, "print", str(model))
+    assert (code, out) == (1, "")
+    assert message in err
 
 
 def test_negative_stage_is_syntax_error(tmp_path, capsys):
