@@ -77,7 +77,7 @@ GRADINGS = (GRADING_HOMOLOGICAL, GRADING_COHOMOLOGICAL)
 _HEADERS = {"name": None, "description": None, "flavor": FLAVORS, "grading": GRADINGS}
 
 NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
-INT_RE = re.compile(r"-?[0-9]+")
+_INT_RE = re.compile(r"-?[0-9]+")
 _EXPR_TOKEN_RE = re.compile(
     r"\s*([0-9]+/[0-9]+|[0-9]+|[A-Za-z_][A-Za-z0-9_]*|\^|\*|\+|-|⊗|\(x\))"
 )
@@ -141,7 +141,7 @@ def _tokenize_expression(text: str, line_no: int) -> list[str]:
 
 def _parse_int(text: str, line_no: int | None, what: str) -> int:
     """The one integer reader: an optionally signed run of ASCII digits."""
-    if not INT_RE.fullmatch(text):
+    if not _INT_RE.fullmatch(text):
         raise ModelSyntaxError(line_no, f"bad {what} {text!r}")
     try:
         return int(text)
