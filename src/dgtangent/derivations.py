@@ -350,7 +350,7 @@ class ConeComplex:
     Degree p holds the algebra in degree p and the derivations in degree
     p − 1; the differential is D(q, φ) = (dq, Ad_q − ∂φ).  The filtration
     puts the algebra summand at level 0 and a derivation slot at the stage of
-    its generator plus one.
+    its generator plus one, base generators of a relative model at stage 0.
     """
 
     def __init__(self, algebra: FreeDgAlgebra) -> None:
@@ -364,9 +364,11 @@ class ConeComplex:
         return out
 
     def filtration_level(self, label: ConeLabel) -> int:
-        if label[0] == "alg":
-            return 0
-        return self.A.gen_stage(label[1]) + 1
+        return 0 if label[0] == "alg" else self.slot_level(label[1])
+
+    def slot_level(self, v: str) -> int:
+        g = self.A.generators[v]
+        return 1 if g.role == "base" else g.resolved_stage() + 1
 
     def adjoint_values(self, q: Element) -> Values:
         """Ad_q: the inner derivation w ↦ [q, w] on generators."""

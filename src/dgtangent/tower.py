@@ -115,7 +115,9 @@ class SpectralSequence:
         e_i minus the earlier rows subtracted from row i, so dv is its
         residue (R = D·V of Edelsbrunner–Letscher–Zomorodian, DCG 28
         (2002)): the v are a basis of C^n, v ∈ F^{level i}, and dv is 0 or
-        has lowest level b.  Untracked, v is None.
+        has lowest level b.  Untracked, v is None.  A row with b below its
+        own level means d lowers the filtration: then no page is defined,
+        E_∞ included, and this is the one place that refuses it (ValueError).
         """
         if track and n in self._run_cache:
             return self._run_cache[n]
@@ -131,6 +133,8 @@ class SpectralSequence:
         for i in rows:
             added = ech.insert(permuted[i])
             b = tgt[order[min(ech.rows[-1])]] if added else None  # the row just stored
+            if b is not None and b < src[i]:
+                raise ValueError(f"d lowers the filtration in degree {n}")
             v = None
             if track:
                 v = {rows[k]: -c for k, c in ech.last_combo.items()} | {i: Fraction(1)}
@@ -141,8 +145,8 @@ class SpectralSequence:
         """``(pairs, kernel)`` of d: C^n → C^{n+1}: (level, b) of each row of
         ``eliminate`` that adds a pivot, and the level of each that does not.
         The number of pairs (a', b') with a' ≥ a and b' ≤ b is the rank of
-        F^a C^n → C^{n+1}/F^{b+1}, whatever the order within a level.  A pair
-        with b < a appears exactly when d lowers the filtration in degree n.
+        F^a C^n → C^{n+1}/F^{b+1}, whatever the order within a level, and
+        b ≥ a (``eliminate`` refuses the rest).
         """
         if n not in self._bar_cache:
             src, run = self.fc.levels(n), self.eliminate(n)
@@ -156,9 +160,7 @@ class SpectralSequence:
 
         A pair (a, b) is a class at level a killing one at level b on page
         b − a, so both live on the pages r ≤ b − a; every kernel element not
-        hit by a pair is a permanent class.  When d lowers the filtration
-        the finite pages are undefined (ValueError), but E_∞, the graded
-        quotient of H^n by F^s, still has this count.
+        hit by a pair is a permanent class.
         """
         if r < 1:
             raise ValueError("pages are defined for r >= 1")
@@ -167,13 +169,6 @@ class SpectralSequence:
         n = s + t
         pairs_out, kernel = self.barcode(n)
         pairs_in, _ = self.barcode(n - 1)
-        if r < self.stable_page:
-            for m, pairs in ((n - 1, pairs_in), (n, pairs_out)):
-                if any(b < a for a, b in pairs):
-                    raise ValueError(
-                        f"d lowers the filtration in degree {m}; "
-                        f"only E_∞ is defined there"
-                    )
         return (
             kernel[s]
             - sum(k for (a, b), k in pairs_in.items() if b == s and b - a < r)
@@ -556,9 +551,8 @@ def der_tower(der) -> FilteredComplex:
 
 def cone_tower(cone) -> FilteredComplex:
     """Filtration of the adjoint cone: algebra part at level 0, derivation
-    slots at stage + 1."""
-    gens = cone.A.generators.values()
-    max_level = max((g.resolved_stage() for g in gens), default=0) + 1
+    slots at stage + 1, base slots of a relative model at level 1."""
+    max_level = max(map(cone.slot_level, cone.A.generators), default=1)
     return FilteredComplex(cone.complex(), cone.filtration_level, max_level)
 
 

@@ -66,6 +66,8 @@ def golden_cases() -> dict[str, tuple[str, ...]]:
         model = f"builtin:{name}"
         cases[f"loop-{_slug(name)}"] = ("loop", model, "--max-degree", "4", "--pages", "1..3")
         cases[f"hochschild-{_slug(name)}"] = ("hochschild", model, "--window", "4")
+    # The cone of a relative model, filtered with the base at stage 0.
+    cases["hochschild-sullivan_hopf"] = ("hochschild", "builtin:sullivan:hopf", "--window", "4")
     for name in SULLIVAN:
         cases[f"aut-{_slug(name)}"] = (
             "aut", f"builtin:{name}", "--window", "6", "--pages", "1..3", "--brackets",
@@ -175,7 +177,7 @@ def golden_window_complexes():
         for coefficients in ("self", "trivial"):
             der, _ = derivation_tower(mf, COEFFICIENTS[coefficients](mf.algebra))
             yield f"{name}/der-{coefficients}", der.complex(), range(-4, 5)
-    for name in CELLULAR:
+    for name in (*CELLULAR, "sullivan:hopf"):
         fc = cone_tower(ConeComplex(builtin(name).algebra))
         # hochschild --window 4 reads -4..4; loop --max-degree 4 reads
         # 2s − m for levels s ≤ max_level and 0 ≤ m ≤ 4.

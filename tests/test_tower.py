@@ -20,9 +20,9 @@ from dgtangent.models import (
     builtin,
     cone_spectral_sequence,
     derivation_tower,
-    model_family,
     parse_model,
     tower_report,
+    validate_model,
 )
 from dgtangent.tower import (
     ExactCoupleSS,
@@ -323,15 +323,16 @@ def test_pages_are_deterministic() -> None:
 
 
 def builtin_towers():
-    """(label, filtered complex, window) for every builtin tower in scope."""
+    """(label, filtered complex, window) for every builtin tower in scope:
+    both derivation towers and the cone of each builtin that validates."""
     for name in BUILTINS:
         window = BUILTIN_WINDOWS.get(name, range(-10, 11))
         mf = builtin(name)
+        assert validate_model(mf).ok, name
         for coefficients in ("self", "trivial"):
             _, fc = derivation_tower(mf, COEFFICIENTS[coefficients](mf.algebra))
             yield f"{name}/{coefficients}", fc, window
-        if model_family(mf) == "cellular":
-            yield f"{name}/cone", cone_tower(ConeComplex(mf.algebra)), window
+        yield f"{name}/cone", cone_tower(ConeComplex(mf.algebra)), window
 
 
 def test_barcode_dims_match_entry_route() -> None:
@@ -384,15 +385,38 @@ def test_barcode_is_independent_of_the_order_within_a_level() -> None:
             assert ss.barcode(n) == reference_barcode(fc, n), (label, n)
 
 
-def test_dim_refuses_finite_pages_when_d_lowers_level() -> None:
+def test_every_page_refuses_a_level_lowering_d() -> None:
+    # An unfiltered complex has no spectral sequence: E_∞ is refused too.
     ss = SpectralSequence(level_lowering_tower())
+    for r in range(1, ss.stable_page + 1):
+        for s, t in ((1, -1), (0, 1)):
+            with pytest.raises(ValueError, match="lowers the filtration in degree 0"):
+                ss.dim(r, s, t)
     with pytest.raises(ValueError, match="lowers the filtration"):
-        ss.dim(1, 1, -1)
+        ss.einf_dims([0, 1])
     with pytest.raises(ValueError, match="lowers the filtration"):
-        ss.dim(2, 0, 1)
-    # E_∞ is the graded quotient of H = 0, whatever the filtration.
-    assert ss.einf_dims([0, 1]) == {}
-    assert ss.total_degree_check([0, 1]) == {0: (0, 0, True), 1: (0, 0, True)}
+        ss.total_degree_check([0, 1])
+    with pytest.raises(ValueError, match="lowers the filtration"):
+        ss.entry(1, 1, 0)  # representatives come from the same elimination
+
+
+def test_every_validated_builtin_tower_is_filtered() -> None:
+    # Base generators sit at stage 0, so the cone of a relative model is filtered too.
+    for label, fc, window in builtin_towers():
+        assert fc.check_filtration(window) == [], label
+    hopf = cone_tower(ConeComplex(builtin("sullivan:hopf").algebra))
+    assert hopf.max_level == 2
+    # x, y are base (level 1), z has stage 1 (level 2).
+    assert sorted(set(hopf.levels(0))) == [0, 1, 2]
+
+
+def test_relative_cone_matches_the_exact_couple() -> None:
+    fc = cone_tower(ConeComplex(builtin("sullivan:hopf").algebra))
+    ss, ec = SpectralSequence(fc), ExactCoupleSS(fc)
+    for r in range(1, 4):
+        for s in range(0, fc.max_level + 1):
+            for n in range(-4, 5):
+                assert alignment_check(ss, ec, r, s, n - s).ok, (r, s, n)
 
 
 def assert_pages_are_homology(ss: SpectralSequence, window, pages, label="") -> None:
