@@ -3,9 +3,12 @@
 Commands: ``validate``, ``homology``, ``quillen``, ``der``, ``ss``, ``loop``,
 ``aut``, ``hochschild``.  Models are file paths or ``builtin:NAME``.  Output
 is an aligned text table (default) or line-delimited JSON records
-(``--format records``); records are byte-stable across runs.  Exit status is
-0 on success, 1 on validation or input failure, 2 on usage errors.  Page
-tables are relabeled at output time by ``tower.relabel``.
+(``--format records``); records are byte-stable across runs.  ``main`` is
+the one command runner: it loads the model (validated, except for
+``validate`` and ``print``), hands each ``cmd_*`` one ``Output`` to fill,
+prints it, and forms every exit status: 0 on success, 1 on validation or
+input failure, an engine refusal or a failed check, 2 on usage errors.
+Page tables are relabeled at output time by ``tower.relabel``.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from typing import Sequence
 from .algebra import AlgebraMorphism, trivial_algebra
 from .models import (
     ModelFile,
-    ModelSyntaxError,
     algebra_homology_dims,
     aut_homotopy,
     builtin_names,
@@ -34,6 +36,7 @@ from .models import (
     tower_report,
     validate_model,
 )
+from .tower import SpectralSequence
 
 TABLE = "table"
 RECORDS = "records"
@@ -81,8 +84,6 @@ def _load(spec_text: str) -> ModelFile:
         return load_model(spec_text)
     except UnicodeDecodeError as exc:
         raise CliError(f"cannot read model {spec_text}: not UTF-8 text ({exc})") from None
-    except (ModelSyntaxError, ValueError) as exc:
-        raise CliError(str(exc)) from None
     except OSError as exc:
         raise CliError(f"cannot read model: {exc}") from None
 
@@ -184,43 +185,33 @@ def _assembly_rows(out: Output, assembly: dict[int, tuple[int, int, bool]]) -> b
 # ------------------------------------------------------------- subcommands
 
 
-def cmd_validate(args: argparse.Namespace) -> int:
-    mf = _load(args.model)
+def cmd_validate(args: argparse.Namespace, mf: ModelFile, out: Output) -> bool:
     report = validate_model(mf)
-    out = Output(args.format, "validate", mf.name or args.model)
     for text in report.lines():
         out.line(text)
     for check in report.checks:
         out.record(check=check.name, ok=check.ok, detail=check.detail)
-    out.emit()
-    return 0 if report.ok else 1
+    return report.ok
 
 
-def cmd_homology(args: argparse.Namespace) -> int:
-    mf = _validated(args.model)
+def cmd_homology(args: argparse.Namespace, mf: ModelFile, out: Output) -> bool:
     dims = algebra_homology_dims(mf.algebra, list(range(0, args.window + 1)))
-    out = Output(args.format, "homology", mf.name or args.model)
-    _dims_rows(out, f"algebra homology of {mf.name or args.model}", dims)
-    out.emit()
-    return 0
+    _dims_rows(out, f"algebra homology of {out.model}", dims)
+    return True
 
 
-def cmd_quillen(args: argparse.Namespace) -> int:
-    mf = _validated(args.model)
+def cmd_quillen(args: argparse.Namespace, mf: ModelFile, out: Output) -> bool:
     dims = quillen_dims(mf.algebra, list(range(1, args.window + 1)))
-    out = Output(args.format, "quillen", mf.name or args.model)
     _dims_rows(out, "generator-level homology (linear part)", dims)
     if model_family(mf) == "cellular":
         cells = {}
         for g in mf.algebra.generators.values():
             cells[g.degree + 1] = cells.get(g.degree + 1, 0) + 1
         _dims_rows(out, "cells per dimension", cells, key="dimension")
-    out.emit()
-    return 0
+    return True
 
 
-def cmd_der(args: argparse.Namespace) -> int:
-    mf = _validated(args.model)
+def cmd_der(args: argparse.Namespace, mf: ModelFile, out: Output) -> bool:
     coefficients, u = _coefficients(mf, f"target={args.target}" if args.target else "self")
     der, _ = derivation_tower(mf, u)
     if args.range:
@@ -229,7 +220,6 @@ def cmd_der(args: argparse.Namespace) -> int:
         lo, hi = -args.window, args.window
     cx = der.complex()
     dims = {n: cx.homology_dim(n) for n in range(lo, hi + 1)}
-    out = Output(args.format, "der", mf.name or args.model)
     vanish = f" fixing {sorted(mf.base_names())}" if mf.base_names() else ""
     _dims_rows(out, f"derivation cohomology{vanish} ({coefficients} coefficients)", dims)
     if args.reps:
@@ -240,34 +230,24 @@ def cmd_der(args: argparse.Namespace) -> int:
                 text = der.format_values(der.values_of_vector(rep, n))
                 out.line(f"  degree {n}, class {i}: {text}")
                 out.record(degree=n, index=i, representative=text)
-    out.emit()
-    return 0
+    return True
 
 
-def cmd_ss(args: argparse.Namespace) -> int:
-    mf = _validated(args.model)
+def cmd_ss(args: argparse.Namespace, mf: ModelFile, out: Output) -> bool:
     _, u = _coefficients(mf, args.coefficients)
     pages = _parse_pages(args.pages)
-    if args.check_multiplicative and not args.diag:
-        raise UsageError("--check-multiplicative requires --diag primitive|model")
-    if args.diag and not args.check_multiplicative:
-        raise UsageError("--diag requires --check-multiplicative")
     mult = None
-    try:
-        # A model the product check refuses is refused before any page is built.
-        if args.check_multiplicative:
-            diagonals = {} if args.diag == "primitive" else mf.diagonals
-            mult = multiplicativity_check(mf.algebra, diagonals, window=args.window)
-        report = tower_report(
-            mf,
-            u,
-            window=args.window,
-            pages=pages,
-            check_collapse=args.check_collapse,
-        )
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
-    out = Output(args.format, "ss", mf.name or args.model)
+    # A model the product check refuses is refused before any page is built.
+    if args.check_multiplicative:
+        diagonals = {} if args.check_multiplicative == "primitive" else mf.diagonals
+        mult = multiplicativity_check(mf.algebra, diagonals, window=args.window)
+    _, fc = derivation_tower(mf, u)
+    report = tower_report(
+        SpectralSequence(fc),
+        range(-args.window, args.window + 1),
+        pages,
+        check_collapse=args.check_collapse,
+    )
     conventions = (
         [args.convention]
         if args.convention
@@ -278,7 +258,7 @@ def cmd_ss(args: argparse.Namespace) -> int:
             _page_rows(out, convention, r, relabel(report.pages_internal[r], convention))
     out.line(f"stable page: {report.stable_page}")
     ok = _assembly_rows(out, report.assembly)
-    if args.check_collapse and report.collapse is not None:
+    if report.collapse is not None:
         col = report.collapse
         out.line(
             "collapse: "
@@ -303,18 +283,12 @@ def cmd_ss(args: argparse.Namespace) -> int:
             table="multiplicativity", pairs=mult.pairs_checked, ok=mult.ok
         )
         ok = ok and mult.ok
-    out.emit()
-    return 0 if ok else 1
+    return ok
 
 
-def cmd_loop(args: argparse.Namespace) -> int:
-    mf = _validated(args.model)
+def cmd_loop(args: argparse.Namespace, mf: ModelFile, out: Output) -> bool:
     pages = _parse_pages(args.pages) if args.pages else ()
-    try:
-        report = loop_homology(mf, window=args.max_degree, pages=pages)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
-    out = Output(args.format, "loop", mf.name or args.model)
+    report = loop_homology(mf, window=args.max_degree, pages=pages)
     _dims_rows(out, "free-loop-space homology", report.betti)
     for r in pages:
         _page_rows(out, "flipped", r, relabel(report.pages_internal[r], "flipped"))
@@ -326,19 +300,12 @@ def cmd_loop(args: argparse.Namespace) -> int:
         flag = "ok" if got == want else "MISMATCH"
         out.line(f"  {key}: {got} vs {want} {flag}")
         out.record(s=key[0], t=key[1], engine=got, expected=want, table="e2")
-    ok = _assembly_rows(out, report.assembly) and report.e2_matches
-    out.emit()
-    return 0 if ok else 1
+    return _assembly_rows(out, report.assembly) and report.e2_matches
 
 
-def cmd_aut(args: argparse.Namespace) -> int:
-    mf = _validated(args.model)
+def cmd_aut(args: argparse.Namespace, mf: ModelFile, out: Output) -> bool:
     pages = _parse_pages(args.pages) if args.pages else ()
-    try:
-        report = aut_homotopy(mf, window=args.window, pages=pages)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
-    out = Output(args.format, "aut", mf.name or args.model)
+    report = aut_homotopy(mf, window=args.window, pages=pages)
     _dims_rows(out, "homotopy of the identity component of self-equivalences", report.dims)
     out.line(f"degree-zero classes (not part of the table): {report.degree_zero_dim}")
     out.line("hom-shaped table (fiber degree σ vs cohomology degree τ):")
@@ -360,35 +327,24 @@ def cmd_aut(args: argparse.Namespace) -> int:
                 index_b=entry.index_b,
                 coords=entry.coords,
             )
-    ok = _assembly_rows(out, report.assembly) if report.assembly else True
-    out.emit()
-    return 0 if ok else 1
+    return _assembly_rows(out, report.assembly) if report.assembly else True
 
 
-def cmd_hochschild(args: argparse.Namespace) -> int:
-    mf = _validated(args.model)
+def cmd_hochschild(args: argparse.Namespace, mf: ModelFile, out: Output) -> bool:
     ss = cone_spectral_sequence(mf)
-    degrees = list(range(-args.window, args.window + 1))
-    pages = _parse_pages(args.pages) if args.pages else (1, 2)
-    try:
-        tables = {r: ss.page_dims(r, degrees) for r in pages}
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
-    out = Output(args.format, "hochschild", mf.name or args.model)
+    degrees = range(-args.window, args.window + 1)
+    pages = _parse_pages(args.pages) if args.pages else [1, 2]
+    pages.append(ss.stable_page)  # the E_∞ row
+    report = tower_report(ss, degrees, pages)
     for r in pages:
-        _page_rows(out, "internal", r, tables[r])
-    _page_rows(out, "internal", ss.stable_page, ss.einf_dims(degrees))
-    dims = {n: ss.fc.complex.homology_dim(n) for n in degrees}
-    _dims_rows(out, "cone cohomology", dims)
-    ok = _assembly_rows(out, ss.total_degree_check(degrees))
-    out.emit()
-    return 0 if ok else 1
+        _page_rows(out, "internal", r, report.pages_internal[r])
+    _dims_rows(out, "cone cohomology", {n: report.assembly[n][1] for n in degrees})
+    return _assembly_rows(out, report.assembly)
 
 
-def cmd_print(args: argparse.Namespace) -> int:
-    mf = _load(args.model)
+def cmd_print(args: argparse.Namespace, mf: ModelFile, out: Output) -> bool:
     sys.stdout.write(print_model(mf))
-    return 0
+    return True
 
 
 # ------------------------------------------------------------------ parser
@@ -470,23 +426,19 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
             help="detect single-row/column degeneration and verify it",
         )
         p.add_argument(
-            "--check-multiplicative", action="store_true",
-            help="check the first-page product rule for the convolution product",
-        )
-        p.add_argument(
-            "--diag", choices=("primitive", "model"),
-            help="diagonal data for --check-multiplicative",
+            "--check-multiplicative", choices=("primitive", "model"),
+            help="check the first-page product rule for the convolution product "
+            "of primitive diagonals or of the model's diag lines",
         )
         p.set_defaults(func=cmd_ss)
 
     if p := add("loop", "free-loop-space homology of a cellular model"):
-        p.add_argument("model", help="model file path or builtin:NAME")
+        common(p, window_default=None)
         p.add_argument(
             "--max-degree", type=int, default=10, metavar="N",
             help="largest loop degree reported (default 10)",
         )
         p.add_argument("--pages", metavar="A..B", help="also print these pages")
-        p.add_argument("--format", choices=(TABLE, RECORDS), default=TABLE)
         p.set_defaults(func=cmd_loop)
 
     if p := add("aut", "rational homotopy of fiberwise self-equivalences"):
@@ -502,7 +454,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
     if p := add("print", "canonical text form of a model"):
         p.add_argument("model", help="model file path or builtin:NAME")
-        p.set_defaults(func=cmd_print)
+        p.set_defaults(func=cmd_print, format=TABLE)
 
     return parser
 
@@ -518,14 +470,19 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "window", 1) < 1 or getattr(args, "max_degree", 1) < 1:
         parser.error("the degree window must be at least 1")
+    load = _load if args.command in ("validate", "print") else _validated
     try:
-        return args.func(args)
-    except CliError as exc:
+        mf = load(args.model)
+        out = Output(args.format, args.command, mf.name or args.model)
+        ok = args.func(args, mf, out)
+    except (CliError, ValueError) as exc:  # the engine refuses with ValueError
         print(str(exc), file=sys.stderr)
         return 1
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
+    out.emit()
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

@@ -918,11 +918,8 @@ def aut_homotopy(
         for n in range(1, window + 1):
             dims[n] = cx.homology_dim(-n)
         degree_zero = cx.homology_dim(0)
-        ss = SpectralSequence(der_tower(der))
-        degrees = list(range(-window, 1))
-        assembly = ss.total_degree_check(degrees)
-        for r in pages:
-            pages_internal[r] = ss.page_dims(r, degrees)
+        tower = tower_report(SpectralSequence(der_tower(der)), range(-window, 1), pages)
+        pages_internal, assembly = tower.pages_internal, tower.assembly
 
     pi_f = fiber_homotopy_dims(mf, window)
     h_total = algebra_homology_dims(algebra, list(range(0, window + 1)))
@@ -983,7 +980,7 @@ def _bracket_table(der: DerComplex, window: int) -> list[BracketEntry]:
 
 
 class TowerReport(NamedTuple):
-    """Spectral-sequence run of a derivation tower for one coefficient morphism."""
+    """Spectral-sequence run of a tower over a window of total degrees."""
 
     pages_internal: dict[int, dict[tuple[int, int], int]]
     assembly: dict[int, tuple[int, int, bool]]
@@ -1004,15 +1001,13 @@ def derivation_tower(
 
 
 def tower_report(
-    mf: ModelFile,
-    u: AlgebraMorphism | None = None,
-    window: int = 10,
-    pages: Sequence[int] = (1, 2, 3, 4, 5, 6),
+    ss: SpectralSequence,
+    degrees: Sequence[int],
+    pages: Sequence[int],
     check_collapse: bool = False,
 ) -> TowerReport:
-    _, fc = derivation_tower(mf, u)
-    ss = SpectralSequence(fc)
-    degrees = list(range(-window, window + 1))
+    """The pages, the assembly check and, on request, the collapse check of
+    ``ss`` over the total degrees ``degrees``."""
     return TowerReport(
         pages_internal={r: ss.page_dims(r, degrees) for r in pages},
         assembly=ss.total_degree_check(degrees),

@@ -69,19 +69,6 @@ class FilteredComplex:
         """The levels of the degree-n basis; dim E_r^{s, n−s} is 0 off them."""
         return sorted(set(self.levels(n)))
 
-    def check_filtration(self, degrees: Sequence[int]) -> list[str]:
-        """Degrees and positions where d lowers the filtration level."""
-        bad = []
-        for n in degrees:
-            lv_src = self.levels(n)
-            lv_tgt = self.levels(n + 1)
-            d = self.complex.d(n)
-            for i, row in enumerate(d.rows):
-                for j in row:
-                    if lv_tgt[j] < lv_src[i]:
-                        bad.append(f"degree {n} position {i} -> {j}")
-        return bad
-
 
 class SpectralSequence:
     """Pages of a filtered complex.

@@ -682,7 +682,6 @@ ACCEPTANCE_COMMANDS = [
         "trivial",
         "--check-collapse",
         "--check-multiplicative",
-        "--diag",
         "primitive",
     ),
     ("loop", "builtin:ah:sphere:3", "--max-degree", "8"),

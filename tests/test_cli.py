@@ -140,6 +140,29 @@ def test_failing_validate_records_are_pinned(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "command", ["homology", "quillen", "der", "ss", "loop", "aut", "hochschild"]
+)
+def test_model_commands_refuse_a_model_that_fails_validate(tmp_path, capsys, command):
+    # d² c = d b = a: main validates the model before any command runs.
+    bad = tmp_path / "bad.model"
+    bad.write_text(
+        "flavor associative\ngrading homological\n"
+        "gen a : 1\ngen b : 2\ngen c : 3\nd b = a\nd c = b\n",
+        encoding="utf-8",
+    )
+    code, out, err = run_main(capsys, command, str(bad), "--format", "records")
+    assert (code, out) == (1, "")
+    assert err.startswith("invalid model:\n")
+
+
+def test_aut_refuses_a_cellular_model_without_traceback():
+    code, out, err = run_process("aut", "builtin:ah:sphere:2")
+    assert (code, out) == (1, "")
+    assert "requires a commutative cohomological model" in err
+    assert "Traceback" not in err
+
+
 BROKEN_DIAGONAL_MODEL = """\
 name cellcoalg
 flavor associative
@@ -317,16 +340,17 @@ def test_top_level_parser_output_is_pinned(monkeypatch, capsys, argv, code, out,
 
 
 def test_multiplicative_without_diag_is_usage_error(capsys):
-    code, _, err = run_main(
-        capsys, "ss", "builtin:ah:sphere:2", "--check-multiplicative"
-    )
-    assert code == 2
-    assert "--diag" in err
+    # The diagonal data is the value of --check-multiplicative.
+    with pytest.raises(SystemExit) as exc:
+        main(["ss", "builtin:ah:sphere:2", "--check-multiplicative"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert err.endswith("error: argument --check-multiplicative: expected one argument\n")
 
 
 def test_multiplicative_check_refuses_cohomological_model(capsys):
     code, out, err = run_main(
-        capsys, "ss", "builtin:sullivan:cpn:1", "--check-multiplicative", "--diag", "primitive"
+        capsys, "ss", "builtin:sullivan:cpn:1", "--check-multiplicative", "primitive"
     )
     assert code == 1
     assert out == ""
@@ -334,19 +358,25 @@ def test_multiplicative_check_refuses_cohomological_model(capsys):
 
 
 @pytest.mark.parametrize(
-    "flags",
-    [("--check-multiplicative",), ("--diag", "primitive")],
-    ids=["multiplicative-without-diag", "diag-without-multiplicative"],
+    "flags, message",
+    [
+        (("--check-multiplicative", "--window", "4"), "--check-multiplicative: expected one"),
+        (("--check-multiplicative", "cellular"), "invalid choice: 'cellular'"),
+        # The diagonal data is no option of its own.
+        (("--diag", "primitive"), "unrecognized arguments: --diag primitive"),
+    ],
+    ids=["multiplicative-without-diag", "bad-diag", "diag-without-multiplicative"],
 )
-def test_ss_flag_mistakes_exit_before_computing(monkeypatch, capsys, flags):
+def test_ss_flag_mistakes_exit_before_computing(monkeypatch, capsys, flags, message):
     def refuse(*args, **kwargs):
         raise AssertionError("tower_report ran before the flags were checked")
 
     monkeypatch.setattr("dgtangent.cli.tower_report", refuse)
-    code, out, err = run_main(capsys, "ss", "builtin:ah:sphere:2", *flags)
-    assert code == 2
-    assert out == ""
-    assert "--check-multiplicative" in err and "--diag" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["ss", "builtin:ah:sphere:2", *flags])
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out) == (2, "")
+    assert message in captured.err
 
 
 def test_multiplicative_refusal_comes_before_the_spectral_sequence(monkeypatch, capsys):
@@ -355,7 +385,7 @@ def test_multiplicative_refusal_comes_before_the_spectral_sequence(monkeypatch, 
 
     monkeypatch.setattr("dgtangent.cli.tower_report", refuse)
     code, out, err = run_main(
-        capsys, "ss", "builtin:sullivan:cpn:1", "--check-multiplicative", "--diag", "primitive"
+        capsys, "ss", "builtin:sullivan:cpn:1", "--check-multiplicative", "primitive"
     )
     assert code == 1
     assert out == ""

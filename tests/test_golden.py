@@ -80,7 +80,7 @@ def golden_cases() -> dict[str, tuple[str, ...]]:
             )
     cases["ss-multiplicative-ah_wedge_2_2"] = (
         "ss", "builtin:ah:wedge:2,2", "--window", "4",
-        "--check-multiplicative", "--diag", "primitive",
+        "--check-multiplicative", "primitive",
     )
     cases["der-reps-sullivan_hopf"] = ("der", "builtin:sullivan:hopf", "--range=-6..2", "--reps")
     cases["der-reps-ah_sphere_2"] = ("der", "builtin:ah:sphere:2", "--window", "4", "--reps")
@@ -107,7 +107,7 @@ def golden_cases() -> dict[str, tuple[str, ...]]:
     cases["validate-cellcoalg"] = ("validate", cellcoalg)
     cases["ss-multiplicative-model-cellcoalg"] = (
         "ss", cellcoalg, "--coefficients", "trivial",
-        "--check-multiplicative", "--diag", "model",
+        "--check-multiplicative", "model",
     )
     return cases
 

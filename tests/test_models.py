@@ -17,6 +17,7 @@ from dgtangent.models import (
     aut_homotopy,
     builtin,
     convolution_values,
+    derivation_tower,
     fiber_homotopy_dims,
     loop_homology,
     model_family,
@@ -26,7 +27,7 @@ from dgtangent.models import (
     tower_report,
     validate_model,
 )
-from dgtangent.tower import relabel
+from dgtangent.tower import SpectralSequence, relabel
 from test_acceptance import trivial_coefficients
 
 CELLCOALG_TEXT = """\
@@ -449,13 +450,8 @@ def test_aut_bracket_table_even_sphere() -> None:
 
 def test_tower_report_collapse_for_truncated_coefficients() -> None:
     mf = builtin("ah:sphere:3")
-    report = tower_report(
-        mf,
-        trivial_coefficients(mf.algebra),
-        window=6,
-        pages=(1, 2),
-        check_collapse=True,
-    )
+    _, fc = derivation_tower(mf, trivial_coefficients(mf.algebra))
+    report = tower_report(SpectralSequence(fc), range(-6, 7), (1, 2), check_collapse=True)
     assert assembly_ok(report)
     assert report.collapse is not None
     assert report.collapse.predicted_page in (1, 2)

@@ -78,6 +78,14 @@ def s2_tower() -> tuple[FilteredComplex, SpectralSequence]:
 WINDOW_S2 = list(range(-8, 3))
 
 
+def assert_filtered(fc: FilteredComplex, degrees) -> None:
+    """d keeps the filtration in these degrees: the barcode's elimination
+    refuses a level-lowering d (``SpectralSequence.eliminate``)."""
+    ss = SpectralSequence(fc)
+    for n in degrees:
+        ss.barcode(n)
+
+
 def level_lowering_tower() -> FilteredComplex:
     """d sends "a" (degree 0, level 1) onto "b" (degree 1, level 0)."""
     bases = {0: ["a"], 1: ["b"]}
@@ -92,15 +100,10 @@ def level_lowering_tower() -> FilteredComplex:
     return FilteredComplex(cx, lambda label: 1 if label == "a" else 0, max_level=1)
 
 
-def test_filtration_check_flags_violation() -> None:
-    fc = level_lowering_tower()
-    assert fc.check_filtration([0]) == ["degree 0 position 0 -> 0"]
-
-
 def test_der_tower_filtration_is_respected() -> None:
     fc, _ = s2_tower()
     assert fc.max_level == 3
-    assert fc.check_filtration(WINDOW_S2) == []
+    assert_filtered(fc, WINDOW_S2)
     # Levels in degree 0: (x -> x) at stage 2, (y -> y) at stage 3.
     assert fc.levels(0) == [2, 3]
 
@@ -221,7 +224,7 @@ def two_long_differentials_tower() -> FilteredComplex:
 
 def test_alignment_sees_nonzero_d2_and_d3() -> None:
     fc = two_long_differentials_tower()
-    assert fc.check_filtration([-1, 0, 1]) == []
+    assert_filtered(fc, [-1, 0, 1])
     ss, ec = SpectralSequence(fc), ExactCoupleSS(fc)
     for r in (2, 3):
         assert ss.d_matrix(r, 0, 0).rank() == 1
@@ -249,7 +252,7 @@ def test_alignment_spot_checks_four_stage_tensor() -> None:
     fc = der_tower(DerComplex(tensor_four_stage()))
     ss = SpectralSequence(fc)
     ec = ExactCoupleSS(fc)
-    assert fc.check_filtration(list(range(-2, 4))) == []
+    assert_filtered(fc, range(-2, 4))
     for r in range(1, 4):
         for s in (2, 3):
             for n in range(-1, 4):
@@ -388,6 +391,10 @@ def test_barcode_is_independent_of_the_order_within_a_level() -> None:
 def test_every_page_refuses_a_level_lowering_d() -> None:
     # An unfiltered complex has no spectral sequence: E_∞ is refused too.
     ss = SpectralSequence(level_lowering_tower())
+    with pytest.raises(ValueError, match="lowers the filtration in degree 0"):
+        ss.barcode(0)  # d sends position 0 (level 1) to position 0 (level 0)
+    ss.barcode(-1)  # the degrees around it are filtered
+    ss.barcode(1)
     for r in range(1, ss.stable_page + 1):
         for s, t in ((1, -1), (0, 1)):
             with pytest.raises(ValueError, match="lowers the filtration in degree 0"):
@@ -403,7 +410,7 @@ def test_every_page_refuses_a_level_lowering_d() -> None:
 def test_every_validated_builtin_tower_is_filtered() -> None:
     # Base generators sit at stage 0, so the cone of a relative model is filtered too.
     for label, fc, window in builtin_towers():
-        assert fc.check_filtration(window) == [], label
+        assert_filtered(fc, window)
     hopf = cone_tower(ConeComplex(builtin("sullivan:hopf").algebra))
     assert hopf.max_level == 2
     # x, y are base (level 1), z has stage 1 (level 2).
@@ -534,7 +541,7 @@ def two_stage_towers(draw) -> FreeDgAlgebra:
 def test_barcode_matches_exact_couple_on_random_towers(algebra, coefficients) -> None:
     u = COEFFICIENTS[coefficients](algebra)
     fc = der_tower(DerComplex(algebra, u))
-    assert fc.check_filtration(range(-8, 3)) == []
+    assert_filtered(fc, range(-8, 3))
     ss, ec = SpectralSequence(fc), ExactCoupleSS(fc)
     for r in range(1, 4):
         for s in range(0, fc.max_level + 1):
@@ -566,7 +573,8 @@ def test_page_loops_skip_empty_levels(monkeypatch) -> None:
             f"gen x : 2\ngen y : 3 stage {stage}\nd y = x x\n"
         )
         calls.clear()
-        reports[stage] = tower_report(mf, window=4, check_collapse=True)
+        ss = SpectralSequence(derivation_tower(mf)[1])
+        reports[stage] = tower_report(ss, range(-4, 5), range(1, 7), check_collapse=True)
         counts[stage] = len(calls)
     assert counts[5] == counts[500]
     assert reports[5].assembly == reports[500].assembly
