@@ -156,6 +156,37 @@ def test_model_commands_refuse_a_model_that_fails_validate(tmp_path, capsys, com
     assert err.startswith("invalid model:\n")
 
 
+@pytest.mark.parametrize(
+    "text, stderr",
+    [
+        (
+            "flavor associative\ngrading homological\n"
+            "gen a : 1\ngen b : 2\ngen c : 3\nd b = a\nd c = b\n",
+            "invalid model:\n"
+            "model (unnamed) [cellular]\n"
+            "  FAIL d squared is zero on generators (c)\n"
+            "  ok   stage condition (d lands below the stage)\n"
+            "INVALID\n",
+        ),
+        (
+            "name inverted\nflavor commutative\ngrading cohomological\n"
+            "gen x : 2 stage 3\ngen y : 3 stage 2\nd y = x^2\n",
+            "invalid model:\n"
+            "model inverted [sullivan]\n"
+            "  ok   d squared is zero on generators\n"
+            "  FAIL stage condition (d lands below the stage) (y)\n"
+            "INVALID\n",
+        ),
+    ],
+    ids=["d-squared", "stage"],
+)
+def test_invalid_model_refusal_prints_the_validate_table(tmp_path, capsys, text, stderr):
+    bad = tmp_path / "bad.model"
+    bad.write_text(text, encoding="utf-8")
+    code, out, err = run_main(capsys, "homology", str(bad), "--format", "records")
+    assert (code, out, err) == (1, "", stderr)
+
+
 def test_aut_refuses_a_cellular_model_without_traceback():
     code, out, err = run_process("aut", "builtin:ah:sphere:2")
     assert (code, out) == (1, "")

@@ -109,19 +109,28 @@ def golden_cases() -> dict[str, tuple[str, ...]]:
         "ss", cellcoalg, "--coefficients", "trivial",
         "--check-multiplicative", "model",
     )
+    # S³ × S⁵ with d = 0: [(w ↦ u), (u ↦ 1)] = −(w ↦ 1), a nonzero bracket.
+    cases["aut-s3-s5"] = (
+        "aut", str(MODELS_DIR / "s3-s5.model"), "--window", "6", "--brackets",
+    )
     return cases
 
 
 CASES = golden_cases()
 
-# Cases whose table-mode stdout is pinned as well, one per command that
-# prints a report.
+# Cases whose table-mode stdout is pinned as well: at least one per command
+# that prints a report, and every kind of table row.
 TABLE_CASES = (
+    "aut-s3-s5",
     "aut-sullivan_hopf",
     "der-reps-sullivan_hopf",
     "hochschild-ah_sphere_2",
+    "homology-sullivan_cpn_2",
     "loop-ah_sphere_3",
+    "quillen-ah_wedge_2_3",
+    "ss-multiplicative-model-cellcoalg",
     "ss-sullivan_cpn_2",
+    "validate-cellcoalg",
 )
 
 
