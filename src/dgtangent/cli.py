@@ -90,11 +90,9 @@ def _load(spec_text: str) -> ModelFile:
 
 def _validated(spec_text: str) -> ModelFile:
     mf = _load(spec_text)
-    report = validate_model(mf)
-    if not report.ok:
-        raise CliError(
-            "invalid model:\n" + "\n".join(report.lines())
-        )
+    rows = Output(TABLE, "validate", spec_text)
+    if not cmd_validate(None, mf, rows):
+        raise CliError("invalid model:\n" + "\n".join(rows.lines))
     return mf
 
 
@@ -120,7 +118,7 @@ def _coefficients(mf: ModelFile, choice: str) -> tuple[str, AlgebraMorphism]:
 
 
 class Output:
-    """Collects table lines or record dicts, then prints one of them."""
+    """Collects table lines and record dicts, then prints one of them."""
 
     def __init__(self, mode: str, command: str, model: str) -> None:
         self.mode = mode
@@ -129,13 +127,11 @@ class Output:
         self.lines: list[str] = []
         self.records: list[dict] = []
 
-    def line(self, text: str = "") -> None:
+    def row(self, text: str = "", **fields) -> None:
+        """One fact: its table line and, when ``fields`` are given, its record."""
         self.lines.append(text)
-
-    def record(self, **fields) -> None:
-        base = {"command": self.command, "model": self.model}
-        base.update(fields)
-        self.records.append(base)
+        if fields:
+            self.records.append({"command": self.command, "model": self.model, **fields})
 
     def emit(self) -> None:
         if self.mode == RECORDS:
@@ -148,10 +144,9 @@ class Output:
 
 
 def _dims_rows(out: Output, label: str, dims: dict[int, int], key: str = "degree") -> None:
-    out.line(f"{label}:")
+    out.row(f"{label}:")
     for n in sorted(dims):
-        out.line(f"  {key} {n:>3}: {dims[n]}")
-        out.record(**{key: n, "dimension": dims[n], "table": label})
+        out.row(f"  {key} {n:>3}: {dims[n]}", **{key: n, "dimension": dims[n], "table": label})
 
 
 def _page_rows(
@@ -160,37 +155,41 @@ def _page_rows(
     r: int,
     table: dict[tuple[int, int], int],
 ) -> None:
-    out.line(f"page {r} [{convention}]:")
+    out.row(f"page {r} [{convention}]:")
     if not table:
-        out.line("  (empty)")
+        out.row("  (empty)")
     for (s, t) in sorted(table):
-        out.line(f"  ({s}, {t}): {table[(s, t)]}")
-        out.record(r=r, s=s, t=t, dimension=table[(s, t)], convention=convention)
+        out.row(
+            f"  ({s}, {t}): {table[(s, t)]}",
+            r=r, s=s, t=t, dimension=table[(s, t)], convention=convention,
+        )
 
 
 def _assembly_rows(out: Output, assembly: dict[int, tuple[int, int, bool]]) -> bool:
-    ok_all = True
-    out.line("assembly (sum of stable entries vs. direct cohomology):")
+    out.row("assembly (sum of stable entries vs. direct cohomology):")
     for n in sorted(assembly):
         total, direct, ok = assembly[n]
-        ok_all = ok_all and ok
         flag = "ok" if ok else "MISMATCH"
-        out.line(f"  degree {n:>3}: {total} vs {direct} {flag}")
-        out.record(
-            degree=n, assembled=total, direct=direct, ok=ok, table="assembly"
+        out.row(
+            f"  degree {n:>3}: {total} vs {direct} {flag}",
+            degree=n, assembled=total, direct=direct, ok=ok, table="assembly",
         )
-    return ok_all
+    return all(ok for _, _, ok in assembly.values())
 
 
 # ------------------------------------------------------------- subcommands
 
 
-def cmd_validate(args: argparse.Namespace, mf: ModelFile, out: Output) -> bool:
+def cmd_validate(args: argparse.Namespace | None, mf: ModelFile, out: Output) -> bool:
     report = validate_model(mf)
-    for text in report.lines():
-        out.line(text)
-    for check in report.checks:
-        out.record(check=check.name, ok=check.ok, detail=check.detail)
+    out.row(f"model {mf.name or '(unnamed)'} [{report.family}]")
+    for c in report.checks:
+        detail = f" ({c.detail})" if c.detail else ""
+        out.row(
+            f"  {'ok' if c.ok else 'FAIL':4} {c.name}{detail}",
+            check=c.name, ok=c.ok, detail=c.detail,
+        )
+    out.row("valid" if report.ok else "INVALID")
     return report.ok
 
 
@@ -223,13 +222,12 @@ def cmd_der(args: argparse.Namespace, mf: ModelFile, out: Output) -> bool:
     vanish = f" fixing {sorted(mf.base_names())}" if mf.base_names() else ""
     _dims_rows(out, f"derivation cohomology{vanish} ({coefficients} coefficients)", dims)
     if args.reps:
-        out.line("representatives:")
+        out.row("representatives:")
         for n in range(lo, hi + 1):
             h = cx.homology(n)
             for i, rep in enumerate(h.basis):
                 text = der.format_values(der.values_of_vector(rep, n))
-                out.line(f"  degree {n}, class {i}: {text}")
-                out.record(degree=n, index=i, representative=text)
+                out.row(f"  degree {n}, class {i}: {text}", degree=n, index=i, representative=text)
     return True
 
 
@@ -256,32 +254,32 @@ def cmd_ss(args: argparse.Namespace, mf: ModelFile, out: Output) -> bool:
     for r in pages:
         for convention in conventions:
             _page_rows(out, convention, r, relabel(report.pages_internal[r], convention))
-    out.line(f"stable page: {report.stable_page}")
+    out.row(f"stable page: {report.stable_page}")
     ok = _assembly_rows(out, report.assembly)
     if report.collapse is not None:
         col = report.collapse
-        out.line(
+        out.row(
             "collapse: "
             + (
                 f"predicted at page {col.predicted_page} ({col.reason}); "
                 f"verified: {col.verified}"
                 if col.predicted_page is not None
                 else "no single-row or single-column prediction"
-            )
+            ),
+            table="collapse",
+            region_ok=None,  # unused; kept so that records keep their keys
+            **col._asdict(),
         )
-        out.record(table="collapse", **col.as_record())
         if col.predicted_page is not None and not col.verified:
             ok = False
     if mult is not None:
         verdict = "ok" if mult.ok else "FAILS"
-        out.line(
-            f"first-page product rule over {mult.pairs_checked} pairs: {verdict}"
+        out.row(
+            f"first-page product rule over {mult.pairs_checked} pairs: {verdict}",
+            table="multiplicativity", pairs=mult.pairs_checked, ok=mult.ok,
         )
         for failure in mult.failures:
-            out.line(f"  fails on {failure}")
-        out.record(
-            table="multiplicativity", pairs=mult.pairs_checked, ok=mult.ok
-        )
+            out.row(f"  fails on {failure}")
         ok = ok and mult.ok
     return ok
 
@@ -292,14 +290,16 @@ def cmd_loop(args: argparse.Namespace, mf: ModelFile, out: Output) -> bool:
     _dims_rows(out, "free-loop-space homology", report.betti)
     for r in pages:
         _page_rows(out, "flipped", r, relabel(report.pages_internal[r], "flipped"))
-    out.line("second page vs hom(cells, loop homology):")
+    out.row("second page vs hom(cells, loop homology):")
     keys = sorted(set(report.e2_engine) | set(report.e2_expected))
     for key in keys:
         got = report.e2_engine.get(key, 0)
         want = report.e2_expected.get(key, 0)
         flag = "ok" if got == want else "MISMATCH"
-        out.line(f"  {key}: {got} vs {want} {flag}")
-        out.record(s=key[0], t=key[1], engine=got, expected=want, table="e2")
+        out.row(
+            f"  {key}: {got} vs {want} {flag}",
+            s=key[0], t=key[1], engine=got, expected=want, table="e2",
+        )
     return _assembly_rows(out, report.assembly) and report.e2_matches
 
 
@@ -307,25 +307,25 @@ def cmd_aut(args: argparse.Namespace, mf: ModelFile, out: Output) -> bool:
     pages = _parse_pages(args.pages) if args.pages else ()
     report = aut_homotopy(mf, window=args.window, pages=pages)
     _dims_rows(out, "homotopy of the identity component of self-equivalences", report.dims)
-    out.line(f"degree-zero classes (not part of the table): {report.degree_zero_dim}")
-    out.line("hom-shaped table (fiber degree σ vs cohomology degree τ):")
+    out.row(f"degree-zero classes (not part of the table): {report.degree_zero_dim}")
+    out.row("hom-shaped table (fiber degree σ vs cohomology degree τ):")
     for key in sorted(report.hom_shaped):
-        out.line(f"  {key}: {report.hom_shaped[key]}")
-        out.record(s=key[0], t=key[1], dimension=report.hom_shaped[key], table="hom")
+        out.row(
+            f"  {key}: {report.hom_shaped[key]}",
+            s=key[0], t=key[1], dimension=report.hom_shaped[key], table="hom",
+        )
     for r in pages:
         _page_rows(out, "internal", r, report.pages_internal[r])
         _page_rows(out, "relabeled", r, relabel(report.pages_internal[r], "relabeled"))
     if args.brackets:
-        out.line("brackets on classes:")
-        for entry in report.brackets():
-            out.line(f"  {entry.text}")
-            out.record(
-                table="bracket",
-                degree_a=entry.degree_a,
-                index_a=entry.index_a,
-                degree_b=entry.degree_b,
-                index_b=entry.index_b,
-                coords=entry.coords,
+        out.row("brackets on classes:")
+        for e in report.brackets():
+            n = e.degree_a + e.degree_b
+            terms = [f"{c}*e({n},{k})" for k, c in enumerate(e.coords) if c != "0"]
+            out.row(
+                f"  [e({e.degree_a},{e.index_a}), e({e.degree_b},{e.index_b})] = "
+                + (" + ".join(terms) or "0"),
+                table="bracket", **e._asdict(),
             )
     return _assembly_rows(out, report.assembly) if report.assembly else True
 

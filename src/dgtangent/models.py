@@ -661,22 +661,12 @@ class CheckResult(NamedTuple):
 
 
 class ValidationReport(NamedTuple):
-    model: str
     family: str
     checks: list[CheckResult]
 
     @property
     def ok(self) -> bool:
         return all(c.ok for c in self.checks)
-
-    def lines(self) -> list[str]:
-        out = [f"model {self.model or '(unnamed)'} [{self.family}]"]
-        for c in self.checks:
-            status = "ok" if c.ok else "FAIL"
-            detail = f" ({c.detail})" if c.detail else ""
-            out.append(f"  {status:4} {c.name}{detail}")
-        out.append("valid" if self.ok else "INVALID")
-        return out
 
 
 def validate_model(mf: ModelFile) -> ValidationReport:
@@ -737,7 +727,7 @@ def validate_model(mf: ModelFile) -> ValidationReport:
                     "; ".join(problems),
                 )
             )
-    return ValidationReport(mf.name, family, checks)
+    return ValidationReport(family, checks)
 
 
 # ------------------------------------------------------------- loop report
@@ -861,7 +851,6 @@ class BracketEntry(NamedTuple):
     degree_b: int
     index_b: int
     coords: list[str]
-    text: str
 
 
 class AutHomotopyReport(NamedTuple):
@@ -955,24 +944,8 @@ def _bracket_table(der: DerComplex, window: int) -> list[BracketEntry]:
                     bracket = der.lie_bracket(values_a, -n_a, values_b, -n_b)
                     vec = der.vector_of_values(bracket, -(n_a + n_b))
                     coords = h_out.reduce(vec)
-                    coord_list = [
-                        str(coords.get(k, Fraction(0))) for k in range(h_out.dim)
-                    ]
-                    nonzero = any(c != "0" for c in coord_list)
-                    text = (
-                        f"[e({n_a},{i}), e({n_b},{j})] = "
-                        + (
-                            " + ".join(
-                                f"{coords[k]}*e({n_a + n_b},{k})"
-                                for k in sorted(coords)
-                            )
-                            if nonzero
-                            else "0"
-                        )
-                    )
-                    entries.append(
-                        BracketEntry(n_a, i, n_b, j, coord_list, text)
-                    )
+                    coord_list = [str(coords.get(k, 0)) for k in range(h_out.dim)]
+                    entries.append(BracketEntry(n_a, i, n_b, j, coord_list))
     return entries
 
 

@@ -206,9 +206,6 @@ class SpectralSequence:
                     out[(s, n - s)] = dim
         return out
 
-    def einf_dims(self, total_degrees: Sequence[int]) -> dict[tuple[int, int], int]:
-        return self.page_dims(self.stable_page, total_degrees)
-
     # ------------------------------------------------------- class tracking
 
     def death_page(self, x: Vector, n: int, s: int) -> int | None:
@@ -554,16 +551,6 @@ class CollapseReport(NamedTuple):
     predicted_page: int | None
     reason: str
     verified: bool
-
-    def as_record(self) -> dict:
-        return {
-            "rows": self.rows,
-            "columns": self.columns,
-            "predicted_page": self.predicted_page,
-            "reason": self.reason,
-            "verified": self.verified,
-            "region_ok": None,  # unused; kept so that records keep their keys
-        }
 
 
 def collapse_report(ss: SpectralSequence, total_degrees: Sequence[int]) -> CollapseReport:

@@ -340,7 +340,7 @@ def test_criterion_05_first_page_law():
     assert ss.page_dims(1, WINDOW) == {(2, -4): 1, (2, -2): 1, (3, -6): 1, (3, -4): 1}
     d1 = ss.d_matrix(1, 2, -4)
     assert (d1.nrows, d1.ncols) == (1, 1) and not d1.is_zero()
-    assert ss.einf_dims(WINDOW) == {(2, -2): 1, (3, -6): 1}
+    assert ss.page_dims(ss.stable_page, WINDOW) == {(2, -2): 1, (3, -6): 1}
     _report(5, "first-page law", f"{entries} cells hom-shaped; quadratic exception exhibited")
 
 
@@ -352,7 +352,7 @@ def test_criterion_06_collapse_and_vanishing():
         mf = builtin(name)
         _, fc = derivation_tower(mf, trivial_coefficients(mf.algebra))
         ss = SpectralSequence(fc)
-        stable = ss.einf_dims(WINDOW)
+        stable = ss.page_dims(ss.stable_page, WINDOW)
         for r in range(2, ss.stable_page + 1):
             assert ss.page_dims(r, WINDOW) == stable, (name, r)
         col = collapse_report(ss, WINDOW)

@@ -133,7 +133,7 @@ def test_sullivan_s2_second_page_is_stable() -> None:
     expected = {(2, -2): 1, (3, -6): 1}
     assert ss.page_dims(2, WINDOW_S2) == expected
     assert ss.stable_page == 5
-    assert ss.einf_dims(WINDOW_S2) == expected
+    assert ss.page_dims(ss.stable_page, WINDOW_S2) == expected
 
 
 def test_sullivan_s2_death_pages() -> None:
@@ -304,7 +304,7 @@ def test_cone_tower_odd_sphere_loop_pages() -> None:
         if n in window:
             expected[(3, n - 3)] = 1
     assert ss.page_dims(1, window) == expected
-    assert ss.einf_dims(window) == expected
+    assert ss.page_dims(ss.stable_page, window) == expected
     report = ss.total_degree_check(window)
     assert all(ok for (_, _, ok) in report.values())
 
@@ -400,7 +400,7 @@ def test_every_page_refuses_a_level_lowering_d() -> None:
             with pytest.raises(ValueError, match="lowers the filtration in degree 0"):
                 ss.dim(r, s, t)
     with pytest.raises(ValueError, match="lowers the filtration"):
-        ss.einf_dims([0, 1])
+        ss.page_dims(ss.stable_page, [0, 1])
     with pytest.raises(ValueError, match="lowers the filtration"):
         ss.total_degree_check([0, 1])
     with pytest.raises(ValueError, match="lowers the filtration"):
