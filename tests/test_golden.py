@@ -113,6 +113,10 @@ def golden_cases() -> dict[str, tuple[str, ...]]:
     cases["aut-s3-s5"] = (
         "aut", str(MODELS_DIR / "s3-s5.model"), "--window", "6", "--brackets",
     )
+    # Every generator base: no fiber, so empty pages and no assembly rows.
+    cases["aut-base-only"] = (
+        "aut", str(MODELS_DIR / "base-only.model"), "--window", "3", "--pages", "1..2",
+    )
     return cases
 
 
@@ -121,6 +125,7 @@ CASES = golden_cases()
 # Cases whose table-mode stdout is pinned as well: at least one per command
 # that prints a report, and every kind of table row.
 TABLE_CASES = (
+    "aut-base-only",
     "aut-s3-s5",
     "aut-sullivan_hopf",
     "der-reps-sullivan_hopf",
