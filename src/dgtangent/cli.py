@@ -8,7 +8,10 @@ the one command runner: it loads the model (validated, except for
 ``validate`` and ``print``), hands each ``cmd_*`` one ``Output`` to fill,
 prints it, and forms every exit status: 0 on success, 1 on validation or
 input failure, an engine refusal or a failed check, 2 on usage errors.
-Page tables are relabeled at output time by ``tower.relabel``.
+Flag integers are read like model-file integers (``-?[0-9]+``).  ``ss``,
+``loop``, ``aut`` and ``hochschild`` each render one ``TowerReport``:
+``_page_rows`` prints its pages, relabeled here and only here by
+``tower.relabel`` (``loop`` relabels its two second-page tables too).
 """
 
 from __future__ import annotations
@@ -16,11 +19,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from typing import Sequence
 
 from .algebra import AlgebraMorphism, trivial_algebra
 from .models import (
     ModelFile,
+    TowerReport,
+    _parse_int,
     algebra_homology_dims,
     aut_homotopy,
     builtin_names,
@@ -32,11 +38,10 @@ from .models import (
     multiplicativity_check,
     print_model,
     quillen_dims,
-    relabel,
     tower_report,
     validate_model,
 )
-from .tower import SpectralSequence
+from .tower import SpectralSequence, relabel
 
 TABLE = "table"
 RECORDS = "records"
@@ -50,11 +55,16 @@ class UsageError(Exception):
     """A flag-level mistake: message printed, exit status 2."""
 
 
+def integer(text: str) -> int:
+    """A flag's integer, read like one in a model text: ``-?[0-9]+``."""
+    return _parse_int(text, None, "integer")
+
+
 def _parse_range(text: str, what: str) -> tuple[int, int]:
     """``A..B`` as (A, B); a usage error unless A and B are integers, A <= B."""
     lo, _, hi = text.partition("..")
     try:
-        bounds = int(lo), int(hi)
+        bounds = integer(lo), integer(hi)
     except ValueError:
         raise UsageError(f"bad {what} range {text!r}") from None
     if bounds[0] > bounds[1]:
@@ -68,13 +78,13 @@ def _parse_pages(text: str) -> list[int]:
         pages = list(range(lo, hi + 1))
     else:
         try:
-            pages = [int(p) for p in text.split(",")]
+            pages = [integer(p) for p in text.split(",")]
         except ValueError:
             raise UsageError(f"bad page list {text!r}") from None
     if not pages or any(p < 1 for p in pages):
         raise UsageError("page numbers start at 1")
-    for p in pages:
-        if pages.count(p) > 1:
+    for p, count in Counter(pages).items():
+        if count > 1:
             raise UsageError(f"page {p} is listed more than once in {text!r}")
     return pages
 
@@ -149,20 +159,19 @@ def _dims_rows(out: Output, label: str, dims: dict[int, int], key: str = "degree
         out.row(f"  {key} {n:>3}: {dims[n]}", **{key: n, "dimension": dims[n], "table": label})
 
 
-def _page_rows(
-    out: Output,
-    convention: str,
-    r: int,
-    table: dict[tuple[int, int], int],
-) -> None:
-    out.row(f"page {r} [{convention}]:")
-    if not table:
-        out.row("  (empty)")
-    for (s, t) in sorted(table):
-        out.row(
-            f"  ({s}, {t}): {table[(s, t)]}",
-            r=r, s=s, t=t, dimension=table[(s, t)], convention=convention,
-        )
+def _page_rows(out: Output, conventions: Sequence[str], tower: TowerReport) -> None:
+    """Every page of ``tower``, relabeled in each of ``conventions`` in turn."""
+    for r, page in tower.pages_internal.items():
+        for convention in conventions:
+            table = relabel(page, convention)
+            out.row(f"page {r} [{convention}]:")
+            if not table:
+                out.row("  (empty)")
+            for (s, t) in sorted(table):
+                out.row(
+                    f"  ({s}, {t}): {table[(s, t)]}",
+                    r=r, s=s, t=t, dimension=table[(s, t)], convention=convention,
+                )
 
 
 def _assembly_rows(out: Output, assembly: dict[int, tuple[int, int, bool]]) -> bool:
@@ -251,9 +260,7 @@ def cmd_ss(args: argparse.Namespace, mf: ModelFile, out: Output) -> bool:
         if args.convention
         else ["internal", "relabeled" if model_family(mf) == "sullivan" else "flipped"]
     )
-    for r in pages:
-        for convention in conventions:
-            _page_rows(out, convention, r, relabel(report.pages_internal[r], convention))
+    _page_rows(out, conventions, report)
     out.row(f"stable page: {report.stable_page}")
     ok = _assembly_rows(out, report.assembly)
     if report.collapse is not None:
@@ -288,19 +295,18 @@ def cmd_loop(args: argparse.Namespace, mf: ModelFile, out: Output) -> bool:
     pages = _parse_pages(args.pages) if args.pages else ()
     report = loop_homology(mf, window=args.max_degree, pages=pages)
     _dims_rows(out, "free-loop-space homology", report.betti)
-    for r in pages:
-        _page_rows(out, "flipped", r, relabel(report.pages_internal[r], "flipped"))
+    _page_rows(out, ["flipped"], report.tower)
     out.row("second page vs hom(cells, loop homology):")
-    keys = sorted(set(report.e2_engine) | set(report.e2_expected))
-    for key in keys:
-        got = report.e2_engine.get(key, 0)
-        want = report.e2_expected.get(key, 0)
+    engine = relabel(report.e2_engine, "flipped")
+    expected = relabel(report.e2_expected, "flipped")
+    for key in sorted(set(engine) | set(expected)):
+        got, want = engine.get(key, 0), expected.get(key, 0)
         flag = "ok" if got == want else "MISMATCH"
         out.row(
             f"  {key}: {got} vs {want} {flag}",
             s=key[0], t=key[1], engine=got, expected=want, table="e2",
         )
-    return _assembly_rows(out, report.assembly) and report.e2_matches
+    return _assembly_rows(out, report.tower.assembly) and report.e2_matches
 
 
 def cmd_aut(args: argparse.Namespace, mf: ModelFile, out: Output) -> bool:
@@ -314,9 +320,7 @@ def cmd_aut(args: argparse.Namespace, mf: ModelFile, out: Output) -> bool:
             f"  {key}: {report.hom_shaped[key]}",
             s=key[0], t=key[1], dimension=report.hom_shaped[key], table="hom",
         )
-    for r in pages:
-        _page_rows(out, "internal", r, report.pages_internal[r])
-        _page_rows(out, "relabeled", r, relabel(report.pages_internal[r], "relabeled"))
+    _page_rows(out, ["internal", "relabeled"], report.tower)
     if args.brackets:
         out.row("brackets on classes:")
         for e in report.brackets():
@@ -327,17 +331,15 @@ def cmd_aut(args: argparse.Namespace, mf: ModelFile, out: Output) -> bool:
                 + (" + ".join(terms) or "0"),
                 table="bracket", **e._asdict(),
             )
-    return _assembly_rows(out, report.assembly) if report.assembly else True
+    return _assembly_rows(out, report.tower.assembly) if report.tower.assembly else True
 
 
 def cmd_hochschild(args: argparse.Namespace, mf: ModelFile, out: Output) -> bool:
     ss = cone_spectral_sequence(mf)
     degrees = range(-args.window, args.window + 1)
     pages = _parse_pages(args.pages) if args.pages else [1, 2]
-    pages.append(ss.stable_page)  # the E_∞ row
-    report = tower_report(ss, degrees, pages)
-    for r in pages:
-        _page_rows(out, "internal", r, report.pages_internal[r])
+    report = tower_report(ss, degrees, [*pages, ss.stable_page])  # and the E_∞ page
+    _page_rows(out, ["internal"], report)
     _dims_rows(out, "cone cohomology", {n: report.assembly[n][1] for n in degrees})
     return _assembly_rows(out, report.assembly)
 
@@ -380,7 +382,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p.add_argument("model", help="model file path or builtin:NAME")
         if window_default is not None:
             p.add_argument(
-                "--window", type=int, default=window_default, metavar="N",
+                "--window", type=integer, default=window_default, metavar="N",
                 help=f"degree window (default {window_default})",
             )
         p.add_argument(
@@ -435,7 +437,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     if p := add("loop", "free-loop-space homology of a cellular model"):
         common(p, window_default=None)
         p.add_argument(
-            "--max-degree", type=int, default=10, metavar="N",
+            "--max-degree", type=integer, default=10, metavar="N",
             help="largest loop degree reported (default 10)",
         )
         p.add_argument("--pages", metavar="A..B", help="also print these pages")

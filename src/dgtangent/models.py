@@ -66,7 +66,6 @@ from .tower import (
     collapse_report,
     cone_tower,
     der_tower,
-    relabel,
 )
 
 KIND_OF_FLAVOR = {"associative": KIND_TENSOR, "commutative": KIND_COMMUTATIVE}
@@ -737,8 +736,7 @@ class LoopHomologyReport(NamedTuple):
     """Free-loop-space homology of a cellular model via the adjoint cone."""
 
     betti: dict[int, int]
-    assembly: dict[int, tuple[int, int, bool]]
-    pages_internal: dict[int, dict[tuple[int, int], int]]
+    tower: TowerReport
     e2_engine: dict[tuple[int, int], int]
     e2_expected: dict[tuple[int, int], int]
     e2_matches: bool
@@ -791,9 +789,10 @@ def loop_homology(
     derivation slot (v ↦ w) then sits at (s, t) = (deg v + 1, deg w), the
     bidegrees of maps from degree-s cells into the degree-t loop homology,
     and the algebra column s = 0 supplies the cell-free summand.  Pages
-    keep the internal (s, t) with loop degree −t in the window.  These
-    labels hold only when each generator's stage is its degree, so any other
-    stage is refused.
+    keep the internal (s, t) with loop degree −t in the window; the second
+    page is compared with Hom keyed by (s, −degree).  These labels hold
+    only when each generator's stage is its degree, so any other stage is
+    refused.
     """
     if model_family(mf) != "cellular":
         raise ValueError("loop homology requires an associative homological model")
@@ -810,17 +809,15 @@ def loop_homology(
     needed_n = sorted(
         {2 * s - m for s in range(0, max_level + 1) for m in range(0, window + 1)}
     )
+    tower = tower_report(ss, needed_n, sorted({*pages, 2, ss.stable_page}))
     betti: dict[int, int] = {m: 0 for m in range(0, window + 1)}
-    for s in range(0, max_level + 1):
-        for m in range(0, window + 1):
-            betti[m] += ss.dim(ss.stable_page, s, s - m)
-
-    def window_page(r: int) -> dict[tuple[int, int], int]:
-        return {
-            (s, t): dim
-            for (s, t), dim in ss.page_dims(r, needed_n).items()
-            if 0 <= -t <= window
-        }
+    for (s, t), dim in tower.pages_internal[ss.stable_page].items():
+        if 0 <= s - t <= window:
+            betti[s - t] += dim
+    in_window = {
+        r: {(s, t): dim for (s, t), dim in page.items() if 0 <= -t <= window}
+        for r, page in tower.pages_internal.items()
+    }
 
     # Cells of degree s ≥ 1: indecomposable homology in degree s − 1 (none in 0).
     h_cells = {0: 1}
@@ -828,15 +825,13 @@ def loop_homology(
     for s in range(1, max_level + 1):
         h_cells[s] = q_dims.get(s - 1, 0)
     h_loops = algebra_homology_dims(algebra, list(range(0, window + 1)))
-    e2_expected = hom_table(h_cells, h_loops)
-    e2_engine = relabel(window_page(2), "flipped")
+    e2_expected = hom_table(h_cells, {-m: dim for m, dim in h_loops.items()})
     return LoopHomologyReport(
         betti=betti,
-        assembly=ss.total_degree_check(needed_n),
-        pages_internal={r: window_page(r) for r in pages},
-        e2_engine=e2_engine,
+        tower=tower._replace(pages_internal={r: in_window[r] for r in pages}),
+        e2_engine=in_window[2],
         e2_expected=e2_expected,
-        e2_matches=e2_engine == e2_expected,
+        e2_matches=in_window[2] == e2_expected,
     )
 
 
@@ -859,14 +854,13 @@ class AutHomotopyReport(NamedTuple):
     window: int
     dims: dict[int, int]
     degree_zero_dim: int
-    pages_internal: dict[int, dict[tuple[int, int], int]]
     hom_shaped: dict[tuple[int, int], int]
-    assembly: dict[int, tuple[int, int, bool]]
-    der: DerComplex | None = None
+    tower: TowerReport
+    der: DerComplex
 
     def brackets(self) -> list[BracketEntry]:
         """Brackets of the classes in degrees 1..window, computed on request."""
-        return _bracket_table(self.der, self.window) if self.der is not None else []
+        return _bracket_table(self.der, self.window)
 
 
 def fiber_homotopy_dims(mf: ModelFile, window: int) -> dict[int, int]:
@@ -882,43 +876,28 @@ def aut_homotopy(
 ) -> AutHomotopyReport:
     """Dimensions of H^{-n} of the base-fixing derivations, with pages.
 
-    Degree n ≥ 1 of the table is the rational homotopy in degree n.  Pages
-    are keyed by internal bidegree; ``relabel`` turns them into the
-    (σ, τ) labels of the hom-shaped table.
+    Degree n ≥ 1 of the table is the rational homotopy in degree n, read
+    off the direct column of the assembly check.  Pages are keyed by
+    internal bidegree; the command line prints them also in the (σ, τ)
+    labels of the hom-shaped table.
     """
     if model_family(mf) != "sullivan":
         raise ValueError(
             "self-equivalence homotopy requires a commutative cohomological model"
         )
-    algebra = mf.algebra
-    base = mf.base_names()
-    if len(base) == len(algebra.generators):
-        der = None  # no fiber generators: the relative complex is zero
-    else:
-        der = DerComplex(algebra, vanishing=base)
-
-    dims = {n: 0 for n in range(1, window + 1)}
-    degree_zero = 0
-    assembly: dict[int, tuple[int, int, bool]] = {}
-    pages_internal: dict[int, dict[tuple[int, int], int]] = {r: {} for r in pages}
-
-    if der is not None:
-        cx = der.complex()
-        for n in range(1, window + 1):
-            dims[n] = cx.homology_dim(-n)
-        degree_zero = cx.homology_dim(0)
-        tower = tower_report(SpectralSequence(der_tower(der)), range(-window, 1), pages)
-        pages_internal, assembly = tower.pages_internal, tower.assembly
-
+    der, fc = derivation_tower(mf)
+    tower = tower_report(SpectralSequence(fc), range(-window, 1), pages)
+    direct = {-n: h for n, (_, h, _) in tower.assembly.items()}
+    if len(mf.base_names()) == len(mf.algebra.generators):
+        tower = tower._replace(assembly={})  # no fiber generators: nothing to assemble
     pi_f = fiber_homotopy_dims(mf, window)
-    h_total = algebra_homology_dims(algebra, list(range(0, window + 1)))
+    h_total = algebra_homology_dims(mf.algebra, list(range(0, window + 1)))
     return AutHomotopyReport(
         window=window,
-        dims=dims,
-        degree_zero_dim=degree_zero,
-        pages_internal=pages_internal,
+        dims={n: direct[n] for n in range(1, window + 1)},
+        degree_zero_dim=direct[0],
         hom_shaped=hom_table(pi_f, h_total),
-        assembly=assembly,
+        tower=tower,
         der=der,
     )
 

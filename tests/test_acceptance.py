@@ -501,7 +501,7 @@ def test_criterion_07_loop_homology_s3():
         assert ranks[n] == 0, n  # everything cancels for an even generator
     for n in WINDOW:
         dense_dims[n] = len(dense_cone_basis(n)) - ranks[n] - ranks.get(n - 1, 0)
-    cone_homology = {n: direct for n, (_, direct, _) in report.assembly.items()}
+    cone_homology = {n: direct for n, (_, direct, _) in report.tower.assembly.items()}
     assert cone_homology  # engine degrees all lie inside the window
     for n, dim in cone_homology.items():
         assert dense_dims[n] == dim, n

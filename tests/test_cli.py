@@ -10,12 +10,13 @@ import json
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from dgtangent.algebra import AlgebraMorphism
-from dgtangent.cli import main
+from dgtangent.cli import _parse_pages, main
 from dgtangent.models import builtin, validate_model
 from test_acceptance import CHILD_ENV
 
@@ -441,6 +442,50 @@ def test_repeated_page_is_usage_error(command, model, capsys):
     code, out, err = run_main(capsys, command, model, "--pages", "2,1,2")
     assert (code, out) == (2, "")
     assert "page 2 is listed more than once in '2,1,2'" in err
+
+
+def test_page_parsing_is_linear_in_the_page_count():
+    t0 = time.monotonic()
+    assert _parse_pages("1..100000") == list(range(1, 100001))
+    assert time.monotonic() - t0 < 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("der", "builtin:sullivan:hopf", "--range", "0..1_0"),
+        ("der", "builtin:sullivan:hopf", "--range", "٠..٢"),
+        ("der", "builtin:sullivan:hopf", "--window", "1_0"),
+        ("der", "builtin:sullivan:hopf", "--window", "+3"),
+        ("ss", "builtin:ah:sphere:2", "--pages", " 1, +2"),
+        ("ss", "builtin:ah:sphere:2", "--pages", "1..٣"),
+        ("loop", "builtin:ah:sphere:2", "--max-degree", " 4"),
+    ],
+    ids=["range-underscore", "range-arabic-digits", "window-underscore", "window-plus",
+         "pages-spaces-plus", "pages-arabic-digit", "max-degree-space"],
+)
+def test_integer_flags_take_only_ascii_digit_runs(capsys, argv):
+    # Flags read integers like model texts do, -?[0-9]+; anything else is a
+    # usage error, from argparse or from the command.
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert repr(argv[-1]) in captured.err
+
+
+def test_hochschild_prints_the_stable_page_once(capsys):
+    # ah:sphere:2 has stable page 4; listing it adds no second copy.
+    code, out, _ = run_main(
+        capsys, "hochschild", "builtin:ah:sphere:2", "--window", "1", "--pages", "3..4"
+    )
+    assert code == 0
+    assert [line for line in out.splitlines() if line.startswith("page")] == [
+        "page 3 [internal]:",
+        "page 4 [internal]:",
+    ]
 
 
 def test_bad_coefficients_is_usage_error(capsys):
