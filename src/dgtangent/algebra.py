@@ -51,18 +51,15 @@ UNIT: Monomial = ()
 class Generator(NamedTuple):
     """A free algebra generator: name, native degree, tower stage, role.
 
-    ``stage`` indexes the tower of subalgebras (defaults to the degree);
-    ``role`` is ``"base"`` for the fixed generators of a relative model, else
-    ``""``.
+    ``stage`` indexes the tower of subalgebras (None: the degree, as read by
+    ``FreeDgAlgebra.gen_stage``); ``role`` is ``"base"`` for the fixed
+    generators of a relative model, else ``""``.
     """
 
     name: str
     degree: int
     stage: int | None = None
     role: str = ""
-
-    def resolved_stage(self) -> int:
-        return self.degree if self.stage is None else self.stage
 
 
 class FreeDgAlgebra:
@@ -85,6 +82,9 @@ class FreeDgAlgebra:
         # Letters sort by (degree, name); monomials by (length, letter keys).
         self._letter_key = {g.name: (g.degree, g.name) for g in self.generators.values()}
         self._parity = {g.name: g.degree % 2 for g in self.generators.values()}
+        # The fixed generators of a relative model: Der vanishes on them, the
+        # stage condition exempts them and the cone puts them at stage 0.
+        self.base = frozenset(g.name for g in self.generators.values() if g.role == "base")
         self.diff: dict[str, Element] = {g: {} for g in self.generators}
         self._d_memo: dict[Monomial, Element] = {}  # d of each monomial met so far
 
@@ -100,7 +100,8 @@ class FreeDgAlgebra:
         return self._parity[name]
 
     def gen_stage(self, name: str) -> int:
-        return self.generators[name].resolved_stage()
+        gen = self.generators[name]
+        return gen.degree if gen.stage is None else gen.stage
 
     def monomial_degree(self, mono: Monomial) -> int:
         return sum(self.generators[l].degree for l in mono)
@@ -206,9 +207,8 @@ class FreeDgAlgebra:
         out: Element = {}
         odd = 0
         for i, letter in enumerate(mono):
-            left, right = mono[:i], mono[i + 1 :]
             for dm, dc in self.diff[letter].items():
-                sign, nm = self.normalize_monomial(left + dm + right)
+                sign, nm = self.normalize_monomial(mono[:i] + dm + mono[i + 1 :])
                 if nm is not None:
                     el_add_term(out, nm, dc if sign == (-1) ** odd else -dc)
             odd ^= self._parity[letter]
@@ -276,21 +276,16 @@ class FreeDgAlgebra:
 
     # ------------------------------------------------------------ towers
 
-    def stage_condition_failures(self, exempt: frozenset[str] = frozenset()) -> list[str]:
+    def stage_condition_failures(self) -> list[str]:
         """Generators whose differential uses letters of stage >= their own.
 
-        Letters in ``exempt`` (and exempt generators themselves) are allowed
-        anywhere; relative models pass their base generators here.
+        Base generators are allowed anywhere, and are not checked themselves.
         """
         bad = []
-        for name in sorted(self.generators):
-            if name in exempt:
-                continue
+        for name in sorted(self.generators.keys() - self.base):
             s = self.gen_stage(name)
             for mono in self.diff[name]:
-                if any(
-                    l not in exempt and self.gen_stage(l) >= s for l in mono
-                ):
+                if any(l not in self.base and self.gen_stage(l) >= s for l in mono):
                     bad.append(name)
                     break
         return bad
@@ -306,18 +301,25 @@ class FreeDgAlgebra:
         letters = sorted(self.generators, key=lambda g: self._letter_key[g])
         found: list[Monomial] = []
         if self.kind == KIND_TENSOR:
-            def walk(prefix: list[str], remaining: int) -> None:
-                if remaining == 0:
-                    found.append(tuple(prefix))
-                    return
-                for letter in letters:
-                    d = self.gen_degree(letter)
-                    if d <= remaining:
-                        prefix.append(letter)
-                        walk(prefix, remaining - d)
-                        prefix.pop()
-
-            walk([], degree)
+            # Depth-first over words, on an explicit stack: a word is as long
+            # as its degree, deeper than Python's recursion limit allows.
+            word: list[str] = []
+            stack = [iter(letters)]  # per letter of word, and one more: letters to try
+            remaining = degree
+            while stack:
+                letter = next(stack[-1], None)
+                if letter is None:
+                    stack.pop()
+                    if word:
+                        remaining += self.gen_degree(word.pop())
+                elif self.gen_degree(letter) <= remaining:
+                    word.append(letter)
+                    remaining -= self.gen_degree(letter)
+                    if remaining:
+                        stack.append(iter(letters))
+                    else:
+                        found.append(tuple(word))
+                        remaining += self.gen_degree(word.pop())
         else:
             def walk_c(idx: int, prefix: list[str], remaining: int) -> None:
                 if remaining == 0:

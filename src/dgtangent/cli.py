@@ -228,7 +228,7 @@ def cmd_der(args: argparse.Namespace, mf: ModelFile, out: Output) -> bool:
         lo, hi = -args.window, args.window
     cx = der.complex()
     dims = {n: cx.homology_dim(n) for n in range(lo, hi + 1)}
-    vanish = f" fixing {sorted(mf.base_names())}" if mf.base_names() else ""
+    vanish = f" fixing {sorted(mf.algebra.base)}" if mf.algebra.base else ""
     _dims_rows(out, f"derivation cohomology{vanish} ({coefficients} coefficients)", dims)
     if args.reps:
         out.row("representatives:")

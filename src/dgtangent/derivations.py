@@ -31,6 +31,7 @@ from .algebra import (
 )
 from .complexes import CochainComplex, images_matrix
 from .linalg import ONE, Matrix, Vector, spans_equal
+from .tower import FilteredComplex
 
 Slot = tuple[str, Monomial]  # (generator name, coefficient monomial)
 Values = dict[str, Element]  # derivation by its values on generators
@@ -44,7 +45,11 @@ def slot_images(values: Values, *tag: str) -> dict[tuple, Fraction]:
 class DerComplex:
     """Der_u(A, U), U = u.target, relative to a vanishing set of generators.
 
-    The coefficient morphism u defaults to the identity of A.
+    The coefficient morphism u defaults to the identity of A.  Its stage
+    tower (``tower``) puts a slot (v ↦ m) at the stage of v: F^s is spanned
+    by the derivations vanishing on generators of stage < s, a subcomplex
+    since each stage is closed under d in any algebra passing the stage
+    condition.
     """
 
     def __init__(
@@ -92,9 +97,6 @@ class DerComplex:
             for mono in self.U.basis_in_cdeg(p + self.A.gen_cdeg(v)):
                 out.append((v, mono))
         return out
-
-    def slot_stage(self, slot: Slot) -> int:
-        return self.A.gen_stage(slot[0])
 
     def values_of_vector(self, vec: Vector, p: int) -> Values:
         basis = self.basis(p)
@@ -153,6 +155,11 @@ class DerComplex:
 
             self._complex = CochainComplex(self.basis, diff_fn)
         return self._complex
+
+    def tower(self) -> FilteredComplex:
+        stage = self.A.gen_stage
+        top = max(map(stage, self.slots), default=0)
+        return FilteredComplex(self.complex(), lambda slot: stage(slot[0]), top)
 
     # -------------------------------------------------------------- brackets
 
@@ -257,7 +264,7 @@ class RestrictionSequence(NamedTuple):
 
 def subalgebra_below_stage(algebra: FreeDgAlgebra, stage: int) -> FreeDgAlgebra:
     """The subalgebra generated by all generators of stage < ``stage``."""
-    gens = [g for g in algebra.generators.values() if g.resolved_stage() < stage]
+    gens = [g for g in algebra.generators.values() if algebra.gen_stage(g.name) < stage]
     sub = FreeDgAlgebra(algebra.kind, algebra.grading, gens)
     offenders = closure_offenders(algebra, frozenset(g.name for g in gens))
     if offenders:
@@ -349,8 +356,9 @@ class ConeComplex:
 
     Degree p holds the algebra in degree p and the derivations in degree
     p − 1; the differential is D(q, φ) = (dq, Ad_q − ∂φ).  The filtration
-    puts the algebra summand at level 0 and a derivation slot at the stage of
-    its generator plus one, base generators of a relative model at stage 0.
+    (``tower``) puts the algebra summand at level 0 and a derivation slot at
+    the stage of its generator plus one, base generators of a relative model
+    at stage 0.
     """
 
     def __init__(self, algebra: FreeDgAlgebra) -> None:
@@ -363,12 +371,8 @@ class ConeComplex:
         out.extend(("der", v, mono) for v, mono in self.der.basis(p - 1))
         return out
 
-    def filtration_level(self, label: ConeLabel) -> int:
-        return 0 if label[0] == "alg" else self.slot_level(label[1])
-
     def slot_level(self, v: str) -> int:
-        g = self.A.generators[v]
-        return 1 if g.role == "base" else g.resolved_stage() + 1
+        return 1 if v in self.A.base else self.A.gen_stage(v) + 1
 
     def adjoint_values(self, q: Element) -> Values:
         """Ad_q: the inner derivation w ↦ [q, w] on generators."""
@@ -397,3 +401,10 @@ class ConeComplex:
 
             self._complex = CochainComplex(self.basis, diff_fn)
         return self._complex
+
+    def tower(self) -> FilteredComplex:
+        def level(label: ConeLabel) -> int:
+            return 0 if label[0] == "alg" else self.slot_level(label[1])
+
+        top = max(map(self.slot_level, self.A.generators), default=1)
+        return FilteredComplex(self.complex(), level, top)

@@ -64,8 +64,6 @@ from .tower import (
     FilteredComplex,
     SpectralSequence,
     collapse_report,
-    cone_tower,
-    der_tower,
 )
 
 KIND_OF_FLAVOR = {"associative": KIND_TENSOR, "commutative": KIND_COMMUTATIVE}
@@ -103,9 +101,6 @@ class ModelFile(NamedTuple):
     diagonals: dict[str, Diagonal]
     name: str = ""
     description: str = ""
-
-    def base_names(self) -> frozenset[str]:
-        return frozenset(g.name for g in self.algebra.generators.values() if g.role == "base")
 
 
 def model_family(mf: ModelFile) -> str:
@@ -407,7 +402,7 @@ def print_model(mf: ModelFile) -> str:
         decl = f"gen {g.name} : {g.degree}"
         if g.stage is not None:
             decl += f" stage {g.stage}"
-        if g.role == "base":
+        if g.name in algebra.base:
             decl += " base"
         lines.append(decl)
     for g, value in algebra.diff.items():
@@ -681,8 +676,7 @@ def validate_model(mf: ModelFile) -> ValidationReport:
         )
     ]
 
-    base = mf.base_names()
-    stage_bad = algebra.stage_condition_failures(exempt=base)
+    stage_bad = algebra.stage_condition_failures()
     checks.append(
         CheckResult(
             "stage condition (d lands below the stage)",
@@ -691,8 +685,8 @@ def validate_model(mf: ModelFile) -> ValidationReport:
         )
     )
 
-    if base:
-        closure_bad = closure_offenders(algebra, base)
+    if algebra.base:
+        closure_bad = closure_offenders(algebra, algebra.base)
         checks.append(
             CheckResult(
                 "base subalgebra closed under d",
@@ -776,7 +770,7 @@ def cone_spectral_sequence(mf: ModelFile) -> SpectralSequence:
 
     The cone itself is the filtered complex ``fc.complex`` of the result.
     """
-    return SpectralSequence(cone_tower(ConeComplex(mf.algebra)))
+    return SpectralSequence(ConeComplex(mf.algebra).tower())
 
 
 def loop_homology(
@@ -798,7 +792,7 @@ def loop_homology(
         raise ValueError("loop homology requires an associative homological model")
     algebra = mf.algebra
     for g in algebra.generators.values():
-        if g.resolved_stage() != g.degree:
+        if algebra.gen_stage(g.name) != g.degree:
             raise ValueError(
                 f"loop homology needs stage = degree: {g.name!r} has degree {g.degree}, "
                 f"stage {g.stage}"
@@ -806,9 +800,8 @@ def loop_homology(
     ss = cone_spectral_sequence(mf)
     max_level = ss.fc.max_level
 
-    needed_n = sorted(
-        {2 * s - m for s in range(0, max_level + 1) for m in range(0, window + 1)}
-    )
+    # {2s − m : 0 ≤ s ≤ max_level, 0 ≤ m ≤ window}, once window ≥ 1
+    needed_n = range(-window, 2 * max_level + 1)
     tower = tower_report(ss, needed_n, sorted({*pages, 2, ss.stable_page}))
     betti: dict[int, int] = {m: 0 for m in range(0, window + 1)}
     for (s, t), dim in tower.pages_internal[ss.stable_page].items():
@@ -866,7 +859,7 @@ class AutHomotopyReport(NamedTuple):
 def fiber_homotopy_dims(mf: ModelFile, window: int) -> dict[int, int]:
     """Linear-part homology of the fiber generators, keyed by degree."""
     dims = quillen_dims(
-        mf.algebra, list(range(1, window + 1)), exclude=mf.base_names()
+        mf.algebra, list(range(1, window + 1)), exclude=mf.algebra.base
     )
     return {n: d for n, d in dims.items() if d}
 
@@ -888,7 +881,7 @@ def aut_homotopy(
     der, fc = derivation_tower(mf)
     tower = tower_report(SpectralSequence(fc), range(-window, 1), pages)
     direct = {-n: h for n, (_, h, _) in tower.assembly.items()}
-    if len(mf.base_names()) == len(mf.algebra.generators):
+    if mf.algebra.base == mf.algebra.generators.keys():
         tower = tower._replace(assembly={})  # no fiber generators: nothing to assemble
     pi_f = fiber_homotopy_dims(mf, window)
     h_total = algebra_homology_dims(mf.algebra, list(range(0, window + 1)))
@@ -948,8 +941,8 @@ def derivation_tower(
     u: A → U defaults to the identity of A; base-flagged generators are held
     fixed.
     """
-    der = DerComplex(mf.algebra, u, vanishing=mf.base_names())
-    return der, der_tower(der)
+    der = DerComplex(mf.algebra, u, vanishing=mf.algebra.base)
+    return der, der.tower()
 
 
 def tower_report(

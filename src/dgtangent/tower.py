@@ -518,28 +518,6 @@ def relabel(
     raise ValueError(f"unknown bidegree convention {convention!r}")
 
 
-# ----------------------------------------------- towers of specific origin
-
-
-def der_tower(der) -> FilteredComplex:
-    """Filtration of a derivation complex by the stage of the source slot.
-
-    F^s is spanned by the derivations vanishing on generators of stage < s;
-    these are subcomplexes exactly when each stage is closed under d, which
-    holds for any algebra passing the stage condition.
-    """
-    gens = [g for g in der.A.generators.values() if g.name not in der.vanishing]
-    max_level = max((g.resolved_stage() for g in gens), default=0)
-    return FilteredComplex(der.complex(), der.slot_stage, max_level)
-
-
-def cone_tower(cone) -> FilteredComplex:
-    """Filtration of the adjoint cone: algebra part at level 0, derivation
-    slots at stage + 1, base slots of a relative model at level 1."""
-    max_level = max(map(cone.slot_level, cone.A.generators), default=1)
-    return FilteredComplex(cone.complex(), cone.filtration_level, max_level)
-
-
 # ------------------------------------------------------- collapse analysis
 
 

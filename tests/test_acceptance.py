@@ -48,7 +48,6 @@ from dgtangent.tower import (
     SpectralSequence,
     alignment_check,
     collapse_report,
-    cone_tower,
 )
 
 # The concrete builtin instances exercised by every "all builtins" clause.
@@ -245,7 +244,7 @@ def test_criterion_03_engine_oracle_equivalence():
             _, fc = derivation_tower(mf, COEFFICIENTS[coefficients](mf.algebra))
             towers.append((coefficients, fc))
         cone = ConeComplex(mf.algebra)
-        towers.append(("cone", cone_tower(cone)))
+        towers.append(("cone", cone.tower()))
         for coefficients, fc in towers:
             ss = SpectralSequence(fc)
             for n, (total, direct, ok) in ss.total_degree_check(WINDOW).items():

@@ -273,7 +273,7 @@ def test_indecomposables_match_dense_linear_homology(name) -> None:
 )
 def test_indecomposables_exclude_matches_fiber_homotopy(name, expected) -> None:
     mf = builtin(name)
-    algebra, base = mf.algebra, mf.base_names()
+    algebra, base = mf.algebra, mf.algebra.base
     ind = algebra.indecomposables_complex(base)
     dense = {n: dense_linear_homology(algebra, n, base) for n in range(1, 9)}
     assert {n: ind.homology(n).dim for n in range(1, 9)} == dense

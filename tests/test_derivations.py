@@ -307,12 +307,11 @@ def test_cone_loop_space_dimensions_for_even_sphere() -> None:
 
 def test_cone_filtration_levels() -> None:
     cone = ConeComplex(tensor_sphere())
-    for label in cone.basis(-2):
-        if label[0] == "alg":
-            assert cone.filtration_level(label) == 0
-    for label in cone.basis(1):
-        if label[0] == "der":
-            assert cone.filtration_level(label) == 3  # stage(x)=2, +1
+    fc = cone.tower()
+    assert fc.max_level == 3
+    for n in (-2, 1):
+        for label, level in zip(cone.basis(n), fc.levels(n)):
+            assert level == (0 if label[0] == "alg" else 3)  # stage(x)=2, +1
 
 
 def _coefficient_cases() -> list[tuple[str, FreeDgAlgebra, AlgebraMorphism]]:

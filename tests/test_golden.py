@@ -27,7 +27,7 @@ from dgtangent.cli import main
 from dgtangent.complexes import CochainComplex, to_cohomological
 from dgtangent.derivations import ConeComplex
 from dgtangent.models import builtin, derivation_tower
-from dgtangent.tower import SpectralSequence, cone_tower
+from dgtangent.tower import SpectralSequence
 from test_acceptance import COEFFICIENTS
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -192,7 +192,7 @@ def golden_window_complexes():
             der, _ = derivation_tower(mf, COEFFICIENTS[coefficients](mf.algebra))
             yield f"{name}/der-{coefficients}", der.complex(), range(-4, 5)
     for name in (*CELLULAR, "sullivan:hopf"):
-        fc = cone_tower(ConeComplex(builtin(name).algebra))
+        fc = ConeComplex(builtin(name).algebra).tower()
         # hochschild --window 4 reads -4..4; loop --max-degree 4 reads
         # 2s − m for levels s ≤ max_level and 0 ≤ m ≤ 4.
         yield f"{name}/cone", fc.complex, range(-4, 2 * fc.max_level + 1)

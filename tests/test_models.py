@@ -82,7 +82,7 @@ def test_parse_comments_stages_and_base() -> None:
         "gen x : 2 base   # base line\n"
         "gen z : 3 stage 5\n"
     )
-    assert mf.base_names() == frozenset({"x"})
+    assert mf.algebra.base == frozenset({"x"})
     assert mf.algebra.generators["z"].stage == 5
 
 
@@ -163,7 +163,7 @@ def test_builtin_shapes() -> None:
     cp2 = builtin("sullivan:cpn:2")
     assert cp2.algebra.diff["y"] == {("x", "x", "x"): Fraction(1)}
     hopf = builtin("sullivan:hopf")
-    assert hopf.base_names() == frozenset({"x", "y"})
+    assert hopf.algebra.base == frozenset({"x", "y"})
     assert hopf.algebra.diff["z"] == {("x",): Fraction(1)}
     with pytest.raises(ValueError, match="unknown builtin"):
         builtin("ah:torus:2")

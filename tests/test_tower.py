@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -31,8 +32,6 @@ from dgtangent.tower import (
     SpectralSequence,
     alignment_check,
     collapse_report,
-    cone_tower,
-    der_tower,
 )
 from test_acceptance import BUILTINS, COEFFICIENTS, trivial_coefficients
 
@@ -71,7 +70,7 @@ def tensor_four_stage() -> FreeDgAlgebra:
 
 
 def s2_tower() -> tuple[FilteredComplex, SpectralSequence]:
-    fc = der_tower(DerComplex(sullivan_s2()))
+    fc = DerComplex(sullivan_s2()).tower()
     return fc, SpectralSequence(fc)
 
 
@@ -161,7 +160,7 @@ def test_sullivan_s2_total_degree_check() -> None:
 
 
 def test_acyclic_tensor_single_row_collapse() -> None:
-    fc = der_tower(DerComplex(tensor_acyclic()))
+    fc = DerComplex(tensor_acyclic()).tower()
     ss = SpectralSequence(fc)
     window = list(range(0, 7))
     assert ss.page_dims(1, window) == {(2, 0): 1, (3, 0): 1}
@@ -177,7 +176,7 @@ def test_acyclic_tensor_single_row_collapse() -> None:
 def test_single_column_collapses_on_page_one() -> None:
     # d = 0 on one generator: everything sits in column s = 2.
     a = FreeDgAlgebra("tensor", "homological", [Generator("x", 2)])
-    fc = der_tower(DerComplex(a, trivial_coefficients(a)))
+    fc = DerComplex(a, trivial_coefficients(a)).tower()
     ss = SpectralSequence(fc)
     report = collapse_report(ss, list(range(0, 6)))
     assert report.columns == [2]
@@ -196,7 +195,7 @@ def test_alignment_both_routes_sullivan_s2() -> None:
 
 
 def test_alignment_both_routes_acyclic_tensor() -> None:
-    fc = der_tower(DerComplex(tensor_acyclic()))
+    fc = DerComplex(tensor_acyclic()).tower()
     ss = SpectralSequence(fc)
     ec = ExactCoupleSS(fc)
     for r in range(1, 4):
@@ -249,7 +248,7 @@ def test_draw_refuses_a_class_that_dies_on_an_earlier_page() -> None:
 
 
 def test_alignment_spot_checks_four_stage_tensor() -> None:
-    fc = der_tower(DerComplex(tensor_four_stage()))
+    fc = DerComplex(tensor_four_stage()).tower()
     ss = SpectralSequence(fc)
     ec = ExactCoupleSS(fc)
     assert_filtered(fc, range(-2, 4))
@@ -264,8 +263,8 @@ def test_chain_map_to_trivial_coefficients() -> None:
     algebra = sullivan_s2()
     src_der = DerComplex(algebra)
     tgt_der = DerComplex(algebra, trivial_coefficients(algebra))
-    src = der_tower(src_der)
-    tgt = der_tower(tgt_der)
+    src = src_der.tower()
+    tgt = tgt_der.tower()
 
     def matrix_fn(n: int) -> Matrix:
         src_basis = src_der.basis(n)
@@ -293,7 +292,7 @@ def test_cone_tower_odd_sphere_loop_pages() -> None:
     # Tensor algebra on one degree-2 generator, d = 0: the cone splits into
     # an algebra column at s = 0 and a derivation column at s = 3.
     a = FreeDgAlgebra("tensor", "homological", [Generator("x", 2)])
-    fc = cone_tower(ConeComplex(a))
+    fc = ConeComplex(a).tower()
     ss = SpectralSequence(fc)
     window = list(range(-9, 4))
     expected: dict[tuple[int, int], int] = {}
@@ -335,7 +334,7 @@ def builtin_towers():
         for coefficients in ("self", "trivial"):
             _, fc = derivation_tower(mf, COEFFICIENTS[coefficients](mf.algebra))
             yield f"{name}/{coefficients}", fc, window
-        yield f"{name}/cone", cone_tower(ConeComplex(mf.algebra)), window
+        yield f"{name}/cone", ConeComplex(mf.algebra).tower(), window
 
 
 def test_barcode_dims_match_entry_route() -> None:
@@ -388,6 +387,72 @@ def test_barcode_is_independent_of_the_order_within_a_level() -> None:
             assert ss.barcode(n) == reference_barcode(fc, n), (label, n)
 
 
+# A relative Sullivan model over the base a, b, c, with diagonally rescaled
+# coefficients; the fiber stages default to the degrees 2, 4, 7 and 11.
+RELATIVE = """\
+flavor commutative
+grading cohomological
+gen a : 2 base
+gen b : 2 base
+gen c : 4 base
+gen x : 2
+gen u : 4
+gen y : 7
+gen z : 11
+d y = 16/3 * x x x x + 4/3 * a b x x - 2 * c u
+d z = 64 * x x x x x x + 27 * u u u - 2 * a a b b c
+"""
+
+# The minimal model of CP³ (builtin sullivan:cpn:3): stages 2 and 7.
+CP3 = """\
+flavor commutative
+grading cohomological
+gen x : 2
+gen y : 7
+d y = x^4
+"""
+
+
+def with_stages(text: str, stages: dict[str, int]) -> str:
+    for name, stage in stages.items():
+        text = re.sub(rf"^gen {name} : \d+$", rf"\g<0> stage {stage}", text, flags=re.M)
+    return text
+
+
+@pytest.mark.parametrize(
+    "text, tower, stages, phi, degrees",
+    [
+        (
+            RELATIVE, lambda mf: derivation_tower(mf)[1],
+            {"x": 1, "u": 2, "y": 3, "z": 4}, {2: 1, 4: 2, 7: 3, 11: 4}, range(-12, 1),
+        ),
+        (
+            CP3,
+            lambda mf: ConeComplex(mf.algebra).tower(),
+            {"x": 1, "y": 2}, {0: 0, 3: 2, 8: 3}, range(-8, 9),
+        ),
+    ],
+    ids=["der/relative", "cone/cp3"],
+)
+def test_an_order_preserving_stage_relabeling_relabels_every_bar(
+    text, tower, stages, phi, degrees
+) -> None:
+    # φ maps the levels of the tower with default stages to those of the
+    # relabeled one; each bar (a, b) must become (φ(a), φ(b)), and each
+    # kernel level a must become φ(a).
+    before = SpectralSequence(tower(parse_model(text)))
+    after = SpectralSequence(tower(parse_model(with_stages(text, stages))))
+    lengths = set()
+    for n in degrees:
+        pairs, kernel = before.barcode(n)
+        lengths |= {b - a for a, b in pairs}
+        assert after.barcode(n) == (
+            Counter({(phi[a], phi[b]): k for (a, b), k in pairs.items()}),
+            Counter({phi[a]: k for a, k in kernel.items()}),
+        ), n
+    assert len(lengths) > 1  # bars of several lengths, so the relabeling is seen
+
+
 def test_every_page_refuses_a_level_lowering_d() -> None:
     # An unfiltered complex has no spectral sequence: E_∞ is refused too.
     ss = SpectralSequence(level_lowering_tower())
@@ -411,14 +476,14 @@ def test_every_validated_builtin_tower_is_filtered() -> None:
     # Base generators sit at stage 0, so the cone of a relative model is filtered too.
     for label, fc, window in builtin_towers():
         assert_filtered(fc, window)
-    hopf = cone_tower(ConeComplex(builtin("sullivan:hopf").algebra))
+    hopf = ConeComplex(builtin("sullivan:hopf").algebra).tower()
     assert hopf.max_level == 2
     # x, y are base (level 1), z has stage 1 (level 2).
     assert sorted(set(hopf.levels(0))) == [0, 1, 2]
 
 
 def test_relative_cone_matches_the_exact_couple() -> None:
-    fc = cone_tower(ConeComplex(builtin("sullivan:hopf").algebra))
+    fc = ConeComplex(builtin("sullivan:hopf").algebra).tower()
     ss, ec = SpectralSequence(fc), ExactCoupleSS(fc)
     for r in range(1, 4):
         for s in range(0, fc.max_level + 1):
@@ -540,7 +605,7 @@ def two_stage_towers(draw) -> FreeDgAlgebra:
 @given(two_stage_towers(), st.sampled_from(["self", "trivial"]))
 def test_barcode_matches_exact_couple_on_random_towers(algebra, coefficients) -> None:
     u = COEFFICIENTS[coefficients](algebra)
-    fc = der_tower(DerComplex(algebra, u))
+    fc = DerComplex(algebra, u).tower()
     assert_filtered(fc, range(-8, 3))
     ss, ec = SpectralSequence(fc), ExactCoupleSS(fc)
     for r in range(1, 4):
