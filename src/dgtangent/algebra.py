@@ -81,6 +81,8 @@ class FreeDgAlgebra:
             self.generators[gen.name] = gen
         # Letters sort by (degree, name); monomials by (length, letter keys).
         self._letter_key = {g.name: (g.degree, g.name) for g in self.generators.values()}
+        # The one generator order: bases, Der slots and printed models follow it.
+        self.letters = tuple(sorted(self.generators, key=self._letter_key.__getitem__))
         self._parity = {g.name: g.degree % 2 for g in self.generators.values()}
         # The fixed generators of a relative model: Der vanishes on them, the
         # stage condition exempts them and the cone puts them at stage 0.
@@ -181,9 +183,7 @@ class FreeDgAlgebra:
             raise KeyError(f"unknown generator {name!r}")
         value = {m: c for m, c in value.items() if c != 0}
         if value:
-            expected = self.gen_degree(name) + (
-                1 if self.grading == "cohomological" else -1
-            )
+            expected = self.gen_degree(name) + to_cohomological(1, self.grading)
             actual = self.element_degree(value)
             if actual != expected:
                 raise ValueError(
@@ -298,7 +298,7 @@ class FreeDgAlgebra:
             return []
         if degree == 0:
             return [UNIT]
-        letters = sorted(self.generators, key=lambda g: self._letter_key[g])
+        letters = self.letters
         found: list[Monomial] = []
         if self.kind == KIND_TENSOR:
             # Depth-first over words, on an explicit stack: a word is as long
@@ -363,11 +363,7 @@ class FreeDgAlgebra:
         """
 
         def basis_fn(n: int) -> list[str]:
-            return [
-                g
-                for g in sorted(self.generators, key=lambda g: self._letter_key[g])
-                if self.gen_cdeg(g) == n and g not in exclude
-            ]
+            return [g for g in self.letters if self.gen_cdeg(g) == n and g not in exclude]
 
         def diff_fn(n: int) -> Matrix:
             return cx.matrix(n, lambda g: {

@@ -306,7 +306,7 @@ def cmd_loop(args: argparse.Namespace, mf: ModelFile, out: Output) -> bool:
             f"  {key}: {got} vs {want} {flag}",
             s=key[0], t=key[1], engine=got, expected=want, table="e2",
         )
-    return _assembly_rows(out, report.tower.assembly) and report.e2_matches
+    return _assembly_rows(out, report.tower.assembly) and report.e2_engine == report.e2_expected
 
 
 def cmd_aut(args: argparse.Namespace, mf: ModelFile, out: Output) -> bool:

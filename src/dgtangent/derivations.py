@@ -74,10 +74,7 @@ class DerComplex:
             raise ValueError(
                 f"vanishing set is not closed under d (offenders: {offenders})"
             )
-        self.slots = sorted(
-            (g for g in algebra.generators if g not in self.vanishing),
-            key=lambda g: (algebra.gen_degree(g), g),
-        )
+        self.slots = [g for g in algebra.letters if g not in self.vanishing]
         self._complex: CochainComplex | None = None
         # The occurrences of the letters of d_A(w): the brace puts f at each
         # of them.  ∂ reads them by letter, each with its w.

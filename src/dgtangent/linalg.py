@@ -207,10 +207,6 @@ class Echelon:
         x, own = self._last, TAG + self.n_inserted - 1
         return {k - TAG: Fraction(-v, x[own]) for k, v in x.items() if k >= TAG and k != own}
 
-    def contains(self, vec: Vector) -> bool:
-        x, _ = self._eliminate(_clear(vec)[0])
-        return min(x, default=TAG) >= TAG
-
 
 class Matrix:
     """Sparse row-major matrix for the map sending row vector x to x·M."""
@@ -302,16 +298,14 @@ class Subquotient:
 
 
 def spans_equal(a: Sequence[Vector], b: Sequence[Vector]) -> bool:
-    """Exact equality of two spans as subspaces."""
-    ech_a = Echelon()
-    for v in a:
-        ech_a.insert(v)
-    ech_b = Echelon()
-    for v in b:
-        ech_b.insert(v)
-    if ech_a.rank() != ech_b.rank():
-        return False
-    return all(ech_a.contains(v) for v in b)
+    """Exact equality of two spans as subspaces: a, b and a ∪ b have one rank."""
+    def rank(rows: Sequence[Vector]) -> int:
+        ech = Echelon()
+        for v in rows:
+            ech.insert(v)
+        return ech.rank()
+
+    return rank(a) == rank(b) == rank([*a, *b])
 
 
 def preimage_by_images(

@@ -407,9 +407,7 @@ def print_model(mf: ModelFile) -> str:
         lines.append(decl)
     for g, value in algebra.diff.items():
         lines.append(f"d {g} = {format_expression(algebra, value)}")
-    for gen_name in sorted(
-        mf.diagonals, key=lambda n: (algebra.gen_degree(n), n)
-    ):
+    for gen_name in (g for g in algebra.letters if g in mf.diagonals):
         terms = ((c, f"{a} ⊗ {b}") for (a, b), c in mf.diagonals[gen_name].items())
         lines.append(f"diag {gen_name} = {_signed_sum(terms)}")
     return "\n".join(lines) + "\n"
@@ -733,7 +731,6 @@ class LoopHomologyReport(NamedTuple):
     tower: TowerReport
     e2_engine: dict[tuple[int, int], int]
     e2_expected: dict[tuple[int, int], int]
-    e2_matches: bool
 
 
 def algebra_homology_dims(algebra: FreeDgAlgebra, degrees: Sequence[int]) -> dict[int, int]:
@@ -824,7 +821,6 @@ def loop_homology(
         tower=tower._replace(pages_internal={r: in_window[r] for r in pages}),
         e2_engine=in_window[2],
         e2_expected=e2_expected,
-        e2_matches=in_window[2] == e2_expected,
     )
 
 

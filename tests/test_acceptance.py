@@ -684,7 +684,10 @@ ACCEPTANCE_COMMANDS = [
         "primitive",
     ),
     ("loop", "builtin:ah:sphere:3", "--max-degree", "8"),
+    ("loop", "builtin:ah:wedge:2,3", "--max-degree", "6"),
     ("aut", "builtin:trivial-fibration:sullivan:sphere:even:2", "--window", "8", "--brackets"),
+    # A relative model: base generators fixed, brackets and listed pages.
+    ("aut", "builtin:sullivan:hopf", "--window", "8", "--brackets", "--pages", "1..4"),
     ("hochschild", "builtin:ah:sphere:2", "--window", "6"),
 ]
 

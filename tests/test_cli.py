@@ -902,7 +902,7 @@ def test_loop_e2_mismatch_exits_one(monkeypatch, capsys):
         report = loop_homology(*args, **kwargs)
         engine = dict(report.e2_engine)
         engine[(0, 0)] += 1
-        return report._replace(e2_engine=engine, e2_matches=False)
+        return report._replace(e2_engine=engine)
 
     monkeypatch.setattr("dgtangent.cli.loop_homology", mismatched)
     code, out, _ = run_main(capsys, "loop", "builtin:ah:sphere:3", "--max-degree", "4")

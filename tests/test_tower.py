@@ -34,6 +34,7 @@ from dgtangent.tower import (
     collapse_report,
 )
 from test_acceptance import BUILTINS, COEFFICIENTS, trivial_coefficients
+from test_bench_outputs import WORKLOADS
 
 # Two-generator tensor models have large high-degree bases; the Z/B route
 # is swept over narrower windows there (as in acceptance criterion 4).
@@ -387,6 +388,67 @@ def test_barcode_is_independent_of_the_order_within_a_level() -> None:
             assert ss.barcode(n) == reference_barcode(fc, n), (label, n)
 
 
+def certify_barcode(ss: SpectralSequence, n: int) -> None:
+    """Check the tracked run of d^n as a certificate, by plain sparse
+    arithmetic on dicts of Fractions.  V is unitriangular in elimination
+    order and its rows go down in level, so it is an invertible filtered
+    change of basis; the residues R = V·D that are nonzero have distinct
+    lowest pivots in (level, index) order, so R is reduced.  Then rank d^n
+    is the number of pivots and the bars are the pivot pairs
+    (Cohen-Steiner–Edelsbrunner–Morozov, SoCG 2006), which ``barcode``
+    must report."""
+    src, tgt = ss.fc.levels(n), ss.fc.levels(n + 1)
+    d = ss.fc.complex.d(n)
+    run = ss.eliminate(n, track=True)
+    levels = [src[i] for i, _, _ in run]
+    assert levels == sorted(levels, reverse=True), n
+    done, pivots = set(), set()
+    pairs, kernel = Counter(), Counter()
+    for i, b, v in run:
+        assert v[i] == 1 and set(v) - {i} <= done, (n, i)
+        done.add(i)
+        residue: dict[int, Fraction] = {}
+        for k, c in v.items():
+            for j, x in d.rows[k].items():
+                residue[j] = residue.get(j, Fraction(0)) + c * x
+        support = [(tgt[j], j) for j, x in residue.items() if x]
+        assert bool(support) == (b is not None), (n, i)
+        if b is None:
+            kernel[src[i]] += 1
+        else:
+            pivot = min(support)
+            assert pivot[0] == b and pivot not in pivots, (n, i)
+            pivots.add(pivot)
+            pairs[src[i], b] += 1
+    assert (pairs, kernel) == ss.barcode(n), n
+    assert len(pivots) == d.rank(), n
+
+
+def certified_towers():
+    """(label, filtered complex, degrees) for the barcode certificate: the
+    Der and cone towers of the acceptance builtins and the seed-11 towers of
+    the three benchmark workloads."""
+    for name in BUILTINS:
+        mf = builtin(name)
+        for coefficients in ("self", "trivial"):
+            _, fc = derivation_tower(mf, COEFFICIENTS[coefficients](mf.algebra))
+            yield f"{name}/{coefficients}", fc, range(-4, 5)
+        yield f"{name}/cone", ConeComplex(mf.algebra).tower(), range(-8, 9)
+    for name, tower, degrees in (
+        ("ss-sullivan", lambda mf: derivation_tower(mf)[1], range(-7, 8)),
+        ("aut-relative", lambda mf: derivation_tower(mf)[1], range(-12, 1)),
+        ("loop-cellular", lambda mf: ConeComplex(mf.algebra).tower(), range(-8, 7)),
+    ):
+        yield name, tower(parse_model(WORKLOADS[name].model_text(11))), degrees
+
+
+def test_tracked_runs_certify_every_barcode_and_rank() -> None:
+    for label, fc, degrees in certified_towers():
+        ss = SpectralSequence(fc)
+        for n in degrees:
+            certify_barcode(ss, n)
+
+
 # A relative Sullivan model over the base a, b, c, with diagonally rescaled
 # coefficients; the fiber stages default to the degrees 2, 4, 7 and 11.
 RELATIVE = """\
@@ -451,6 +513,19 @@ def test_an_order_preserving_stage_relabeling_relabels_every_bar(
             Counter({phi[a]: k for a, k in kernel.items()}),
         ), n
     assert len(lengths) > 1  # bars of several lengths, so the relabeling is seen
+
+
+def test_the_compressed_relative_tower_has_a_nonzero_d2_that_both_routes_see() -> None:
+    # The Der tower of RELATIVE with its fiber stages compressed to 1..4.
+    mf = parse_model(with_stages(RELATIVE, {"x": 1, "u": 2, "y": 3, "z": 4}))
+    fc = derivation_tower(mf)[1]
+    ss, ec = SpectralSequence(fc), ExactCoupleSS(fc)
+    assert ss.d_matrix(2, 1, -3).rank() == 1  # d_2 out of (s, n) = (1, −2)
+    for r in (1, 2):
+        for s in range(0, fc.max_level + 1):
+            for n in range(-8, 0):
+                result = alignment_check(ss, ec, r, s, n - s)
+                assert result.ok, (r, s, n, result)
 
 
 def test_every_page_refuses_a_level_lowering_d() -> None:
@@ -559,7 +634,7 @@ def assert_z_span_and_death_page(ss: SpectralSequence, window, label="") -> None
                 probes.append({i: Fraction(i + 1) for i, lvl in enumerate(levels) if lvl >= s})
             for x in probes:
                 literal = next(
-                    (r for r in pages if not lives_on[r - 1].contains(x)), None
+                    (r for r in pages if lives_on[r - 1].reduce(x)[0]), None
                 )
                 assert ss.death_page(x, n, s) == literal, (label, s, n, x)
 
@@ -615,6 +690,8 @@ def test_barcode_matches_exact_couple_on_random_towers(algebra, coefficients) ->
                 assert alignment_check(ss, ec, r, s, n - s).ok, (r, s, n)
     assert_pages_are_homology(ss, range(-8, 3), range(1, 4))
     assert_z_span_and_death_page(ss, range(-8, 3))
+    for n in range(-8, 3):
+        certify_barcode(ss, n)
     assert all(ok for _, _, ok in ss.total_degree_check(range(-8, 3)).values())
     assert restriction_sequence(algebra, u, 0, 1, list(range(-8, 3))).ok
 
