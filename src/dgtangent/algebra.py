@@ -70,6 +70,8 @@ class FreeDgAlgebra:
             raise ValueError(f"unknown algebra kind {kind!r}")
         self.kind = kind
         self.grading = grading
+        # The native degree step of d; to_cohomological refuses an unknown grading.
+        self._d_step = to_cohomological(1, grading)
         self.generators: dict[str, Generator] = {}
         for gen in generators:
             if gen.name in self.generators:
@@ -183,7 +185,7 @@ class FreeDgAlgebra:
             raise KeyError(f"unknown generator {name!r}")
         value = {m: c for m, c in value.items() if c != 0}
         if value:
-            expected = self.gen_degree(name) + to_cohomological(1, self.grading)
+            expected = self.gen_degree(name) + self._d_step
             actual = self.element_degree(value)
             if actual != expected:
                 raise ValueError(

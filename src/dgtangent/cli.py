@@ -352,13 +352,7 @@ def cmd_print(args: argparse.Namespace, mf: ModelFile, out: Output) -> bool:
 # ------------------------------------------------------------------ parser
 
 
-COMMANDS = ("validate", "homology", "quillen", "der", "ss", "loop", "aut", "hochschild", "print")
-
-
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every sub-command, or of ``command`` alone when it is one
-    of ``COMMANDS``; the top-level usage line is the same either way."""
-    only = command if command in COMMANDS else None
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dgtangent",
         description=(
@@ -369,14 +363,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         ),
         epilog="Builtin models: " + ", ".join(builtin_names()),
     )
-    # With one sub-command built, the metavar keeps all nine in the usage
-    # line.  With all built, argparse prints the same text by itself, and an
-    # unset metavar keeps "command" as the argument's name in its errors.
-    metavar = "{" + ",".join(COMMANDS) + "}" if only else None
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-
-    def add(name: str, help_text: str) -> argparse.ArgumentParser | None:
-        return sub.add_parser(name, help=help_text) if only in (None, name) else None
+    sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser, window_default: int | None = 10) -> None:
         p.add_argument("model", help="model file path or builtin:NAME")
@@ -390,80 +377,80 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
             help="aligned table or line-delimited JSON records",
         )
 
-    if p := add("validate", "run all structural checks"):
-        common(p, window_default=None)
-        p.set_defaults(func=cmd_validate)
+    p = sub.add_parser("validate", help="run all structural checks")
+    common(p, window_default=None)
+    p.set_defaults(func=cmd_validate)
 
-    if p := add("homology", "algebra homology dimensions"):
-        common(p)
-        p.set_defaults(func=cmd_homology)
+    p = sub.add_parser("homology", help="algebra homology dimensions")
+    common(p)
+    p.set_defaults(func=cmd_homology)
 
-    if p := add("quillen", "generator-level (indecomposable) homology"):
-        common(p)
-        p.set_defaults(func=cmd_quillen)
+    p = sub.add_parser("quillen", help="generator-level (indecomposable) homology")
+    common(p)
+    p.set_defaults(func=cmd_quillen)
 
-    if p := add("der", "derivation cohomology dimensions"):
-        common(p)
-        p.add_argument("--target", metavar="MODEL", help="coefficient target model")
-        p.add_argument(
-            "--range", metavar="A..B",
-            help="explicit degree range, e.g. --range -6..2",
-        )
-        p.add_argument("--reps", action="store_true", help="print class representatives")
-        p.set_defaults(func=cmd_der)
+    p = sub.add_parser("der", help="derivation cohomology dimensions")
+    common(p)
+    p.add_argument("--target", metavar="MODEL", help="coefficient target model")
+    p.add_argument(
+        "--range", metavar="A..B",
+        help="explicit degree range, e.g. --range -6..2",
+    )
+    p.add_argument("--reps", action="store_true", help="print class representatives")
+    p.set_defaults(func=cmd_der)
 
-    if p := add("ss", "spectral-sequence pages of the derivation tower"):
-        common(p)
-        p.add_argument(
-            "--coefficients", default="self", metavar="C",
-            help="self, trivial, or target=MODEL (default self)",
-        )
-        p.add_argument("--pages", default="1..6", metavar="A..B", help="pages to print")
-        p.add_argument(
-            "--convention", choices=("internal", "flipped", "relabeled"),
-            help="bidegree labels (default: internal plus the family-appropriate one)",
-        )
-        p.add_argument(
-            "--check-collapse", action="store_true",
-            help="detect single-row/column degeneration and verify it",
-        )
-        p.add_argument(
-            "--check-multiplicative", choices=("primitive", "model"),
-            help="check the first-page product rule for the convolution product "
-            "of primitive diagonals or of the model's diag lines",
-        )
-        p.set_defaults(func=cmd_ss)
+    p = sub.add_parser("ss", help="spectral-sequence pages of the derivation tower")
+    common(p)
+    p.add_argument(
+        "--coefficients", default="self", metavar="C",
+        help="self, trivial, or target=MODEL (default self)",
+    )
+    p.add_argument("--pages", default="1..6", metavar="A..B", help="pages to print")
+    p.add_argument(
+        "--convention", choices=("internal", "flipped", "relabeled"),
+        help="bidegree labels (default: internal plus the family-appropriate one)",
+    )
+    p.add_argument(
+        "--check-collapse", action="store_true",
+        help="detect single-row/column degeneration and verify it",
+    )
+    p.add_argument(
+        "--check-multiplicative", choices=("primitive", "model"),
+        help="check the first-page product rule for the convolution product "
+        "of primitive diagonals or of the model's diag lines",
+    )
+    p.set_defaults(func=cmd_ss)
 
-    if p := add("loop", "free-loop-space homology of a cellular model"):
-        common(p, window_default=None)
-        p.add_argument(
-            "--max-degree", type=integer, default=10, metavar="N",
-            help="largest loop degree reported (default 10)",
-        )
-        p.add_argument("--pages", metavar="A..B", help="also print these pages")
-        p.set_defaults(func=cmd_loop)
+    p = sub.add_parser("loop", help="free-loop-space homology of a cellular model")
+    common(p, window_default=None)
+    p.add_argument(
+        "--max-degree", type=integer, default=10, metavar="N",
+        help="largest loop degree reported (default 10)",
+    )
+    p.add_argument("--pages", metavar="A..B", help="also print these pages")
+    p.set_defaults(func=cmd_loop)
 
-    if p := add("aut", "rational homotopy of fiberwise self-equivalences"):
-        common(p)
-        p.add_argument("--pages", metavar="A..B", help="also print these pages")
-        p.add_argument("--brackets", action="store_true", help="print bracket tables")
-        p.set_defaults(func=cmd_aut)
+    p = sub.add_parser("aut", help="rational homotopy of fiberwise self-equivalences")
+    common(p)
+    p.add_argument("--pages", metavar="A..B", help="also print these pages")
+    p.add_argument("--brackets", action="store_true", help="print bracket tables")
+    p.set_defaults(func=cmd_aut)
 
-    if p := add("hochschild", "adjoint-cone tower of a model"):
-        common(p, window_default=8)
-        p.add_argument("--pages", metavar="A..B", help="pages to print (default 1..2)")
-        p.set_defaults(func=cmd_hochschild)
+    p = sub.add_parser("hochschild", help="adjoint-cone tower of a model")
+    common(p, window_default=8)
+    p.add_argument("--pages", metavar="A..B", help="pages to print (default 1..2)")
+    p.set_defaults(func=cmd_hochschild)
 
-    if p := add("print", "canonical text form of a model"):
-        p.add_argument("model", help="model file path or builtin:NAME")
-        p.set_defaults(func=cmd_print, format=TABLE)
+    p = sub.add_parser("print", help="canonical text form of a model")
+    p.add_argument("model", help="model file path or builtin:NAME")
+    p.set_defaults(func=cmd_print, format=TABLE)
 
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser(argv[0] if argv else None)
+    parser = build_parser()
     # argparse reads a value such as -6..2 as an option: glue it to --range
     # or to an abbreviation of it (--r alone also abbreviates --reps).
     for at in range(len(argv) - 2, -1, -1):

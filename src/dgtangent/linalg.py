@@ -6,10 +6,10 @@ to a nonzero rational; matrices are row-major lists of such vectors (row i is
 the image of the i-th source basis vector).  All pivoting is deterministic —
 leftmost nonzero column, rows in a fixed order — so repeated runs produce
 identical bases, matrices and reports.  A rank does not depend on the row
-order, so ``Matrix.rank`` and the barcode (``tower``) insert rows in the
-static order of ``pivot_order``.  ``Matrix.kernel_basis``, ``Subquotient``
-and ``spans_equal`` take rows in the order given; the bases of the first
-two depend on it.
+order, so ``rank`` (behind ``Matrix.rank`` and ``spans_equal``) and the
+barcode (``tower``) insert rows in the static order of ``pivot_order``.
+``Matrix.kernel_basis`` and ``Subquotient`` take rows in the order given;
+their bases depend on it.
 
 The one elimination kernel, ``Echelon``, works over the integers: each input
 is cleared of denominators, stored rows are primitive integer vectors, and
@@ -208,6 +208,14 @@ class Echelon:
         return {k - TAG: Fraction(-v, x[own]) for k, v in x.items() if k >= TAG and k != own}
 
 
+def rank(rows: Sequence[Vector]) -> int:
+    """The rank of the span of ``rows``, inserted in ``pivot_order``."""
+    ech = Echelon()
+    for i in pivot_order(rows):
+        ech.insert(rows[i])
+    return ech.rank()
+
+
 class Matrix:
     """Sparse row-major matrix for the map sending row vector x to x·M."""
 
@@ -241,10 +249,7 @@ class Matrix:
         return all(not row for row in self.rows)
 
     def rank(self) -> int:
-        ech = Echelon()
-        for i in pivot_order(self.rows):
-            ech.insert(self.rows[i])
-        return ech.rank()
+        return rank(self.rows)
 
     def kernel_basis(self) -> list[Vector]:
         """Basis of {x : x·M = 0} in source coordinates, deterministic order."""
@@ -299,12 +304,6 @@ class Subquotient:
 
 def spans_equal(a: Sequence[Vector], b: Sequence[Vector]) -> bool:
     """Exact equality of two spans as subspaces: a, b and a ∪ b have one rank."""
-    def rank(rows: Sequence[Vector]) -> int:
-        ech = Echelon()
-        for v in rows:
-            ech.insert(v)
-        return ech.rank()
-
     return rank(a) == rank(b) == rank([*a, *b])
 
 

@@ -237,10 +237,11 @@ class SpectralSequence:
         columns, and ``Matrix.rank`` in ``pivot_order`` over the natural
         columns (``CochainComplex.homology_dim``).
         """
+        totals = dict.fromkeys(total_degrees, 0)
+        for (s, t), dim in self.page_dims(self.stable_page, total_degrees).items():
+            totals[s + t] += dim
         out: dict[int, tuple[int, int, bool]] = {}
-        r = self.stable_page
-        for n in total_degrees:
-            total = sum(self.dim(r, s, n - s) for s in self.fc.occupied_levels(n))
+        for n, total in totals.items():
             h = self.fc.complex.homology_dim(n)
             out[n] = (total, h, total == h)
         return out
@@ -545,9 +546,7 @@ def collapse_report(ss: SpectralSequence, total_degrees: Sequence[int]) -> Colla
         predicted, reason = 1, "single column: every d_r changes the column"
     elif len(rows) <= 1:
         predicted, reason = 2, "single row: d_r for r >= 2 leaves the row"
-    verified = predicted is not None and all(
-        ss.dim(predicted, s, n - s) == ss.dim(ss.stable_page, s, n - s)
-        for n in total_degrees
-        for s in ss.fc.occupied_levels(n)
+    verified = predicted is not None and (
+        ss.page_dims(predicted, total_degrees) == ss.page_dims(ss.stable_page, total_degrees)
     )
     return CollapseReport(rows, columns, predicted, reason, verified)

@@ -57,6 +57,20 @@ def test_generator_validation() -> None:
         )
 
 
+@pytest.mark.parametrize(
+    "kind, grading, message",
+    [
+        ("bogus", "cohomological", "unknown algebra kind 'bogus'"),
+        ("commutative", "bogus", "unknown grading 'bogus'"),
+        ("tensor", "Homological", "unknown grading 'Homological'"),
+    ],
+)
+def test_an_unknown_kind_or_grading_is_refused_at_construction(kind, grading, message) -> None:
+    # Refused before any basis is enumerated, not at the first gen_cdeg.
+    with pytest.raises(ValueError, match=message):
+        FreeDgAlgebra(kind, grading, [Generator("x", 2)])
+
+
 def test_commutative_normalization_signs() -> None:
     a = sullivan_s3_like()
     # x even, y odd: yx = xy with no sign; y*y = 0.

@@ -692,7 +692,23 @@ def test_barcode_matches_exact_couple_on_random_towers(algebra, coefficients) ->
     assert_z_span_and_death_page(ss, range(-8, 3))
     for n in range(-8, 3):
         certify_barcode(ss, n)
-    assert all(ok for _, _, ok in ss.total_degree_check(range(-8, 3)).values())
+    # The reports read pages through page_dims; the oracle reads every cell.
+    def oracle_page(r: int) -> dict[tuple[int, int], int]:
+        cells = ((s, n - s) for n in range(-8, 3) for s in range(fc.max_level + 1))
+        return {(s, t): dim for s, t in cells if (dim := ec.dim(r, s, t))}
+
+    checked = ss.total_degree_check(range(-8, 3))
+    assert all(ok for _, _, ok in checked.values())
+    for n, (total, _, _) in checked.items():
+        assert total == sum(ec.dim(ss.stable_page, s, n - s) for s in range(fc.max_level + 1)), n
+    page1 = oracle_page(1)
+    rows, columns = sorted({t for _, t in page1}), sorted({s for s, _ in page1})
+    predicted = 1 if len(columns) <= 1 else 2 if len(rows) <= 1 else None
+    report = collapse_report(ss, range(-8, 3))
+    assert (report.rows, report.columns, report.predicted_page) == (rows, columns, predicted)
+    assert report.verified == (
+        predicted is not None and oracle_page(predicted) == oracle_page(ss.stable_page)
+    )
     assert restriction_sequence(algebra, u, 0, 1, list(range(-8, 3))).ok
 
 
