@@ -31,7 +31,7 @@ from __future__ import annotations
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
-from typing import Sequence
+from typing import Callable, Sequence
 
 Vector = dict[int, Fraction]
 
@@ -265,9 +265,8 @@ class Subquotient:
     """The subquotient span(numerators)/span(denominators) of a based space.
 
     The class basis is chosen greedily from the numerators in the order given
-    (deterministic).  ``reduce`` rewrites an ambient vector lying in
-    span(numerators) + span(denominators) as coordinates over that basis,
-    modulo the denominators.
+    (deterministic).  Class coordinates are over that basis: ``reduce`` maps
+    span(numerators) + span(denominators) onto them, ``representative`` back.
     """
 
     def __init__(self, numerators: Sequence[Vector], denominators: Sequence[Vector]) -> None:
@@ -300,6 +299,17 @@ class Subquotient:
             if slot is not None:
                 el_add_term(coords, slot, coeff)
         return coords
+
+    def representative(self, coords: Vector) -> Vector:
+        """An ambient vector whose class has these coordinates."""
+        rep: Vector = {}
+        for a, c in coords.items():
+            rep = el_add(rep, self.basis[a], c)
+        return rep
+
+    def induced(self, target: "Subquotient", f: Callable[[Vector], Vector]) -> Matrix:
+        """The matrix, in ``target``'s class coordinates, of the map f induces."""
+        return Matrix(self.dim, target.dim, [target.reduce(f(rep)) for rep in self.basis])
 
 
 def spans_equal(a: Sequence[Vector], b: Sequence[Vector]) -> bool:

@@ -189,10 +189,7 @@ class SpectralSequence:
     def d_matrix(self, r: int, s: int, t: int) -> Matrix:
         """The differential E_r^{s,t} → E_r^{s+r, t−r+1} on chosen bases."""
         n = s + t
-        src = self.entry(r, s, n)
-        tgt = self.entry(r, s + r, n + 1)
-        d = self.fc.complex.d(n)
-        return Matrix(src.dim, tgt.dim, [tgt.reduce(d.apply(rep)) for rep in src.basis])
+        return self.entry(r, s, n).induced(self.entry(r, s + r, n + 1), self.fc.complex.d(n).apply)
 
     def page_dims(
         self, r: int, total_degrees: Sequence[int]
@@ -291,10 +288,7 @@ class FilteredChainMap:
     def page_matrix(
         self, ss_src: SpectralSequence, ss_tgt: SpectralSequence, r: int, s: int, n: int
     ) -> Matrix:
-        src = ss_src.entry(r, s, n)
-        tgt = ss_tgt.entry(r, s, n)
-        phi = self.matrix(n)
-        return Matrix(src.dim, tgt.dim, [tgt.reduce(phi.apply(rep)) for rep in src.basis])
+        return ss_src.entry(r, s, n).induced(ss_tgt.entry(r, s, n), self.matrix(n).apply)
 
     def commutes_with_page_differential(
         self, ss_src: SpectralSequence, ss_tgt: SpectralSequence, r: int, s: int, t: int
@@ -308,14 +302,6 @@ class FilteredChainMap:
 
 
 # ------------------------------------------------------- exact couple route
-
-
-def _representative(group: Subquotient, coords: Vector) -> Vector:
-    """A representative of the class with these coordinates over ``group``."""
-    rep: Vector = {}
-    for a, c in coords.items():
-        rep = el_add(rep, group.basis[a], c)
-    return rep
 
 
 class ExactCoupleSS:
@@ -395,11 +381,9 @@ class ExactCoupleSS:
         F^0/F^{s+r} → F^0/F^{s+1}, and its class-coordinate rows tracked."""
         key = (s, n, r)
         if key not in self._ipow_cache:
-            src, tgt = self.D(s + r - 1, n), self.D(s, n)
-            m = Matrix(src.dim, tgt.dim, [
-                tgt.reduce(self.to_local(0, s + 1, n, self.to_ambient(0, s + r, n, rep)))
-                for rep in src.basis
-            ])
+            m = self.D(s + r - 1, n).induced(
+                self.D(s, n), lambda x: self.to_local(0, s + 1, n, self.to_ambient(0, s + r, n, x))
+            )
             ech = Echelon(track=True)
             for row in m.rows:
                 ech.insert(row)
@@ -412,14 +396,14 @@ class ExactCoupleSS:
         Returns E_1 class coordinates at (s + r, n + 1).  Well defined modulo
         the page boundaries of the target; callers reduce in the target page.
         """
-        kx = self.k_coords(s, n, _representative(self.E(s, n), z))
+        kx = self.k_coords(s, n, self.E(s, n).representative(z))
         residue, y = self._i_power(s, n, r)[1].reduce(kx)
         if residue:
             raise ValueError(
                 f"class at (s={s}, n={n}) is not in the image of i^{r-1}; "
                 "it does not live on this page"
             )
-        return self.connecting(s + r - 1, n, _representative(self.D(s + r - 1, n), y))
+        return self.connecting(s + r - 1, n, self.D(s + r - 1, n).representative(y))
 
     def page_subquotient(self, r: int, s: int, n: int) -> Subquotient:
         """E_r^s(n) = k⁻¹(im i^{r−1}) / j(ker i^{r−1}) in E_1 class coordinates."""
@@ -433,7 +417,7 @@ class ExactCoupleSS:
             d_group = self.D(s - 1, n - 1)
             b = [
                 img for y in self._i_power(s - r, n - 1, r)[0].kernel_basis()
-                if (img := self.connecting(s - 1, n - 1, _representative(d_group, y)))
+                if (img := self.connecting(s - 1, n - 1, d_group.representative(y)))
             ]
             self._sub_cache[key] = Subquotient(z, b)
         return self._sub_cache[key]
@@ -443,9 +427,9 @@ class ExactCoupleSS:
 
     def d_matrix(self, r: int, s: int, t: int) -> Matrix:
         n = s + t
-        src = self.page_subquotient(r, s, n)
-        tgt = self.page_subquotient(r, s + r, n + 1)
-        return Matrix(src.dim, tgt.dim, [tgt.reduce(self.draw(r, s, n, rep)) for rep in src.basis])
+        return self.page_subquotient(r, s, n).induced(
+            self.page_subquotient(r, s + r, n + 1), lambda z: self.draw(r, s, n, z)
+        )
 
 
 class AlignmentResult(NamedTuple):
@@ -473,12 +457,10 @@ def transport_matrix(
     A filtered representative x ∈ F^s maps to its layer class in E_1 = H(F^s/F^{s+1})
     and then to coordinates of the couple page.
     """
-    src = ss.entry(r, s, n)
-    tgt = ec.page_subquotient(r, s, n)
     e1 = ec.E(s, n)
-    return Matrix(src.dim, tgt.dim, [
-        tgt.reduce(e1.reduce(ec.to_local(s, s + 1, n, rep))) for rep in src.basis
-    ])
+    return ss.entry(r, s, n).induced(
+        ec.page_subquotient(r, s, n), lambda x: e1.reduce(ec.to_local(s, s + 1, n, x))
+    )
 
 
 def alignment_check(

@@ -17,6 +17,7 @@ from dgtangent.algebra import (
     trivial_algebra,
 )
 from dgtangent.models import builtin, fiber_homotopy_dims, parse_model
+from test_bench_outputs import WORKLOADS
 
 
 def sullivan_s3_like() -> FreeDgAlgebra:
@@ -180,6 +181,48 @@ def test_basis_enumeration_tensor() -> None:
     assert set(a.basis_in_degree(5)) == {("a", "b"), ("b", "a")}
     assert len(a.basis_in_degree(6)) == 2  # aaa, bb
     assert len(a.basis_in_degree(7)) == 3  # aab, aba, baa
+
+
+def basis_counts(algebra: FreeDgAlgebra, top: int) -> list[int]:
+    """Coefficients of t^0..t^top of the Hilbert series of the free algebra:
+    1/(1 − Σ t^{dᵢ}) for words, ∏_odd (1 + t^d) · ∏_even 1/(1 − t^d) for
+    graded-commutative monomials."""
+    degrees = [algebra.gen_degree(g) for g in algebra.letters]
+    counts = [1] + [0] * top
+    if algebra.kind == "tensor":
+        for n in range(1, top + 1):
+            counts[n] = sum(counts[n - d] for d in degrees if d <= n)
+        return counts
+    for d in degrees:
+        if d % 2:  # times (1 + t^d): read the old coefficients, high first
+            for n in range(top, d - 1, -1):
+                counts[n] += counts[n - d]
+        else:  # times 1/(1 − t^d): read the new ones, low first
+            for n in range(d, top + 1):
+                counts[n] += counts[n - d]
+    return counts
+
+
+BASIS_BUILTINS = [
+    "ah:sphere:2", "ah:sphere:5", "ah:wedge:2,3", "ah:wedge:3,4",
+    "sullivan:sphere:odd:3", "sullivan:sphere:odd:5", "sullivan:sphere:even:2",
+    "sullivan:sphere:even:4", "sullivan:cpn:1", "sullivan:cpn:3", "sullivan:hopf",
+    "trivial-fibration:sullivan:cpn:2",
+]
+
+
+@pytest.mark.parametrize("name", BASIS_BUILTINS + [f"workload:{w}" for w in WORKLOADS])
+def test_basis_sizes_follow_the_generating_function(name) -> None:
+    if name.startswith("workload:"):
+        algebra = parse_model(WORKLOADS[name.removeprefix("workload:")].model_text(11)).algebra
+    else:
+        algebra = builtin(name).algebra
+    top = 16 if algebra.kind == "tensor" else 24
+    for n, count in enumerate(basis_counts(algebra, top)):
+        basis = algebra.basis_in_degree(n)
+        assert len(basis) == count, (name, n)
+        keys = [algebra.monomial_key(m) for m in basis]
+        assert keys == sorted(set(keys)), (name, n)  # in key order, no repeats
 
 
 def test_algebra_homology_sullivan_sphere() -> None:

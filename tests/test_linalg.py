@@ -375,6 +375,50 @@ def test_subquotient_reduce_matches_dense() -> None:
             assert sq.reduce(sparse(vec)) == expected
 
 
+def combination(rng: random.Random, vectors: list[Vector]) -> Vector:
+    out: Vector = {}
+    for v in vectors:
+        out = el_add(out, v, Fraction(rng.randint(-5, 5), rng.randint(1, 3)))
+    return out
+
+
+def test_class_coordinates_round_trip() -> None:
+    rng = random.Random(2903)
+    for _ in range(40):
+        ncols = rng.randint(1, 7)
+        nums = hard_matrix(rng, rng.randint(1, 6), ncols).rows
+        dens = hard_matrix(rng, rng.randint(0, 4), ncols).rows
+        sq = Subquotient(nums, dens)
+        for _ in range(3):
+            x = combination(rng, nums + dens)
+            assert span_contains(dens, el_add(sq.representative(sq.reduce(x)), x, Fraction(-1)))
+        identity = Matrix(sq.dim, sq.dim, [{a: Fraction(1)} for a in range(sq.dim)])
+        assert sq.induced(sq, lambda v: v) == identity
+
+
+def test_induced_maps_compose() -> None:
+    # g = x·G and f = x·F carry numerators into numerators + denominators
+    # and denominators into denominators, so both induce maps of classes.
+    rng = random.Random(2904)
+    for _ in range(30):
+        dims = [rng.randint(1, 6) for _ in range(3)]
+        nums = hard_matrix(rng, rng.randint(1, 5), dims[0]).rows
+        dens = hard_matrix(rng, rng.randint(0, 3), dims[0]).rows
+        groups = [Subquotient(nums, dens)]
+        maps = []
+        for ncols, nrows in zip(dims[1:], dims):
+            m = hard_matrix(rng, nrows, ncols)
+            nums = [m.apply(v) for v in nums] + hard_matrix(rng, rng.randint(0, 2), ncols).rows
+            dens = [m.apply(v) for v in dens] + hard_matrix(rng, rng.randint(0, 2), ncols).rows
+            groups.append(Subquotient(nums, dens))
+            maps.append(m)
+        a, b, c = groups
+        g, f = maps
+        assert a.induced(c, lambda v: f.apply(g.apply(v))) == (
+            a.induced(b, g.apply).compose(b.induced(c, f.apply))
+        )
+
+
 def test_stored_rows_are_primitive_integer_vectors() -> None:
     rng = random.Random(12)
     for track in (False, True):

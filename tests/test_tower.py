@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dgtangent.algebra import FreeDgAlgebra, Generator
-from dgtangent.complexes import CochainComplex
+from dgtangent.complexes import CochainComplex, to_cohomological
 from dgtangent.derivations import (
     ConeComplex,
     DerComplex,
@@ -426,7 +426,8 @@ def certify_barcode(ss: SpectralSequence, n: int) -> None:
 
 def certified_towers():
     """(label, filtered complex, degrees) for the barcode certificate: the
-    Der and cone towers of the acceptance builtins and the seed-11 towers of
+    Der and cone towers of the acceptance builtins, their algebra and
+    indecomposables complexes at the one level 0, and the seed-11 towers of
     the three benchmark workloads."""
     for name in BUILTINS:
         mf = builtin(name)
@@ -434,6 +435,15 @@ def certified_towers():
             _, fc = derivation_tower(mf, COEFFICIENTS[coefficients](mf.algebra))
             yield f"{name}/{coefficients}", fc, range(-4, 5)
         yield f"{name}/cone", ConeComplex(mf.algebra).tower(), range(-8, 9)
+        # homology and quillen --window 6 read native degrees 0..6 and 1..6;
+        # rank–nullity at internal degree c takes the ranks of d^c and d^{c−1}.
+        sign = to_cohomological(1, mf.algebra.grading)
+        for part, cx, low in (
+            ("algebra", mf.algebra.algebra_complex(), 0),
+            ("indecomposables", mf.algebra.indecomposables_complex(), 1),
+        ):
+            lo, hi = sorted((sign * low, sign * 6))
+            yield f"{name}/{part}", FilteredComplex(cx, lambda _: 0, 0), range(lo - 1, hi + 1)
     for name, tower, degrees in (
         ("ss-sullivan", lambda mf: derivation_tower(mf)[1], range(-7, 8)),
         ("aut-relative", lambda mf: derivation_tower(mf)[1], range(-12, 1)),
@@ -676,40 +686,95 @@ def two_stage_towers(draw) -> FreeDgAlgebra:
     return algebra
 
 
-@settings(max_examples=12, deadline=None, derandomize=True)
-@given(two_stage_towers(), st.sampled_from(["self", "trivial"]))
-def test_barcode_matches_exact_couple_on_random_towers(algebra, coefficients) -> None:
-    u = COEFFICIENTS[coefficients](algebra)
-    fc = DerComplex(algebra, u).tower()
-    assert_filtered(fc, range(-8, 3))
+@st.composite
+def two_stage_cellular_towers(draw) -> FreeDgAlgebra:
+    """Associative homological towers: stage-0 letters are cycles, and each
+    stage-1 letter y has d a nonzero random combination of words in them, of
+    native degree |y| − 1, so d² = 0."""
+    low = [
+        Generator(f"a{i}", draw(st.integers(2, 3)), stage=0)
+        for i in range(draw(st.integers(1, 2)))
+    ]
+    low_algebra = FreeDgAlgebra("tensor", "homological", low)
+    targets = [m for m in range(2, 7) if low_algebra.basis_in_degree(m)]
+    high = [
+        Generator(f"c{i}", draw(st.sampled_from(targets)) + 1, stage=1)
+        for i in range(draw(st.integers(1, 2)))
+    ]
+    algebra = FreeDgAlgebra("tensor", "homological", low + high)
+    for g in high:
+        words = low_algebra.basis_in_degree(g.degree - 1)
+        coeffs = draw(
+            st.lists(st.integers(-2, 2), min_size=len(words), max_size=len(words)).filter(any)
+        )
+        algebra.set_differential(g.name, {w: Fraction(c) for w, c in zip(words, coeffs) if c})
+    return algebra
+
+
+RANDOM_WINDOW = range(-8, 3)
+
+
+def assert_routes_agree(fc: FilteredComplex, window) -> None:
+    """The barcode against the exact-couple oracle on pages 1..3 of a random
+    tower: dimensions, d_r after the change of basis, pages as homology, Z_r
+    and death pages, the certificate, E_∞ against H and the collapse report."""
+    assert_filtered(fc, window)
     ss, ec = SpectralSequence(fc), ExactCoupleSS(fc)
     for r in range(1, 4):
         for s in range(0, fc.max_level + 1):
-            for n in range(-8, 3):
+            for n in window:
                 assert ss.dim(r, s, n - s) == ec.dim(r, s, n - s), (r, s, n)
                 assert alignment_check(ss, ec, r, s, n - s).ok, (r, s, n)
-    assert_pages_are_homology(ss, range(-8, 3), range(1, 4))
-    assert_z_span_and_death_page(ss, range(-8, 3))
-    for n in range(-8, 3):
+    assert_pages_are_homology(ss, window, range(1, 4))
+    assert_z_span_and_death_page(ss, window)
+    for n in window:
         certify_barcode(ss, n)
     # The reports read pages through page_dims; the oracle reads every cell.
     def oracle_page(r: int) -> dict[tuple[int, int], int]:
-        cells = ((s, n - s) for n in range(-8, 3) for s in range(fc.max_level + 1))
+        cells = ((s, n - s) for n in window for s in range(fc.max_level + 1))
         return {(s, t): dim for s, t in cells if (dim := ec.dim(r, s, t))}
 
-    checked = ss.total_degree_check(range(-8, 3))
+    checked = ss.total_degree_check(window)
     assert all(ok for _, _, ok in checked.values())
     for n, (total, _, _) in checked.items():
         assert total == sum(ec.dim(ss.stable_page, s, n - s) for s in range(fc.max_level + 1)), n
     page1 = oracle_page(1)
     rows, columns = sorted({t for _, t in page1}), sorted({s for s, _ in page1})
     predicted = 1 if len(columns) <= 1 else 2 if len(rows) <= 1 else None
-    report = collapse_report(ss, range(-8, 3))
+    report = collapse_report(ss, window)
     assert (report.rows, report.columns, report.predicted_page) == (rows, columns, predicted)
     assert report.verified == (
         predicted is not None and oracle_page(predicted) == oracle_page(ss.stable_page)
     )
-    assert restriction_sequence(algebra, u, 0, 1, list(range(-8, 3))).ok
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(two_stage_towers(), st.sampled_from(["self", "trivial"]))
+def test_barcode_matches_exact_couple_on_random_towers(algebra, coefficients) -> None:
+    u = COEFFICIENTS[coefficients](algebra)
+    assert_routes_agree(DerComplex(algebra, u).tower(), RANDOM_WINDOW)
+    assert restriction_sequence(algebra, u, 0, 1, list(RANDOM_WINDOW)).ok
+
+
+# With trivial coefficients a cellular Der complex lives in the positive
+# degrees |v| of its slots (v ↦ 1); words, and so the cost, multiply towards
+# negative degrees.
+CELL_WINDOW = range(-3, 8)
+
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(two_stage_cellular_towers(), st.sampled_from(["self", "trivial"]))
+def test_barcode_matches_exact_couple_on_random_cellular_towers(algebra, coefficients) -> None:
+    u = COEFFICIENTS[coefficients](algebra)
+    assert_routes_agree(DerComplex(algebra, u).tower(), CELL_WINDOW)
+    assert restriction_sequence(algebra, u, 0, 1, list(CELL_WINDOW)).ok
+
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(st.one_of(two_stage_towers(), two_stage_cellular_towers()))
+def test_barcode_matches_exact_couple_on_random_cones(algebra) -> None:
+    # Levels 0 (the algebra), 1 and 2 (the slots of stages 0 and 1).
+    assert_routes_agree(ConeComplex(algebra).tower(), CELL_WINDOW)
 
 
 def test_page_loops_skip_empty_levels(monkeypatch) -> None:
