@@ -96,6 +96,7 @@ class DerComplex:
         return out
 
     def values_of_vector(self, vec: Vector, p: int) -> Values:
+        """The derivation with coordinates vec in ``self.complex().basis(p)``."""
         basis = self.basis(p)
         out: Values = {}
         for idx, coeff in vec.items():
@@ -105,7 +106,8 @@ class DerComplex:
         return {v: el for v, el in out.items() if el}
 
     def vector_of_values(self, values: Values, p: int) -> Vector:
-        index = {slot: i for i, slot in enumerate(self.basis(p))}
+        """Coordinates of a derivation, by ``self.complex().index(p)``."""
+        index = self.complex().index(p)
         out: Vector = {}
         for v, el in values.items():
             for mono, coeff in el.items():

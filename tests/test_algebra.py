@@ -211,12 +211,16 @@ BASIS_BUILTINS = [
 ]
 
 
+def case_algebra(name: str) -> FreeDgAlgebra:
+    """A builtin's algebra, or for ``workload:NAME`` that of the workload's seed-11 model."""
+    if name.startswith("workload:"):
+        return parse_model(WORKLOADS[name.removeprefix("workload:")].model_text(11)).algebra
+    return builtin(name).algebra
+
+
 @pytest.mark.parametrize("name", BASIS_BUILTINS + [f"workload:{w}" for w in WORKLOADS])
 def test_basis_sizes_follow_the_generating_function(name) -> None:
-    if name.startswith("workload:"):
-        algebra = parse_model(WORKLOADS[name.removeprefix("workload:")].model_text(11)).algebra
-    else:
-        algebra = builtin(name).algebra
+    algebra = case_algebra(name)
     top = 16 if algebra.kind == "tensor" else 24
     for n, count in enumerate(basis_counts(algebra, top)):
         basis = algebra.basis_in_degree(n)

@@ -7,7 +7,14 @@ from fractions import Fraction
 
 import pytest
 
-from dgtangent.algebra import AlgebraMorphism, FreeDgAlgebra, Generator, el_add, el_scale
+from dgtangent.algebra import (
+    AlgebraMorphism,
+    FreeDgAlgebra,
+    Generator,
+    el_add,
+    el_scale,
+    to_cohomological,
+)
 from dgtangent.derivations import (
     ConeComplex,
     DerComplex,
@@ -16,8 +23,11 @@ from dgtangent.derivations import (
     restriction_sequence,
     subalgebra_below_stage,
 )
+from dgtangent.linalg import ONE
 from dgtangent.models import builtin
-from test_acceptance import BUILTINS, trivial_coefficients
+from test_acceptance import BUILTINS, COEFFICIENTS, trivial_coefficients
+from test_algebra import BASIS_BUILTINS, basis_counts, case_algebra
+from test_bench_outputs import WORKLOADS
 
 
 def sullivan_s3() -> FreeDgAlgebra:
@@ -486,3 +496,73 @@ def test_insertion_rule_matches_the_literal_formula() -> None:
         for f, p, g, q in explicit.get(label, []):
             assert brace(der, f, p, g, q) == literal_brace(der, f, p, g, q) != {}, (label, f, g)
     assert long_braces >= 3  # braces on words of length 3 are exercised
+
+
+def relative_der(algebra: FreeDgAlgebra, coefficients=AlgebraMorphism.identity) -> DerComplex:
+    """Der with the base generators held fixed, as ``aut`` builds it."""
+    return DerComplex(algebra, coefficients(algebra), vanishing=algebra.base)
+
+
+def assert_slot_coordinates_round_trip(der: DerComplex, degrees: range, label: str) -> None:
+    """Each basis vector survives values_of_vector then vector_of_values."""
+    for p in degrees:
+        for i in range(len(der.basis(p))):
+            values = der.values_of_vector({i: ONE}, p)
+            assert der.vector_of_values(values, p) == {i: ONE}, (label, p, i)
+
+
+@pytest.mark.parametrize("name", BASIS_BUILTINS)
+def test_slot_coordinates_round_trip_on_builtins(name) -> None:
+    assert_slot_coordinates_round_trip(relative_der(builtin(name).algebra), range(-8, 3), name)
+
+
+def test_slot_coordinates_round_trip_on_the_aut_workload() -> None:
+    der = relative_der(case_algebra("workload:aut-relative"))
+    assert sum(len(der.basis(p)) for p in range(-12, 1)) == 166
+    assert_slot_coordinates_round_trip(der, range(-12, 1), "aut-relative")
+
+
+@pytest.mark.parametrize(
+    "values, p, message",
+    [
+        # A base generator is held fixed: it has no slot.
+        ({"a": {(): ONE}}, -2, "value 1 at slot 'a' is not in the degree--2 basis"),
+        # A live slot, but the monomial has the wrong degree.
+        ({"z": {("x",): Fraction(-3, 2)}}, -11,
+         "value -3/2*x at slot 'z' is not in the degree--11 basis"),
+        # The right degree, but not the normal form of the monomial.
+        ({"y": {("x", "a"): ONE}}, -3, "value x*a at slot 'y' is not in the degree--3 basis"),
+        # A generator the model does not have.
+        ({"q": {(): ONE}}, 0, "value 1 at slot 'q' is not in the degree-0 basis"),
+    ],
+    ids=["base-slot", "wrong-degree", "not-normal-form", "unknown-generator"],
+)
+def test_values_outside_the_basis_are_refused(values, p, message) -> None:
+    der = relative_der(case_algebra("workload:aut-relative"))
+    with pytest.raises(ValueError) as excinfo:
+        der.vector_of_values(values, p)
+    assert str(excinfo.value) == message
+
+
+DER_SUM_CASES = (
+    [(name, "self") for name in BASIS_BUILTINS]
+    + [("sullivan:cpn:3", "trivial"), ("ah:wedge:2,3", "trivial")]
+    + [(f"workload:{w}", "self") for w in WORKLOADS]
+)
+
+
+@pytest.mark.parametrize("name, coefficients", DER_SUM_CASES)
+def test_der_basis_sizes_are_sums_over_slots(name, coefficients) -> None:
+    # dim Der^p = Σ over the non-vanishing slots v of dim U in cdeg p + cdeg(v),
+    # with U's dimensions from its Hilbert series.
+    algebra = case_algebra(name)
+    der = relative_der(algebra, COEFFICIENTS[coefficients])
+    degrees = range(-12, 5)
+    native = {
+        (p, v): to_cohomological(p + algebra.gen_cdeg(v), der.U.grading)
+        for p in degrees for v in der.slots
+    }
+    counts = basis_counts(der.U, max(native.values(), default=0))
+    for p in degrees:
+        expected = sum(counts[native[p, v]] for v in der.slots if native[p, v] >= 0)
+        assert len(der.basis(p)) == expected, (name, coefficients, p)
