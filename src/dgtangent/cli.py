@@ -6,12 +6,14 @@ is an aligned text table (default) or line-delimited JSON records
 (``--format records``); records are byte-stable across runs.  ``main`` is
 the one command runner: it loads the model (validated, except for
 ``validate`` and ``print``), hands each ``cmd_*`` one ``Output`` to fill,
-prints it, and forms every exit status: 0 on success, 1 on validation or
-input failure, an engine refusal or a failed check, 2 on usage errors.
-Flag integers are read like model-file integers (``-?[0-9]+``).  ``ss``,
-``loop``, ``aut`` and ``hochschild`` each render one ``TowerReport``:
-``_page_rows`` prints its pages, relabeled here and only here by
-``tower.relabel`` (``loop`` relabels its two second-page tables too).
+prints it, and forms every exit status: 0 on success, 1 on a ``ValueError``
+(validation or input failure, an engine refusal) or a failed check, 2 on a
+flag mistake.  argparse checks every flag before the model is read: its
+``type=`` converters read flag integers like model-file integers
+(``-?[0-9]+``), ranges, page lists and the shape of ``--coefficients``.
+``ss``, ``loop``, ``aut`` and ``hochschild`` each render one
+``TowerReport``: ``_page_rows`` prints its pages, relabeled here and only
+here by ``tower.relabel`` (``loop`` relabels its two second-page tables too).
 """
 
 from __future__ import annotations
@@ -23,14 +25,15 @@ from collections import Counter
 from typing import Sequence
 
 from .algebra import AlgebraMorphism, trivial_algebra
+from .derivations import ConeComplex
 from .models import (
     ModelFile,
     TowerReport,
     _parse_int,
     algebra_homology_dims,
     aut_homotopy,
+    bracket_table,
     builtin_names,
-    cone_spectral_sequence,
     derivation_tower,
     load_model,
     loop_homology,
@@ -41,18 +44,10 @@ from .models import (
     tower_report,
     validate_model,
 )
-from .tower import SpectralSequence, relabel
+from .tower import SpectralSequence, collapse_report, relabel
 
 TABLE = "table"
 RECORDS = "records"
-
-
-class CliError(Exception):
-    """An input or validation failure: message printed, exit status 1."""
-
-
-class UsageError(Exception):
-    """A flag-level mistake: message printed, exit status 2."""
 
 
 def integer(text: str) -> int:
@@ -60,19 +55,20 @@ def integer(text: str) -> int:
     return _parse_int(text, None, "integer")
 
 
-def _parse_range(text: str, what: str) -> tuple[int, int]:
-    """``A..B`` as (A, B); a usage error unless A and B are integers, A <= B."""
+def _parse_range(text: str, what: str = "degree") -> tuple[int, int]:
+    """``A..B`` as (A, B); a flag mistake unless A and B are integers, A <= B."""
     lo, _, hi = text.partition("..")
     try:
         bounds = integer(lo), integer(hi)
     except ValueError:
-        raise UsageError(f"bad {what} range {text!r}") from None
+        raise argparse.ArgumentTypeError(f"bad {what} range {text!r}") from None
     if bounds[0] > bounds[1]:
-        raise UsageError(f"empty {what} range {text!r}")
+        raise argparse.ArgumentTypeError(f"empty {what} range {text!r}")
     return bounds
 
 
 def _parse_pages(text: str) -> list[int]:
+    """``A..B`` or a comma list of distinct page numbers, each at least 1."""
     if ".." in text:
         lo, hi = _parse_range(text, "page")
         pages = list(range(lo, hi + 1))
@@ -80,48 +76,53 @@ def _parse_pages(text: str) -> list[int]:
         try:
             pages = [integer(p) for p in text.split(",")]
         except ValueError:
-            raise UsageError(f"bad page list {text!r}") from None
+            raise argparse.ArgumentTypeError(f"bad page list {text!r}") from None
     if not pages or any(p < 1 for p in pages):
-        raise UsageError("page numbers start at 1")
+        raise argparse.ArgumentTypeError(f"page numbers start at 1, not {text!r}")
     for p, count in Counter(pages).items():
         if count > 1:
-            raise UsageError(f"page {p} is listed more than once in {text!r}")
+            raise argparse.ArgumentTypeError(f"page {p} is listed more than once in {text!r}")
     return pages
+
+
+def _coefficient_choice(text: str) -> str:
+    """``self``, ``trivial`` or ``target=MODEL``; the model is read later."""
+    if text in ("self", "trivial") or text.startswith("target="):
+        return text
+    raise argparse.ArgumentTypeError(f"must be self, trivial or target=MODEL, not {text!r}")
 
 
 def _load(spec_text: str) -> ModelFile:
     try:
         return load_model(spec_text)
     except UnicodeDecodeError as exc:
-        raise CliError(f"cannot read model {spec_text}: not UTF-8 text ({exc})") from None
+        raise ValueError(f"cannot read model {spec_text}: not UTF-8 text ({exc})") from None
     except OSError as exc:
-        raise CliError(f"cannot read model: {exc}") from None
+        raise ValueError(f"cannot read model: {exc}") from None
 
 
 def _validated(spec_text: str) -> ModelFile:
     mf = _load(spec_text)
     rows = Output(TABLE, "validate", spec_text)
     if not cmd_validate(None, mf, rows):
-        raise CliError("invalid model:\n" + "\n".join(rows.lines))
+        raise ValueError("invalid model:\n" + "\n".join(rows.lines))
     return mf
 
 
 def _coefficients(mf: ModelFile, choice: str) -> tuple[str, AlgebraMorphism]:
     """The label and the coefficient morphism u: A → U of ``self``, ``trivial``
-    or ``target=MODEL`` (same-named generators); exit 1 unless u is a dg
-    algebra morphism."""
+    or ``target=MODEL`` (same-named generators); a ``ValueError`` unless u
+    is a dg algebra morphism."""
     algebra = mf.algebra
     if choice == "self":
         u = AlgebraMorphism.identity(algebra)
     elif choice == "trivial":
         u = AlgebraMorphism.augmentation(algebra, trivial_algebra(algebra.grading))
-    elif choice.startswith("target="):
+    else:
         target = _validated(choice[len("target=") :]).algebra
         u, choice = AlgebraMorphism.name_matching(algebra, target), "target"
-    else:
-        raise UsageError(f"--coefficients must be self, trivial or target=PATH, not {choice!r}")
     if problems := u.check():
-        raise CliError(
+        raise ValueError(
             f"{choice} coefficients are not a dg algebra morphism: " + "; ".join(problems)
         )
     return choice, u
@@ -222,10 +223,7 @@ def cmd_quillen(args: argparse.Namespace, mf: ModelFile, out: Output) -> bool:
 def cmd_der(args: argparse.Namespace, mf: ModelFile, out: Output) -> bool:
     coefficients, u = _coefficients(mf, f"target={args.target}" if args.target else "self")
     der, _ = derivation_tower(mf, u)
-    if args.range:
-        lo, hi = _parse_range(args.range, "degree")
-    else:
-        lo, hi = -args.window, args.window
+    lo, hi = args.range or (-args.window, args.window)
     cx = der.complex()
     dims = {n: cx.homology_dim(n) for n in range(lo, hi + 1)}
     vanish = f" fixing {sorted(mf.algebra.base)}" if mf.algebra.base else ""
@@ -242,29 +240,24 @@ def cmd_der(args: argparse.Namespace, mf: ModelFile, out: Output) -> bool:
 
 def cmd_ss(args: argparse.Namespace, mf: ModelFile, out: Output) -> bool:
     _, u = _coefficients(mf, args.coefficients)
-    pages = _parse_pages(args.pages)
     mult = None
     # A model the product check refuses is refused before any page is built.
     if args.check_multiplicative:
         diagonals = {} if args.check_multiplicative == "primitive" else mf.diagonals
         mult = multiplicativity_check(mf.algebra, diagonals, window=args.window)
-    _, fc = derivation_tower(mf, u)
-    report = tower_report(
-        SpectralSequence(fc),
-        range(-args.window, args.window + 1),
-        pages,
-        check_collapse=args.check_collapse,
-    )
+    ss = SpectralSequence(derivation_tower(mf, u)[1])
+    degrees = range(-args.window, args.window + 1)
+    report = tower_report(ss, degrees, args.pages)
     conventions = (
         [args.convention]
         if args.convention
         else ["internal", "relabeled" if model_family(mf) == "sullivan" else "flipped"]
     )
     _page_rows(out, conventions, report)
-    out.row(f"stable page: {report.stable_page}")
+    out.row(f"stable page: {ss.stable_page}")
     ok = _assembly_rows(out, report.assembly)
-    if report.collapse is not None:
-        col = report.collapse
+    if args.check_collapse:
+        col = collapse_report(ss, degrees)
         out.row(
             "collapse: "
             + (
@@ -292,8 +285,7 @@ def cmd_ss(args: argparse.Namespace, mf: ModelFile, out: Output) -> bool:
 
 
 def cmd_loop(args: argparse.Namespace, mf: ModelFile, out: Output) -> bool:
-    pages = _parse_pages(args.pages) if args.pages else ()
-    report = loop_homology(mf, window=args.max_degree, pages=pages)
+    report = loop_homology(mf, window=args.max_degree, pages=args.pages)
     _dims_rows(out, "free-loop-space homology", report.betti)
     _page_rows(out, ["flipped"], report.tower)
     out.row("second page vs hom(cells, loop homology):")
@@ -310,8 +302,7 @@ def cmd_loop(args: argparse.Namespace, mf: ModelFile, out: Output) -> bool:
 
 
 def cmd_aut(args: argparse.Namespace, mf: ModelFile, out: Output) -> bool:
-    pages = _parse_pages(args.pages) if args.pages else ()
-    report = aut_homotopy(mf, window=args.window, pages=pages)
+    report = aut_homotopy(mf, window=args.window, pages=args.pages)
     _dims_rows(out, "homotopy of the identity component of self-equivalences", report.dims)
     out.row(f"degree-zero classes (not part of the table): {report.degree_zero_dim}")
     out.row("hom-shaped table (fiber degree σ vs cohomology degree τ):")
@@ -323,7 +314,7 @@ def cmd_aut(args: argparse.Namespace, mf: ModelFile, out: Output) -> bool:
     _page_rows(out, ["internal", "relabeled"], report.tower)
     if args.brackets:
         out.row("brackets on classes:")
-        for e in report.brackets():
+        for e in bracket_table(report.der, args.window):
             n = e.degree_a + e.degree_b
             terms = [f"{c}*e({n},{k})" for k, c in enumerate(e.coords) if c != "0"]
             out.row(
@@ -335,10 +326,9 @@ def cmd_aut(args: argparse.Namespace, mf: ModelFile, out: Output) -> bool:
 
 
 def cmd_hochschild(args: argparse.Namespace, mf: ModelFile, out: Output) -> bool:
-    ss = cone_spectral_sequence(mf)
+    ss = SpectralSequence(ConeComplex(mf.algebra).tower())
     degrees = range(-args.window, args.window + 1)
-    pages = _parse_pages(args.pages) if args.pages else [1, 2]
-    report = tower_report(ss, degrees, [*pages, ss.stable_page])  # and the E_∞ page
+    report = tower_report(ss, degrees, [*args.pages, ss.stable_page])  # and the E_∞ page
     _page_rows(out, ["internal"], report)
     _dims_rows(out, "cone cohomology", {n: report.assembly[n][1] for n in degrees})
     return _assembly_rows(out, report.assembly)
@@ -377,6 +367,9 @@ def build_parser() -> argparse.ArgumentParser:
             help="aligned table or line-delimited JSON records",
         )
 
+    def pages(p: argparse.ArgumentParser, default: str | tuple, help: str) -> None:
+        p.add_argument("--pages", type=_parse_pages, default=default, metavar="A..B", help=help)
+
     p = sub.add_parser("validate", help="run all structural checks")
     common(p, window_default=None)
     p.set_defaults(func=cmd_validate)
@@ -393,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--target", metavar="MODEL", help="coefficient target model")
     p.add_argument(
-        "--range", metavar="A..B",
+        "--range", type=_parse_range, metavar="A..B",
         help="explicit degree range, e.g. --range -6..2",
     )
     p.add_argument("--reps", action="store_true", help="print class representatives")
@@ -402,10 +395,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ss", help="spectral-sequence pages of the derivation tower")
     common(p)
     p.add_argument(
-        "--coefficients", default="self", metavar="C",
+        "--coefficients", type=_coefficient_choice, default="self", metavar="C",
         help="self, trivial, or target=MODEL (default self)",
     )
-    p.add_argument("--pages", default="1..6", metavar="A..B", help="pages to print")
+    pages(p, "1..6", "pages to print")
     p.add_argument(
         "--convention", choices=("internal", "flipped", "relabeled"),
         help="bidegree labels (default: internal plus the family-appropriate one)",
@@ -427,18 +420,18 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-degree", type=integer, default=10, metavar="N",
         help="largest loop degree reported (default 10)",
     )
-    p.add_argument("--pages", metavar="A..B", help="also print these pages")
+    pages(p, (), "also print these pages")
     p.set_defaults(func=cmd_loop)
 
     p = sub.add_parser("aut", help="rational homotopy of fiberwise self-equivalences")
     common(p)
-    p.add_argument("--pages", metavar="A..B", help="also print these pages")
+    pages(p, (), "also print these pages")
     p.add_argument("--brackets", action="store_true", help="print bracket tables")
     p.set_defaults(func=cmd_aut)
 
     p = sub.add_parser("hochschild", help="adjoint-cone tower of a model")
     common(p, window_default=8)
-    p.add_argument("--pages", metavar="A..B", help="pages to print (default 1..2)")
+    pages(p, "1..2", "pages to print (default 1..2)")
     p.set_defaults(func=cmd_hochschild)
 
     p = sub.add_parser("print", help="canonical text form of a model")
@@ -464,12 +457,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         mf = load(args.model)
         out = Output(args.format, args.command, mf.name or args.model)
         ok = args.func(args, mf, out)
-    except (CliError, ValueError) as exc:  # the engine refuses with ValueError
+    except ValueError as exc:  # input failures and engine refusals
         print(str(exc), file=sys.stderr)
         return 1
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
     out.emit()
     return 0 if ok else 1
 

@@ -60,11 +60,7 @@ from .derivations import (
     closure_offenders,
     slot_images,
 )
-from .tower import (
-    FilteredComplex,
-    SpectralSequence,
-    collapse_report,
-)
+from .tower import FilteredComplex, SpectralSequence
 
 KIND_OF_FLAVOR = {"associative": KIND_TENSOR, "commutative": KIND_COMMUTATIVE}
 FLAVORS = tuple(KIND_OF_FLAVOR)
@@ -762,14 +758,6 @@ def hom_table(
     }
 
 
-def cone_spectral_sequence(mf: ModelFile) -> SpectralSequence:
-    """The stage-tower spectral sequence of the model's adjoint cone.
-
-    The cone itself is the filtered complex ``fc.complex`` of the result.
-    """
-    return SpectralSequence(ConeComplex(mf.algebra).tower())
-
-
 def loop_homology(
     mf: ModelFile, window: int = 10, pages: Sequence[int] = ()
 ) -> LoopHomologyReport:
@@ -794,7 +782,7 @@ def loop_homology(
                 f"loop homology needs stage = degree: {g.name!r} has degree {g.degree}, "
                 f"stage {g.stage}"
             )
-    ss = cone_spectral_sequence(mf)
+    ss = SpectralSequence(ConeComplex(algebra).tower())
     max_level = ss.fc.max_level
 
     # {2s − m : 0 ≤ s ≤ max_level, 0 ≤ m ≤ window}, once window ≥ 1
@@ -840,16 +828,11 @@ class BracketEntry(NamedTuple):
 class AutHomotopyReport(NamedTuple):
     """Rational homotopy of the identity component of fiberwise self-maps."""
 
-    window: int
     dims: dict[int, int]
     degree_zero_dim: int
     hom_shaped: dict[tuple[int, int], int]
     tower: TowerReport
     der: DerComplex
-
-    def brackets(self) -> list[BracketEntry]:
-        """Brackets of the classes in degrees 1..window, computed on request."""
-        return _bracket_table(self.der, self.window)
 
 
 def fiber_homotopy_dims(mf: ModelFile, window: int) -> dict[int, int]:
@@ -882,7 +865,6 @@ def aut_homotopy(
     pi_f = fiber_homotopy_dims(mf, window)
     h_total = algebra_homology_dims(mf.algebra, list(range(0, window + 1)))
     return AutHomotopyReport(
-        window=window,
         dims={n: direct[n] for n in range(1, window + 1)},
         degree_zero_dim=direct[0],
         hom_shaped=hom_table(pi_f, h_total),
@@ -891,8 +873,9 @@ def aut_homotopy(
     )
 
 
-def _bracket_table(der: DerComplex, window: int) -> list[BracketEntry]:
-    """Lie brackets of cohomology representatives, reduced to class coordinates."""
+def bracket_table(der: DerComplex, window: int) -> list[BracketEntry]:
+    """Lie brackets of the cohomology representatives in degrees 1..window,
+    reduced to class coordinates."""
     cx = der.complex()
     entries: list[BracketEntry] = []
     degrees = [n for n in range(1, window + 1) if cx.homology_dim(-n)]
@@ -925,8 +908,6 @@ class TowerReport(NamedTuple):
 
     pages_internal: dict[int, dict[tuple[int, int], int]]
     assembly: dict[int, tuple[int, int, bool]]
-    stable_page: int
-    collapse: object | None = None
 
 
 def derivation_tower(
@@ -941,17 +922,9 @@ def derivation_tower(
     return der, der.tower()
 
 
-def tower_report(
-    ss: SpectralSequence,
-    degrees: Sequence[int],
-    pages: Sequence[int],
-    check_collapse: bool = False,
-) -> TowerReport:
-    """The pages, the assembly check and, on request, the collapse check of
-    ``ss`` over the total degrees ``degrees``."""
+def tower_report(ss: SpectralSequence, degrees: Sequence[int], pages: Sequence[int]) -> TowerReport:
+    """The pages and the assembly check of ``ss`` over the total degrees ``degrees``."""
     return TowerReport(
         pages_internal={r: ss.page_dims(r, degrees) for r in pages},
         assembly=ss.total_degree_check(degrees),
-        stable_page=ss.stable_page,
-        collapse=collapse_report(ss, degrees) if check_collapse else None,
     )

@@ -24,7 +24,11 @@ from test_acceptance import CHILD_ENV
 
 
 def run_main(capsys, *argv):
-    code = main(list(argv))
+    """Exit status, stdout and stderr of ``main``; flag mistakes leave through argparse."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
     out = capsys.readouterr()
     return code, out.out, out.err
 
@@ -467,14 +471,38 @@ def test_page_parsing_is_linear_in_the_page_count():
 )
 def test_integer_flags_take_only_ascii_digit_runs(capsys, argv):
     # Flags read integers like model texts do, -?[0-9]+; anything else is a
-    # usage error, from argparse or from the command.
-    try:
-        code = main(list(argv))
-    except SystemExit as exc:
-        code = exc.code
-    captured = capsys.readouterr()
-    assert (code, captured.out) == (2, "")
-    assert repr(argv[-1]) in captured.err
+    # usage error from argparse.
+    code, out, err = run_main(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert repr(argv[-1]) in err
+
+
+@pytest.mark.parametrize(
+    "command, model, flag, value",
+    [
+        ("ss", "builtin:nope", "--pages", "0"),
+        ("der", "missing.model", "--range", "3..1"),
+        ("ss", "invalid.model", "--coefficients", "mystery"),
+    ],
+    ids=["unknown-builtin", "missing-file", "invalid-model"],
+)
+def test_flag_mistakes_exit_two_before_the_model_is_read(
+    tmp_path, monkeypatch, capsys, command, model, flag, value
+):
+    # Each model would exit 1 if it were read; argparse refuses the flag first.
+    (tmp_path / "invalid.model").write_text(
+        "flavor commutative\ngrading cohomological\ngen x : 2\ngen y : 3\nd y = x\n",
+        encoding="utf-8",
+    )
+    monkeypatch.chdir(tmp_path)
+
+    def refuse(spec):
+        raise AssertionError(f"model {spec} was read before the flags were checked")
+
+    monkeypatch.setattr("dgtangent.cli.load_model", refuse)
+    code, out, err = run_main(capsys, command, model, flag, value)
+    assert (code, out) == (2, "")
+    assert f"argument {flag}: " in err and repr(value) in err
 
 
 def test_hochschild_prints_the_stable_page_once(capsys):

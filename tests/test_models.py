@@ -15,6 +15,7 @@ from dgtangent.models import (
     ValidationReport,
     algebra_homology_dims,
     aut_homotopy,
+    bracket_table,
     builtin,
     convolution_values,
     derivation_tower,
@@ -27,7 +28,7 @@ from dgtangent.models import (
     tower_report,
     validate_model,
 )
-from dgtangent.tower import SpectralSequence, relabel
+from dgtangent.tower import SpectralSequence, collapse_report, relabel
 from test_acceptance import trivial_coefficients
 
 CELLCOALG_TEXT = """\
@@ -442,7 +443,8 @@ def test_golden_product_model_is_the_product_of_its_factors() -> None:
 
 def test_aut_bracket_table_even_sphere() -> None:
     report = aut_homotopy(builtin("sullivan:sphere:even:2"), window=8)
-    entries = {(e.degree_a, e.index_a, e.degree_b, e.index_b): e for e in report.brackets()}
+    table = bracket_table(report.der, 8)
+    entries = {(e.degree_a, e.index_a, e.degree_b, e.index_b): e for e in table}
     # Only class: degree 3 (one dimension); [e, e] lands in degree 6 = 0.
     assert (3, 0, 3, 0) in entries
     assert all(c == "0" for c in entries[(3, 0, 3, 0)].coords)
@@ -451,8 +453,10 @@ def test_aut_bracket_table_even_sphere() -> None:
 def test_tower_report_collapse_for_truncated_coefficients() -> None:
     mf = builtin("ah:sphere:3")
     _, fc = derivation_tower(mf, trivial_coefficients(mf.algebra))
-    report = tower_report(SpectralSequence(fc), range(-6, 7), (1, 2), check_collapse=True)
+    ss = SpectralSequence(fc)
+    report = tower_report(ss, range(-6, 7), (1, 2))
+    collapse = collapse_report(ss, range(-6, 7))
     assert assembly_ok(report)
-    assert report.collapse is not None
-    assert report.collapse.predicted_page in (1, 2)
-    assert report.collapse.verified
+    assert collapse is not None
+    assert collapse.predicted_page in (1, 2)
+    assert collapse.verified

@@ -19,7 +19,6 @@ from dgtangent.derivations import (
 from dgtangent.linalg import Echelon, Matrix, Vector, spans_equal
 from dgtangent.models import (
     builtin,
-    cone_spectral_sequence,
     derivation_tower,
     parse_model,
     tower_report,
@@ -378,7 +377,7 @@ d c = 2 * a a
 
 def test_barcode_is_independent_of_the_order_within_a_level() -> None:
     # loop --max-degree 12 on CP² reads the cone in degrees −13..8.
-    towers = [("cp2/cone", cone_spectral_sequence(parse_model(CP2)).fc, range(-13, 9))]
+    towers = [("cp2/cone", ConeComplex(parse_model(CP2).algebra).tower(), range(-13, 9))]
     towers += builtin_towers()
     for label, fc, window in towers:
         ss = SpectralSequence(fc)
@@ -797,7 +796,8 @@ def test_page_loops_skip_empty_levels(monkeypatch) -> None:
         )
         calls.clear()
         ss = SpectralSequence(derivation_tower(mf)[1])
-        reports[stage] = tower_report(ss, range(-4, 5), range(1, 7), check_collapse=True)
+        reports[stage] = tower_report(ss, range(-4, 5), range(1, 7))
+        collapse_report(ss, range(-4, 5))
         counts[stage] = len(calls)
     assert counts[5] == counts[500]
     assert reports[5].assembly == reports[500].assembly
