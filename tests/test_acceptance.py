@@ -97,6 +97,7 @@ WINDOW = list(range(-10, 11))
 # Child processes import the package from where this process found it, so
 # the suite also runs from a checkout with no PYTHONPATH set.
 PACKAGE_ROOT = str(Path(dgtangent.__file__).resolve().parents[1])
+MODELS_DIR = Path(__file__).resolve().parent / "models"
 CHILD_ENV = dict(
     os.environ,
     PYTHONPATH=os.pathsep.join(filter(None, (PACKAGE_ROOT, os.environ.get("PYTHONPATH")))),
@@ -689,6 +690,8 @@ ACCEPTANCE_COMMANDS = [
     # A relative model: base generators fixed, brackets and listed pages.
     ("aut", "builtin:sullivan:hopf", "--window", "8", "--brackets", "--pages", "1..4"),
     ("hochschild", "builtin:ah:sphere:2", "--window", "6"),
+    # A relative model with nonzero brackets (the golden aut-brackets-real).
+    ("aut", str(MODELS_DIR / "brackets-real.model"), "--window", "10", "--brackets"),
 ]
 
 

@@ -113,6 +113,11 @@ def golden_cases() -> dict[str, tuple[str, ...]]:
     cases["aut-s3-s5"] = (
         "aut", str(MODELS_DIR / "s3-s5.model"), "--window", "6", "--brackets",
     )
+    # Base a, b, c and fiber y, z, w with d y = ab, d z = ac, d w = c²a: six
+    # nonzero brackets, whose coordinates pin the order of the Der bases.
+    cases["aut-brackets-real"] = (
+        "aut", str(MODELS_DIR / "brackets-real.model"), "--window", "10", "--brackets",
+    )
     # Every generator base: no fiber, so empty pages and no assembly rows.
     cases["aut-base-only"] = (
         "aut", str(MODELS_DIR / "base-only.model"), "--window", "3", "--pages", "1..2",
