@@ -295,12 +295,21 @@ class FreeDgAlgebra:
     # ------------------------------------------------------------ bases
 
     def basis_in_degree(self, degree: int) -> list[Monomial]:
-        """All monomials of the given native degree, in canonical order."""
+        """All monomials of the given native degree, in canonical order.
+
+        Both walkers visit ``letters`` in order, so each yields the monomials
+        of one length in ``monomial_key`` order, and a stable sort by length
+        finishes the job: the tensor walker is a depth-first search over words
+        that tries the letters in order at each position; the commutative one
+        fixes each letter's multiplicity in turn, from the largest down, so a
+        monomial with more copies of an earlier letter comes first.
+        """
         if degree < 0:
             return []
         if degree == 0:
             return [UNIT]
         letters = self.letters
+        deg = {letter: self.gen_degree(letter) for letter in letters}
         found: list[Monomial] = []
         if self.kind == KIND_TENSOR:
             # Depth-first over words, on an explicit stack: a word is as long
@@ -313,15 +322,15 @@ class FreeDgAlgebra:
                 if letter is None:
                     stack.pop()
                     if word:
-                        remaining += self.gen_degree(word.pop())
-                elif self.gen_degree(letter) <= remaining:
+                        remaining += deg[word.pop()]
+                elif deg[letter] <= remaining:
                     word.append(letter)
-                    remaining -= self.gen_degree(letter)
+                    remaining -= deg[letter]
                     if remaining:
                         stack.append(iter(letters))
                     else:
                         found.append(tuple(word))
-                        remaining += self.gen_degree(word.pop())
+                        remaining += deg[word.pop()]
         else:
             def walk_c(idx: int, prefix: list[str], remaining: int) -> None:
                 if remaining == 0:
@@ -330,15 +339,14 @@ class FreeDgAlgebra:
                 if idx >= len(letters):
                     return
                 letter = letters[idx]
-                d = self.gen_degree(letter)
-                max_mult = 1 if d % 2 else remaining // d
-                for mult in range(0, max_mult + 1):
-                    if mult * d > remaining:
-                        break
+                d = deg[letter]
+                max_mult = min(remaining // d, 1) if d % 2 else remaining // d
+                for mult in range(max_mult, -1, -1):
                     walk_c(idx + 1, prefix + [letter] * mult, remaining - mult * d)
 
             walk_c(0, [], degree)
-        return self.sorted_monomials(found)
+        found.sort(key=len)
+        return found
 
     def basis_in_cdeg(self, cdeg: int) -> list[Monomial]:
         return self.basis_in_degree(to_cohomological(cdeg, self.grading))

@@ -221,7 +221,8 @@ def cmd_quillen(args: argparse.Namespace, mf: ModelFile, out: Output) -> bool:
 
 
 def cmd_der(args: argparse.Namespace, mf: ModelFile, out: Output) -> bool:
-    coefficients, u = _coefficients(mf, f"target={args.target}" if args.target else "self")
+    choice = "self" if args.target is None else f"target={args.target}"
+    coefficients, u = _coefficients(mf, choice)
     der, _ = derivation_tower(mf, u)
     lo, hi = args.range or (-args.window, args.window)
     cx = der.complex()

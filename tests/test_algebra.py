@@ -221,12 +221,29 @@ def case_algebra(name: str) -> FreeDgAlgebra:
 @pytest.mark.parametrize("name", BASIS_BUILTINS + [f"workload:{w}" for w in WORKLOADS])
 def test_basis_sizes_follow_the_generating_function(name) -> None:
     algebra = case_algebra(name)
+    gens = algebra.generators.values()
+    # The canonical order, from the generators alone: by length, then letter
+    # by letter in (degree, name) order.
+    letter_key = {g.name: (g.degree, g.name) for g in gens}
+    degree = {g.name: g.degree for g in gens}
+    position = {letter: i for i, letter in enumerate(algebra.letters)}
     top = 16 if algebra.kind == "tensor" else 24
     for n, count in enumerate(basis_counts(algebra, top)):
         basis = algebra.basis_in_degree(n)
         assert len(basis) == count, (name, n)
-        keys = [algebra.monomial_key(m) for m in basis]
+        keys = [(len(m), tuple(letter_key[l] for l in m)) for m in basis]
         assert keys == sorted(set(keys)), (name, n)  # in key order, no repeats
+        assert all(sum(degree[l] for l in m) == n for m in basis), (name, n)
+        if algebra.kind == "commutative":
+            for m in basis:
+                assert list(m) == sorted(m, key=position.__getitem__), (name, m)
+                odd = [l for l in m if degree[l] % 2]
+                assert len(odd) == len(set(odd)), (name, m)
+
+
+def test_one_letter_word_basis_is_deeper_than_the_recursion_limit() -> None:
+    a = FreeDgAlgebra("tensor", "homological", [Generator("x", 1)])
+    assert a.basis_in_degree(1200) == [("x",) * 1200]
 
 
 def test_algebra_homology_sullivan_sphere() -> None:

@@ -733,6 +733,22 @@ def test_target_that_is_not_a_chain_map_exits_one(capsys, argv):
     assert "does not commute with d on 'y'" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("der", "builtin:sullivan:hopf", "--target", ""),
+        ("ss", "builtin:sullivan:hopf", "--coefficients", "target="),
+    ],
+    ids=["der", "ss"],
+)
+def test_empty_target_model_name_exits_one(capsys, argv):
+    # An empty model name is a name that cannot be read, not "no target".
+    code, out, err = run_main(capsys, *argv, "--window", "2")
+    assert code == 1
+    assert out == ""
+    assert "cannot read model" in err
+
+
 @pytest.mark.parametrize("command", ["der", "ss"])
 def test_target_whose_images_do_not_graded_commute_exits_one(tmp_path, capsys, command):
     # Name matching Λ(x, y) → T(x, y) commutes with d (u(x²) = x x = d y), but

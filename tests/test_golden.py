@@ -28,10 +28,9 @@ from dgtangent.complexes import CochainComplex, to_cohomological
 from dgtangent.derivations import ConeComplex
 from dgtangent.models import builtin, derivation_tower
 from dgtangent.tower import SpectralSequence
-from test_acceptance import COEFFICIENTS
+from test_acceptance import COEFFICIENTS, MODELS_DIR
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
-MODELS_DIR = Path(__file__).resolve().parent / "models"
 
 CELLULAR = ("ah:sphere:2", "ah:sphere:3", "ah:wedge:2,2", "ah:wedge:2,3")
 SULLIVAN = (
