@@ -17,7 +17,7 @@ and ``insert``); the brace adds only the sign of its (f, g) pair.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .algebra import (
     AlgebraMorphism,
@@ -239,28 +239,6 @@ def cup_product(der: DerComplex, f: Values, p: int, g: Values, q: int) -> Values
 # ----------------------------------------------------- restriction sequences
 
 
-class RestrictionSequence(NamedTuple):
-    """Report on 0 → Der_{A_j}(A) → Der_{A_i}(A) → Der_{A_i}(A_j) → 0."""
-
-    closed: bool
-    offenders: list[str]
-    dims: dict[int, tuple[int, int, int]]
-    additive_ok: bool
-    inclusion_chain_ok: bool
-    restriction_chain_ok: bool
-    exact_ok: bool
-
-    @property
-    def ok(self) -> bool:
-        return (
-            self.closed
-            and self.additive_ok
-            and self.inclusion_chain_ok
-            and self.restriction_chain_ok
-            and self.exact_ok
-        )
-
-
 def subalgebra_below_stage(algebra: FreeDgAlgebra, stage: int) -> FreeDgAlgebra:
     """The subalgebra generated by all generators of stage < ``stage``."""
     gens = [g for g in algebra.generators.values() if algebra.gen_stage(g.name) < stage]
@@ -281,13 +259,15 @@ def restriction_sequence(
     stage_low: int,
     stage_high: int,
     degrees: Sequence[int],
-) -> RestrictionSequence:
-    """Check the short exact sequence of derivation complexes for a stage pair.
+) -> list[str]:
+    """What fails of 0 → Der_{A_j}(A) → Der_{A_i}(A) → Der_{A_i}(A_j) → 0.
 
     Left: derivations vanishing below stage_high; middle: vanishing below
     stage_low; right: derivations of the stage_high subalgebra vanishing below
-    stage_low.  Verified per degree: dimensions add, both maps are chain maps,
-    and kernel(restriction) = image(inclusion).
+    stage_low.  Checked per degree p: dimensions add, both maps are chain
+    maps, the inclusion is injective, the restriction onto, and
+    kernel(restriction) = image(inclusion).  A pair whose stages are not
+    closed under d is not a cofibration: one message names its offenders.
     """
     if stage_low > stage_high:
         raise ValueError("stage_low must be <= stage_high")
@@ -298,20 +278,13 @@ def restriction_sequence(
     offenders = closure_offenders(algebra, frozenset(below_high))
     offenders += [g for g in closure_offenders(algebra, frozenset(below_low)) if g not in offenders]
     if offenders:
-        return RestrictionSequence(False, offenders, {}, False, False, False, False)
+        return [f"stages below {stage_low} or {stage_high} not closed under d (offenders: {offenders})"]
 
     left = DerComplex(algebra, u, vanishing=below_high)
     middle = DerComplex(algebra, u, vanishing=below_low)
     sub = subalgebra_below_stage(algebra, stage_high)
     sub_u = AlgebraMorphism(sub, u.target, {g: u.images[g] for g in sub.generators})
     right = DerComplex(sub, sub_u, vanishing=below_low)
-
-    dims: dict[int, tuple[int, int, int]] = {}
-    additive = True
-    incl_chain = True
-    rest_chain = True
-    exact = True
-
     cx_left, cx_mid, cx_right = left.complex(), middle.complex(), right.complex()
 
     def inclusion_matrix(p: int) -> Matrix:
@@ -323,25 +296,25 @@ def restriction_sequence(
             cx_mid.basis(p), kept, lambda slot: {slot: ONE} if slot in kept else {}
         )
 
+    problems = []
     for p in degrees:
         nl, nm, nr = cx_left.dim(p), cx_mid.dim(p), cx_right.dim(p)
-        dims[p] = (nl, nm, nr)
-        if nl + nr != nm:
-            additive = False
-        incl_p, incl_p1 = inclusion_matrix(p), inclusion_matrix(p + 1)
-        rest_p, rest_p1 = restriction_matrix(p), restriction_matrix(p + 1)
+        incl_p, rest_p = inclusion_matrix(p), restriction_matrix(p)
         d_left, d_mid, d_right = cx_left.d(p), cx_mid.d(p), cx_right.d(p)
-        if incl_p.compose(d_mid) != d_left.compose(incl_p1):
-            incl_chain = False
-        if d_mid.compose(rest_p1) != rest_p.compose(d_right):
-            rest_chain = False
-        # Exactness: inclusion injective, restriction surjective, ker = im.
-        if incl_p.rank() != nl or rest_p.rank() != nr:
-            exact = False
+        at = f"at degree {p}"
+        if nl + nr != nm:
+            problems.append(f"dimensions {nl} + {nr} != {nm} {at}")
+        if incl_p.compose(d_mid) != d_left.compose(inclusion_matrix(p + 1)):
+            problems.append(f"inclusion is not a chain map {at}")
+        if d_mid.compose(restriction_matrix(p + 1)) != rest_p.compose(d_right):
+            problems.append(f"restriction is not a chain map {at}")
+        if incl_p.rank() != nl:
+            problems.append(f"inclusion is not injective {at}")
+        if rest_p.rank() != nr:
+            problems.append(f"restriction is not onto {at}")
         if not spans_equal(rest_p.kernel_basis(), incl_p.rows):
-            exact = False
-
-    return RestrictionSequence(True, [], dims, additive, incl_chain, rest_chain, exact)
+            problems.append(f"ker restriction != im inclusion {at}")
+    return problems
 
 
 # ---------------------------------------------------------------------- cone

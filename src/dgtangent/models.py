@@ -82,12 +82,11 @@ Diagonal = dict[tuple[str, str], Fraction]
 
 
 class ModelSyntaxError(ValueError):
-    """A model file failed to parse; carries the offending line number, or
-    None when the fault is in the file as a whole."""
+    """A model file failed to parse; the message starts with the offending
+    line number unless the fault is in the file as a whole (None)."""
 
     def __init__(self, line_no: int | None, message: str) -> None:
         super().__init__(message if line_no is None else f"line {line_no}: {message}")
-        self.line_no = line_no
 
 
 class ModelFile(NamedTuple):

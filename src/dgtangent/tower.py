@@ -432,23 +432,6 @@ class ExactCoupleSS:
         )
 
 
-class AlignmentResult(NamedTuple):
-    """Comparison of the filtered and exact-couple routes at one (r, s, t)."""
-
-    r: int
-    s: int
-    t: int
-    dim_filtered: int
-    dim_couple: int
-    dims_equal: bool
-    transport_invertible: bool
-    d_matrices_equal: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.dims_equal and self.transport_invertible and self.d_matrices_equal
-
-
 def transport_matrix(
     ss: SpectralSequence, ec: ExactCoupleSS, r: int, s: int, n: int
 ) -> Matrix:
@@ -465,20 +448,21 @@ def transport_matrix(
 
 def alignment_check(
     ss: SpectralSequence, ec: ExactCoupleSS, r: int, s: int, t: int
-) -> AlignmentResult:
-    n = s + t
-    dim_f = ss.entry(r, s, n).dim
-    dim_c = ec.page_subquotient(r, s, n).dim
-    dims_equal = dim_f == dim_c
+) -> list[str]:
+    """What fails of the two routes' agreement at (r, s, t): the page
+    dimensions, invertibility of the transport, and d_r after it."""
+    n, at = s + t, f"at (r, s, t) = ({r}, {s}, {t})"
+    dim_f, dim_c = ss.entry(r, s, n).dim, ec.page_subquotient(r, s, n).dim
     t_here = transport_matrix(ss, ec, r, s, n)
     t_next = transport_matrix(ss, ec, r, s + r, n + 1)
-    invertible = dims_equal and t_here.rank() == dim_f
-    d_f = ss.d_matrix(r, s, t)
-    d_c = ec.d_matrix(r, s, t)
-    matrices_equal = d_f.compose(t_next) == t_here.compose(d_c)
-    return AlignmentResult(
-        r, s, t, dim_f, dim_c, dims_equal, invertible, matrices_equal
-    )
+    problems = []
+    if dim_f != dim_c:
+        problems.append(f"dimension {dim_f} (filtered) != {dim_c} (exact couple) {at}")
+    elif t_here.rank() != dim_f:
+        problems.append(f"transport is not invertible {at}")
+    if ss.d_matrix(r, s, t).compose(t_next) != t_here.compose(ec.d_matrix(r, s, t)):
+        problems.append(f"d_{r} differs between the routes {at}")
+    return problems
 
 
 # ------------------------------------------------------ page bidegrees

@@ -194,6 +194,33 @@ def test_invalid_model_refusal_prints_the_validate_table(tmp_path, capsys, text,
     assert (code, out, err) == (1, "", stderr)
 
 
+def test_validate_refuses_diagonal_data_on_a_sullivan_model(tmp_path, capsys):
+    model = tmp_path / "sullivan-diag.model"
+    model.write_text(
+        "flavor commutative\ngrading cohomological\n"
+        "gen x : 2\ngen y : 3\nd y = x^2\ndiag y = x ⊗ x\n",
+        encoding="utf-8",
+    )
+    code, out, err = run_main(capsys, "validate", str(model))
+    assert (code, err) == (1, "")
+    assert out == (
+        "model (unnamed) [sullivan]\n"
+        "  ok   d squared is zero on generators\n"
+        "  ok   stage condition (d lands below the stage)\n"
+        "  FAIL diagonal data requires a cellular model (family is sullivan)\n"
+        "INVALID\n"
+    )
+
+
+def test_der_refuses_a_target_with_the_wrong_grading(tmp_path, capsys):
+    # ah:sphere:2 is homological: its x of degree 1 has cohomological degree −1.
+    target = tmp_path / "cohomological.model"
+    target.write_text("flavor associative\ngrading cohomological\ngen x : 1\n", encoding="utf-8")
+    code, out, err = run_main(capsys, "der", "builtin:ah:sphere:2", "--target", str(target))
+    assert (code, out) == (1, "")
+    assert "image of 'x' has degree 1, expected -1" in err
+
+
 def test_aut_refuses_a_cellular_model_without_traceback():
     code, out, err = run_process("aut", "builtin:ah:sphere:2")
     assert (code, out) == (1, "")
@@ -1035,6 +1062,26 @@ def test_der_target_into_cp2_is_cp2_cohomology(capsys):
     der = _dimensions(out, "derivation cohomology (target coefficients)")
     assert {p for p, dim in der.items() if dim} == {-3, -1, 1}
     assert set(der.values()) == {0, 1}
+
+
+def test_multiplicativity_failure_rows_exit_one(monkeypatch, capsys):
+    from dgtangent.models import multiplicativity_check
+
+    def without_diag_z(algebra, diagonals, window):
+        kept = {g: diag for g, diag in diagonals.items() if g != "z"}
+        return multiplicativity_check(algebra, kept, window)
+
+    monkeypatch.setattr("dgtangent.cli.multiplicativity_check", without_diag_z)
+    model = Path(__file__).resolve().parent / "models" / "cellcoalg.model"
+    code, out, _ = run_main(
+        capsys, "ss", str(model), "--coefficients", "trivial", "--check-multiplicative", "model"
+    )
+    assert code == 1
+    assert out.endswith(
+        "first-page product rule over 16 pairs: FAILS\n"
+        "  fails on (u -> 1) * (v -> 1)\n"
+        "  fails on (v -> 1) * (u -> 1)\n"
+    )
 
 
 def test_loop_e2_mismatch_exits_one(monkeypatch, capsys):

@@ -251,11 +251,25 @@ def test_restriction_sequence_exact() -> None:
     a = sullivan_s3()
     u = AlgebraMorphism.identity(a)
     for (low, high) in [(2, 3), (2, 4), (3, 4)]:
-        report = restriction_sequence(a, u, low, high, list(range(-6, 3)))
-        assert report.closed
-        assert report.ok, (low, high, report)
-        for p, (nl, nm, nr) in report.dims.items():
-            assert nl + nr == nm
+        assert restriction_sequence(a, u, low, high, list(range(-6, 3))) == [], (low, high)
+        # Dimension additivity, from the three complexes themselves.
+        below_low = {g for g in a.generators if a.gen_stage(g) < low}
+        sub = subalgebra_below_stage(a, high)
+        sub_u = AlgebraMorphism(sub, a, {g: u.images[g] for g in sub.generators})
+        left = DerComplex(a, u, vanishing=set(sub.generators)).complex()
+        middle = DerComplex(a, u, vanishing=below_low).complex()
+        right = DerComplex(sub, sub_u, vanishing=below_low).complex()
+        for p in range(-6, 3):
+            assert left.dim(p) + right.dim(p) == middle.dim(p), (low, high, p)
+
+
+def test_restriction_sequence_names_the_degree_of_a_failure(monkeypatch) -> None:
+    monkeypatch.setattr("dgtangent.derivations.spans_equal", lambda *spans: False)
+    a = sullivan_s3()
+    assert restriction_sequence(a, AlgebraMorphism.identity(a), 2, 3, [-2, 0]) == [
+        "ker restriction != im inclusion at degree -2",
+        "ker restriction != im inclusion at degree 0",
+    ]
 
 
 def test_restriction_sequence_non_cofibration_flag() -> None:
@@ -265,10 +279,9 @@ def test_restriction_sequence_non_cofibration_flag() -> None:
         [Generator("x", 2, stage=3), Generator("y", 3, stage=2)],
     )
     a.set_differential("y", {("x", "x"): Fraction(1)})
-    report = restriction_sequence(a, AlgebraMorphism.identity(a), 2, 3, [-2])
-    assert not report.closed
-    assert report.offenders == ["y"]
-    assert not report.ok
+    assert restriction_sequence(a, AlgebraMorphism.identity(a), 2, 3, [-2]) == [
+        "stages below 2 or 3 not closed under d (offenders: ['y'])"
+    ]
 
 
 def test_subalgebra_closure_error() -> None:

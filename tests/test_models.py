@@ -146,6 +146,19 @@ def test_print_parse_roundtrip_with_diagonals() -> None:
     assert print_model(again) == print_model(mf)
 
 
+def test_print_parse_roundtrip_with_stages() -> None:
+    # No builtin declares a stage: stage and base print in that order.
+    mf = parse_model(
+        "flavor commutative\ngrading cohomological\ngen x : 3 stage 1\ngen y : 5 base stage 0\n"
+    )
+    text = print_model(mf)
+    assert text == (
+        "flavor commutative\ngrading cohomological\n"
+        "gen x : 3 stage 1\ngen y : 5 stage 0 base\nd x = 0\nd y = 0\n"
+    )
+    assert print_model(parse_model(text)) == text
+
+
 def test_builtin_shapes() -> None:
     sphere = builtin("ah:sphere:3")
     assert [(g.name, g.degree) for g in sphere.algebra.generators.values()] == [("x", 2)]
@@ -296,6 +309,15 @@ def test_multiplicativity_report() -> None:
     walg = wedge.algebra
     report = multiplicativity_check(walg, {}, window=8)
     assert report.ok
+
+
+def test_multiplicativity_check_fails_without_a_diagonal() -> None:
+    # Without diag z, the product of u and v has no term to match ∂ of z.
+    mf = parse_model(CELLCOALG_TEXT)
+    diagonals = {g: diag for g, diag in mf.diagonals.items() if g != "z"}
+    report = multiplicativity_check(mf.algebra, diagonals, window=8)
+    assert not report.ok
+    assert report.failures == ["(u -> 1) * (v -> 1)", "(v -> 1) * (u -> 1)"]
 
 
 def test_loop_homology_odd_sphere_betti() -> None:
