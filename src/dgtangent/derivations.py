@@ -30,7 +30,7 @@ from .algebra import (
     insert,
 )
 from .complexes import CochainComplex, images_matrix
-from .linalg import ONE, Matrix, Vector, spans_equal
+from .linalg import ONE, Matrix, Vector
 from .tower import FilteredComplex
 
 Slot = tuple[str, Monomial]  # (generator name, coefficient monomial)
@@ -264,9 +264,11 @@ def restriction_sequence(
 
     Left: derivations vanishing below stage_high; middle: vanishing below
     stage_low; right: derivations of the stage_high subalgebra vanishing below
-    stage_low.  Checked per degree p: dimensions add, both maps are chain
-    maps, the inclusion is injective, the restriction onto, and
-    kernel(restriction) = image(inclusion).  A pair whose stages are not
+    stage_low.  Both maps act on slots, by inclusion and by projection, so
+    additivity, injectivity, surjectivity and exactness in the middle all
+    restate one fact: the left and right slots partition the middle's.  That
+    is checked first, in every degree a map is built in (p and p + 1); then,
+    per degree p, that both maps are chain maps.  A pair whose stages are not
     closed under d is not a cofibration: one message names its offenders.
     """
     if stage_low > stage_high:
@@ -287,6 +289,14 @@ def restriction_sequence(
     right = DerComplex(sub, sub_u, vanishing=below_low)
     cx_left, cx_mid, cx_right = left.complex(), middle.complex(), right.complex()
 
+    problems = []
+    for p in sorted({q for p in degrees for q in (p, p + 1)}):
+        left_slots, right_slots = set(cx_left.basis(p)), set(cx_right.basis(p))
+        if left_slots & right_slots or left_slots | right_slots != set(cx_mid.basis(p)):
+            problems.append(f"left and right slots do not partition the middle's at degree {p}")
+    if problems:
+        return problems
+
     def inclusion_matrix(p: int) -> Matrix:
         return images_matrix(cx_left.basis(p), cx_mid.index(p), lambda slot: {slot: ONE})
 
@@ -296,24 +306,14 @@ def restriction_sequence(
             cx_mid.basis(p), kept, lambda slot: {slot: ONE} if slot in kept else {}
         )
 
-    problems = []
     for p in degrees:
-        nl, nm, nr = cx_left.dim(p), cx_mid.dim(p), cx_right.dim(p)
         incl_p, rest_p = inclusion_matrix(p), restriction_matrix(p)
         d_left, d_mid, d_right = cx_left.d(p), cx_mid.d(p), cx_right.d(p)
         at = f"at degree {p}"
-        if nl + nr != nm:
-            problems.append(f"dimensions {nl} + {nr} != {nm} {at}")
         if incl_p.compose(d_mid) != d_left.compose(inclusion_matrix(p + 1)):
             problems.append(f"inclusion is not a chain map {at}")
         if d_mid.compose(restriction_matrix(p + 1)) != rest_p.compose(d_right):
             problems.append(f"restriction is not a chain map {at}")
-        if incl_p.rank() != nl:
-            problems.append(f"inclusion is not injective {at}")
-        if rest_p.rank() != nr:
-            problems.append(f"restriction is not onto {at}")
-        if not spans_equal(rest_p.kernel_basis(), incl_p.rows):
-            problems.append(f"ker restriction != im inclusion {at}")
     return problems
 
 

@@ -44,9 +44,7 @@ from .algebra import (
     Generator,
     KIND_COMMUTATIVE,
     KIND_TENSOR,
-    el_add,
     el_add_term,
-    trivial_algebra,
 )
 from .complexes import (
     GRADING_COHOMOLOGICAL,
@@ -56,9 +54,7 @@ from .complexes import (
 from .derivations import (
     ConeComplex,
     DerComplex,
-    Values,
     closure_offenders,
-    slot_images,
 )
 from .tower import FilteredComplex, SpectralSequence
 
@@ -322,12 +318,9 @@ def parse_model(text: str) -> ModelFile:
         if head not in settings:
             raise ModelSyntaxError(None, f"missing `{head}` line")
 
-    try:
-        algebra = FreeDgAlgebra(
-            KIND_OF_FLAVOR[settings["flavor"]], settings["grading"], list(generators.values())
-        )
-    except ValueError as exc:
-        raise ModelSyntaxError(None, str(exc)) from None
+    algebra = FreeDgAlgebra(
+        KIND_OF_FLAVOR[settings["flavor"]], settings["grading"], list(generators.values())
+    )
     done: set[tuple[str, str]] = set()
     diagonals: dict[str, Diagonal] = {}
     for line_no, head, gen_name, expr in body:
@@ -528,7 +521,9 @@ def diagonal_problems(algebra: FreeDgAlgebra, diagonals: dict[str, Diagonal]) ->
     """Degree mismatches and failures of the coderivation condition.
 
     Each generator v names one cell of dimension deg(v) + 1; cells without a
-    diagonal are primitive.
+    diagonal are primitive.  With trivial coefficients the coderivation
+    condition is the transpose of the first-page product rule for the
+    convolution product, so ``ss --check-multiplicative`` reports this check.
     """
     cell = lambda name: algebra.gen_degree(name) + 1
     lin = {g: algebra.linear_part(algebra.diff[g]) for g in algebra.generators}
@@ -553,89 +548,6 @@ def diagonal_problems(algebra: FreeDgAlgebra, diagonals: dict[str, Diagonal]) ->
         if lhs != rhs:
             out.append(f"diag {name}: not a coderivation against the cellular differential")
     return out
-
-
-def convolution_values(
-    algebra: FreeDgAlgebra,
-    diagonals: dict[str, Diagonal],
-    f: Values,
-    p_f: int,
-    g: Values,
-    p_g: int,
-) -> Values:
-    """Convolution of two cell functionals along the reduced diagonal.
-
-    (f ∗ g)(c) = (−1)^{p_f+p_g} Σ_{c' ⊗ c''} (−1)^{p_g·|c'|} f(c')·g(c'')
-    with |c'| the cell degree; the result has degree p_f + p_g + 1.  The
-    global twist makes the first-page differential a derivation of ∗:
-    ∂(f ∗ g) = ∂f ∗ g + (−1)^{p_f} f ∗ ∂g.
-    """
-    tau = Fraction(-1 if (p_f + p_g) % 2 else 1)
-    out: Values = {}
-    for name, diagonal in diagonals.items():
-        total: Element = {}
-        for (a, b), coeff in diagonal.items():
-            left = f.get(a)
-            right = g.get(b)
-            if not left or not right:
-                continue
-            sign = -1 if (p_g * (algebra.gen_degree(a) + 1)) % 2 else 1
-            product = algebra.mul(left, right)
-            for mono, c in product.items():
-                el_add_term(total, mono, tau * sign * coeff * c)
-        if total:
-            out[name] = total
-    return out
-
-
-class MultiplicativityReport(NamedTuple):
-    """Derivation property of the first-page differential for convolution."""
-
-    pairs_checked: int
-    failures: list[str]
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
-def multiplicativity_check(
-    algebra: FreeDgAlgebra,
-    diagonals: dict[str, Diagonal],
-    window: int,
-) -> MultiplicativityReport:
-    """Check ∂(f∗g) = ∂f∗g + (−1)^{p_f} f∗∂g on all generator functionals.
-
-    Runs over the trivial-coefficient derivation classes (v ↦ 1) with
-    degrees p = deg(v) up to the window; these span the nonzero first-page
-    row of the trivial-coefficient tower.
-    """
-    if algebra.grading != GRADING_HOMOLOGICAL:
-        raise ValueError("cell coalgebras require homological grading")
-    k = trivial_algebra(algebra.grading)
-    der = DerComplex(algebra, AlgebraMorphism.augmentation(algebra, k))
-    names = [
-        g for g in sorted(algebra.generators) if algebra.gen_degree(g) <= window
-    ]
-    failures: list[str] = []
-    checked = 0
-    one = Fraction(1)
-    for a in names:
-        for b in names:
-            p_f, p_g = algebra.gen_degree(a), algebra.gen_degree(b)
-            f: Values = {a: {(): one}}
-            g: Values = {b: {(): one}}
-            checked += 1
-            product = convolution_values(algebra, diagonals, f, p_f, g, p_g)
-            lhs = der.differential_values(product, p_f + p_g + 1)
-            df = der.differential_values(f, p_f)
-            dg = der.differential_values(g, p_g)
-            rhs = convolution_values(algebra, diagonals, df, p_f + 1, g, p_g)
-            second = convolution_values(algebra, diagonals, f, p_f, dg, p_g + 1)
-            scale = Fraction(-1 if p_f % 2 else 1)
-            if slot_images(lhs) != el_add(slot_images(rhs), slot_images(second), scale):
-                failures.append(f"({a} -> 1) * ({b} -> 1)")
-    return MultiplicativityReport(checked, failures)
 
 
 # ---------------------------------------------------------------- validation

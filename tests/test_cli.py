@@ -302,6 +302,45 @@ def test_unparseable_model_exits_one(tmp_path, capsys):
     assert "line 2" in err
 
 
+CELLULAR_HEADER = "flavor associative\ngrading homological\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("flavor tensor\n", "line 1: flavor must be one of ('associative', 'commutative')"),
+        (CELLULAR_HEADER + "gen a 1\n", "line 3: expected `gen NAME : INT ...`"),
+        (CELLULAR_HEADER + "gen 1a : 1\n", "line 3: bad generator name '1a'"),
+        (CELLULAR_HEADER + "gen a : 1\ngen a : 2\n", "line 4: duplicate generator 'a'"),
+        (CELLULAR_HEADER + "gen a : 1 fiber\n", "line 3: unexpected token 'fiber' in gen line"),
+        (CELLULAR_HEADER + "gen a : 1 stage\n", "line 3: stage requires an integer"),
+        (CELLULAR_HEADER + "gen a : 1\nd a 0\n", "line 4: expected `d NAME = EXPR`"),
+        (CELLULAR_HEADER + "gen a : 1\ndiag a 0\n", "line 4: expected `diag NAME = DEXPR`"),
+        (
+            CELLULAR_HEADER + "gen a : 1\ngen b : 3\nd b = a ⊗ a\n",
+            "line 5: ⊗ is only allowed in diag lines",
+        ),
+        (
+            CELLULAR_HEADER + "gen a : 1\ngen b : 3\ndiag b = a a\n",
+            "line 5: each diagonal term must be NAME ⊗ NAME",
+        ),
+        (
+            CELLULAR_HEADER + "gen a : 1\ngen b : 3\ndiag b = a ⊗ q\n",
+            "line 5: unknown generator 'q'",
+        ),
+    ],
+    ids=[
+        "flavor", "gen-shape", "gen-name", "duplicate-gen", "gen-token", "stage-value",
+        "d-shape", "diag-shape", "tensor-in-d", "diag-term", "diag-unknown",
+    ],
+)
+def test_parser_refusals_name_their_line(tmp_path, capsys, text, message):
+    """Each refusal of the model parser exits 1 with empty stdout and its message."""
+    model = tmp_path / "bad.model"
+    model.write_text(text, encoding="utf-8")
+    assert run_main(capsys, "print", str(model)) == (1, "", f"{message}\n")
+
+
 def test_byte_order_mark_and_tabs_after_directives_are_accepted(tmp_path, capsys):
     plain = (Path(__file__).resolve().parent / "models" / "cellcoalg.model").read_text(
         encoding="utf-8"
@@ -403,18 +442,9 @@ def test_top_level_parser_output_is_pinned(monkeypatch, capsys, argv, code, out,
     assert (exc.value.code, captured.out, captured.err) == (code, out, err)
 
 
-def test_multiplicative_without_diag_is_usage_error(capsys):
-    # The diagonal data is the value of --check-multiplicative.
-    with pytest.raises(SystemExit) as exc:
-        main(["ss", "builtin:ah:sphere:2", "--check-multiplicative"])
-    err = capsys.readouterr().err
-    assert exc.value.code == 2
-    assert err.endswith("error: argument --check-multiplicative: expected one argument\n")
-
-
 def test_multiplicative_check_refuses_cohomological_model(capsys):
     code, out, err = run_main(
-        capsys, "ss", "builtin:sullivan:cpn:1", "--check-multiplicative", "primitive"
+        capsys, "ss", "builtin:sullivan:cpn:1", "--check-multiplicative"
     )
     assert code == 1
     assert out == ""
@@ -424,12 +454,13 @@ def test_multiplicative_check_refuses_cohomological_model(capsys):
 @pytest.mark.parametrize(
     "flags, message",
     [
-        (("--check-multiplicative", "--window", "4"), "--check-multiplicative: expected one"),
-        (("--check-multiplicative", "cellular"), "invalid choice: 'cellular'"),
+        # The flag checks the model's own diag lines and takes no value.
+        (("--check-multiplicative", "model"), "unrecognized arguments: model"),
+        (("--check-multiplicative", "cellular"), "unrecognized arguments: cellular"),
         # The diagonal data is no option of its own.
         (("--diag", "primitive"), "unrecognized arguments: --diag primitive"),
     ],
-    ids=["multiplicative-without-diag", "bad-diag", "diag-without-multiplicative"],
+    ids=["multiplicative-with-a-value", "bad-diag", "diag-without-multiplicative"],
 )
 def test_ss_flag_mistakes_exit_before_computing(monkeypatch, capsys, flags, message):
     def refuse(*args, **kwargs):
@@ -449,7 +480,7 @@ def test_multiplicative_refusal_comes_before_the_spectral_sequence(monkeypatch, 
 
     monkeypatch.setattr("dgtangent.cli.tower_report", refuse)
     code, out, err = run_main(
-        capsys, "ss", "builtin:sullivan:cpn:1", "--check-multiplicative", "primitive"
+        capsys, "ss", "builtin:sullivan:cpn:1", "--check-multiplicative"
     )
     assert code == 1
     assert out == ""
@@ -1065,22 +1096,22 @@ def test_der_target_into_cp2_is_cp2_cohomology(capsys):
 
 
 def test_multiplicativity_failure_rows_exit_one(monkeypatch, capsys):
-    from dgtangent.models import multiplicativity_check
+    from dgtangent.models import diagonal_problems
 
-    def without_diag_z(algebra, diagonals, window):
+    def without_diag_z(algebra, diagonals):
         kept = {g: diag for g, diag in diagonals.items() if g != "z"}
-        return multiplicativity_check(algebra, kept, window)
+        return diagonal_problems(algebra, kept)
 
-    monkeypatch.setattr("dgtangent.cli.multiplicativity_check", without_diag_z)
+    # validate reads the model's diagonals; only the product check loses diag z.
+    monkeypatch.setattr("dgtangent.cli.diagonal_problems", without_diag_z)
     model = Path(__file__).resolve().parent / "models" / "cellcoalg.model"
     code, out, _ = run_main(
-        capsys, "ss", str(model), "--coefficients", "trivial", "--check-multiplicative", "model"
+        capsys, "ss", str(model), "--coefficients", "trivial", "--check-multiplicative"
     )
     assert code == 1
     assert out.endswith(
         "first-page product rule over 16 pairs: FAILS\n"
-        "  fails on (u -> 1) * (v -> 1)\n"
-        "  fails on (v -> 1) * (u -> 1)\n"
+        "  fails on diag z: not a coderivation against the cellular differential\n"
     )
 
 

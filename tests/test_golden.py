@@ -78,8 +78,7 @@ def golden_cases() -> dict[str, tuple[str, ...]]:
                 "--convention", convention,
             )
     cases["ss-multiplicative-ah_wedge_2_2"] = (
-        "ss", "builtin:ah:wedge:2,2", "--window", "4",
-        "--check-multiplicative", "primitive",
+        "ss", "builtin:ah:wedge:2,2", "--window", "4", "--check-multiplicative",
     )
     cases["der-reps-sullivan_hopf"] = ("der", "builtin:sullivan:hopf", "--range=-6..2", "--reps")
     cases["der-reps-ah_sphere_2"] = ("der", "builtin:ah:sphere:2", "--window", "4", "--reps")
@@ -105,8 +104,7 @@ def golden_cases() -> dict[str, tuple[str, ...]]:
     cellcoalg = str(MODELS_DIR / "cellcoalg.model")
     cases["validate-cellcoalg"] = ("validate", cellcoalg)
     cases["ss-multiplicative-model-cellcoalg"] = (
-        "ss", cellcoalg, "--coefficients", "trivial",
-        "--check-multiplicative", "model",
+        "ss", cellcoalg, "--coefficients", "trivial", "--check-multiplicative",
     )
     # S³ × S⁵ with d = 0: [(w ↦ u), (u ↦ 1)] = −(w ↦ 1), a nonzero bracket.
     cases["aut-s3-s5"] = (

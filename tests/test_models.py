@@ -8,7 +8,9 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from dgtangent.algebra import FreeDgAlgebra, Generator
 from dgtangent.derivations import DerComplex
 from dgtangent.models import (
     ModelSyntaxError,
@@ -17,19 +19,18 @@ from dgtangent.models import (
     aut_homotopy,
     bracket_table,
     builtin,
-    convolution_values,
     derivation_tower,
+    diagonal_problems,
     fiber_homotopy_dims,
     loop_homology,
     model_family,
-    multiplicativity_check,
     parse_model,
     print_model,
     tower_report,
     validate_model,
 )
 from dgtangent.tower import SpectralSequence, collapse_report, relabel
-from test_acceptance import trivial_coefficients
+from test_acceptance import convolution_rule_failures, convolution_values, trivial_coefficients
 
 CELLCOALG_TEXT = """\
 name cellcoalg
@@ -299,25 +300,76 @@ def test_convolution_hand_checked_example() -> None:
 
 def test_multiplicativity_report() -> None:
     mf = parse_model(CELLCOALG_TEXT)
-    algebra = mf.algebra
-    coalg = mf.diagonals
-    report = multiplicativity_check(algebra, coalg, window=8)
-    assert report.ok
-    assert report.pairs_checked == 16
+    assert convolution_rule_failures(mf.algebra, mf.diagonals, window=8) == (16, [])
 
     wedge = builtin("ah:wedge:2,3")
-    walg = wedge.algebra
-    report = multiplicativity_check(walg, {}, window=8)
-    assert report.ok
+    assert convolution_rule_failures(wedge.algebra, {}, window=8) == (4, [])
 
 
 def test_multiplicativity_check_fails_without_a_diagonal() -> None:
     # Without diag z, the product of u and v has no term to match ∂ of z.
     mf = parse_model(CELLCOALG_TEXT)
     diagonals = {g: diag for g, diag in mf.diagonals.items() if g != "z"}
-    report = multiplicativity_check(mf.algebra, diagonals, window=8)
-    assert not report.ok
-    assert report.failures == ["(u -> 1) * (v -> 1)", "(v -> 1) * (u -> 1)"]
+    assert convolution_rule_failures(mf.algebra, diagonals, window=8) == (
+        16, ["(u -> 1) * (v -> 1)", "(v -> 1) * (u -> 1)"]
+    )
+    assert diagonal_problems(mf.algebra, diagonals) == [
+        "diag z: not a coderivation against the cellular differential"
+    ]
+
+
+@st.composite
+def cellular_models_with_diagonals(draw):
+    """Associative homological models with random reduced diagonals.
+
+    Stage-0 letters a are cycles; each stage-1 letter c has d(c) = ±a plus
+    words in the a, so d² = 0 and every c has a linear part; stage-2 letters
+    t are cycles whose degree fits a pair of lower letters.  Each letter has
+    a diagonal of up to three terms ±x ⊗ y, at least one on each t, over the
+    pairs of lower letters whose cell degrees add up to its own.
+    """
+    low = [
+        Generator(f"a{i}", draw(st.integers(1, 3)), stage=0)
+        for i in range(draw(st.integers(1, 2)))
+    ]
+    targets = [draw(st.sampled_from(low)) for _ in range(draw(st.integers(1, 2)))]
+    high = [Generator(f"c{i}", a.degree + 1, stage=1) for i, a in enumerate(targets)]
+    low_algebra = FreeDgAlgebra("tensor", "homological", low)
+    below = low + high
+    top = []
+    for i in range(draw(st.integers(1, 2))):
+        x, y = draw(st.sampled_from(below)), draw(st.sampled_from(below))
+        top.append(Generator(f"t{i}", x.degree + y.degree + 1, stage=2))
+    algebra = FreeDgAlgebra("tensor", "homological", below + top)
+    sign = st.sampled_from([1, -1])
+    for c, a in zip(high, targets):
+        words = [w for w in low_algebra.basis_in_degree(c.degree - 1) if len(w) > 1]
+        extra = draw(st.lists(st.sampled_from(words), max_size=2, unique=True)) if words else []
+        d = {(a.name,): Fraction(draw(sign))}
+        algebra.set_differential(c.name, d | {w: Fraction(draw(sign)) for w in extra})
+    diagonals = {}
+    for v in below + top:
+        pairs = [
+            (x.name, y.name)
+            for x, y in itertools.product(below, repeat=2)
+            if x.degree + y.degree + 1 == v.degree
+        ]
+        if pairs:
+            least = 1 if v in top else 0
+            terms = draw(st.lists(st.sampled_from(pairs), min_size=least, max_size=3, unique=True))
+            diagonals[v.name] = {pair: Fraction(draw(sign)) for pair in terms}
+    return algebra, diagonals
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(cellular_models_with_diagonals())
+def test_convolution_rule_fails_exactly_where_the_diagonal_is_no_coderivation(model) -> None:
+    # With the window at the top degree the rule runs over every pair of
+    # generators; diagonal_problems states its transpose.
+    algebra, diagonals = model
+    window = max(map(algebra.gen_degree, algebra.generators))
+    _, failures = convolution_rule_failures(algebra, diagonals, window)
+    assert bool(failures) == bool(diagonal_problems(algebra, diagonals))
 
 
 def test_loop_homology_odd_sphere_betti() -> None:
