@@ -28,15 +28,6 @@ from .linalg import Matrix, Subquotient
 Image = Callable[[Hashable], Mapping[Hashable, Fraction]]
 
 
-def images_matrix(
-    source: Sequence[Hashable], target_index: Mapping[Hashable, int], image: Image
-) -> Matrix:
-    """Row i is ``image(source[i])``, a {target label: nonzero coefficient}
-    mapping, in the positions given by ``target_index``."""
-    rows = [{target_index[t]: c for t, c in image(label).items()} for label in source]
-    return Matrix(len(source), len(target_index), rows)
-
-
 class CochainComplex:
     """A cochain complex given by per-degree bases and differential matrices."""
 
@@ -70,8 +61,11 @@ class CochainComplex:
         return len(self.basis(n))
 
     def matrix(self, n: int, image: Image) -> Matrix:
-        """Degree n → n+1 matrix of the images of the degree-n basis labels."""
-        return images_matrix(self.basis(n), self.index(n + 1), image)
+        """Degree n → n+1 matrix whose row i is ``image(basis(n)[i])``, a {target
+        label: nonzero coefficient} mapping, in the positions of ``index(n + 1)``."""
+        target = self.index(n + 1)
+        rows = [{target[t]: c for t, c in image(label).items()} for label in self.basis(n)]
+        return Matrix(self.dim(n), self.dim(n + 1), rows)
 
     def d(self, n: int) -> Matrix:
         """Differential matrix from degree n to degree n+1."""

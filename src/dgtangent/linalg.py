@@ -6,8 +6,8 @@ to a nonzero rational; matrices are row-major lists of such vectors (row i is
 the image of the i-th source basis vector).  All pivoting is deterministic —
 leftmost nonzero column, rows in a fixed order — so repeated runs produce
 identical bases, matrices and reports.  A rank does not depend on the row
-order, so ``rank`` (behind ``Matrix.rank`` and ``spans_equal``) and the
-barcode (``tower``) insert rows in the static order of ``pivot_order``.
+order, so ``rank`` (behind ``Matrix.rank``) and the barcode (``tower``)
+insert rows in the static order of ``pivot_order``.
 ``Matrix.kernel_basis`` and ``Subquotient`` take rows in the order given;
 their bases depend on it.
 
@@ -310,11 +310,6 @@ class Subquotient:
     def induced(self, target: "Subquotient", f: Callable[[Vector], Vector]) -> Matrix:
         """The matrix, in ``target``'s class coordinates, of the map f induces."""
         return Matrix(self.dim, target.dim, [target.reduce(f(rep)) for rep in self.basis])
-
-
-def spans_equal(a: Sequence[Vector], b: Sequence[Vector]) -> bool:
-    """Exact equality of two spans as subspaces: a, b and a ∪ b have one rank."""
-    return rank(a) == rank(b) == rank([*a, *b])
 
 
 def preimage_by_images(

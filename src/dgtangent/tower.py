@@ -32,7 +32,6 @@ from .linalg import (
     Matrix,
     Subquotient,
     Vector,
-    el_add,
     pivot_order,
     preimage_by_images,
 )
@@ -76,8 +75,7 @@ class SpectralSequence:
     One level-ordered elimination per degree (``eliminate``) gives every
     dimension, counted untracked in ``barcode``, and, tracked, the Z_r^s
     (``z_span``) of the subquotients (``entry``) that supply representatives
-    for ``d_matrix``, ``death_page`` and chain maps.  ``ExactCoupleSS`` is
-    the independent oracle for both.
+    for ``d_matrix``.  ``ExactCoupleSS`` is the independent oracle for both.
     """
 
     def __init__(self, fc: FilteredComplex) -> None:
@@ -203,25 +201,6 @@ class SpectralSequence:
                     out[(s, n - s)] = dim
         return out
 
-    # ------------------------------------------------------- class tracking
-
-    def death_page(self, x: Vector, n: int, s: int) -> int | None:
-        """First page r ≥ 1 whose differential is nonzero on the class of x.
-
-        The class of x ∈ F^s lives on E_{r+1} when x ∈ Z_{r+1}^s + F^{s+1},
-        that is when each tracked component v of x below level s + 1 has
-        dv = 0 or b ≥ s + r + 1.  It dies on page max(1, min(b − s)), None if no b.
-        """
-        levels = self.fc.levels(n)
-        gaps = []
-        # v is e_i plus multiples of rows eliminated before i: peel off the last first.
-        for i, b, v in reversed(self.eliminate(n, track=True)):
-            if c := x.get(i):
-                x = el_add(x, v, -c)
-                if levels[i] <= s and b is not None:
-                    gaps.append(b - s)
-        return max(1, min(gaps)) if gaps else None
-
     # -------------------------------------------------- comparison with H
 
     def total_degree_check(
@@ -284,21 +263,6 @@ class FilteredChainMap:
                         )
                         break
         return problems
-
-    def page_matrix(
-        self, ss_src: SpectralSequence, ss_tgt: SpectralSequence, r: int, s: int, n: int
-    ) -> Matrix:
-        return ss_src.entry(r, s, n).induced(ss_tgt.entry(r, s, n), self.matrix(n).apply)
-
-    def commutes_with_page_differential(
-        self, ss_src: SpectralSequence, ss_tgt: SpectralSequence, r: int, s: int, t: int
-    ) -> bool:
-        n = s + t
-        d_src = ss_src.d_matrix(r, s, t)
-        d_tgt = ss_tgt.d_matrix(r, s, t)
-        phi_here = self.page_matrix(ss_src, ss_tgt, r, s, n)
-        phi_next = self.page_matrix(ss_src, ss_tgt, r, s + r, n + 1)
-        return d_src.compose(phi_next) == phi_here.compose(d_tgt)
 
 
 # ------------------------------------------------------- exact couple route

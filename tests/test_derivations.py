@@ -276,6 +276,25 @@ def test_restriction_sequence_names_the_degree_of_a_failure(monkeypatch) -> None
     ]
 
 
+def test_restriction_sequence_names_a_restriction_that_is_no_chain_map(monkeypatch) -> None:
+    # The real stage-6 subalgebra of CP², its d doubled: the slots still
+    # partition, but ∂ of the x-slots (x -> 1) and (x -> x), whose y-component
+    # is F(dy), doubles in the right complex, in degrees -2 and 0.
+    real = subalgebra_below_stage
+
+    def doubled(algebra: FreeDgAlgebra, stage: int) -> FreeDgAlgebra:
+        sub = real(algebra, stage)
+        for g in sub.generators:
+            sub.set_differential(g, el_scale(sub.diff[g], Fraction(2)))
+        return sub
+
+    monkeypatch.setattr("dgtangent.derivations.subalgebra_below_stage", doubled)
+    a = builtin("sullivan:cpn:2").algebra
+    assert restriction_sequence(a, AlgebraMorphism.identity(a), 2, 6, range(-8, 2)) == [
+        f"restriction is not a chain map at degree {p}" for p in (-2, 0)
+    ]
+
+
 def test_restriction_sequence_non_cofibration_flag() -> None:
     a = FreeDgAlgebra(
         "commutative",

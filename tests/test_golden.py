@@ -25,10 +25,11 @@ import pytest
 
 from dgtangent.cli import main
 from dgtangent.complexes import CochainComplex, to_cohomological
-from dgtangent.derivations import ConeComplex
+from dgtangent.derivations import ConeComplex, DerComplex
 from dgtangent.models import builtin, derivation_tower
 from dgtangent.tower import SpectralSequence
 from test_acceptance import COEFFICIENTS, MODELS_DIR
+from test_cli import hochschild_betti
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
@@ -204,6 +205,34 @@ def test_homology_dim_matches_subquotient():
     for label, cx, degrees in golden_window_complexes():
         for n in degrees:
             assert cx.homology_dim(n) == cx.homology(n).dim, (label, n)
+
+
+def _cone_cohomology(stem: str) -> dict[int, int]:
+    """Degree -> dimension of the ``cone cohomology`` records of a golden file."""
+    lines = (GOLDEN_DIR / f"{stem}.jsonl").read_text(encoding="utf-8").splitlines()
+    records = [json.loads(line) for line in lines]
+    return {r["degree"]: r["dimension"] for r in records if r.get("table") == "cone cohomology"}
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_golden_hochschild_of_a_sphere_is_its_free_loop_homology(d):
+    # Cohen–Jones: HH^n(C_*ΩX) ≅ H_{d−n}(LX), read off the Hochschild oracle.
+    betti = hochschild_betti(builtin(f"ah:sphere:{d}"), range(0, d + 5))
+    assert _cone_cohomology(f"hochschild-ah_sphere_{d}") == {
+        n: betti[d - n] if d >= n else 0 for n in range(-4, 5)
+    }
+
+
+@pytest.mark.parametrize("name", ["ah:wedge:2,2", "ah:wedge:2,3"])
+def test_golden_hochschild_of_a_wedge_is_q_plus_outer_derivations(name):
+    # d = 0 and the graded centre of T(V) is Q (dim V ≥ 2), so the cone
+    # cohomology is Q in degree 0 plus Der/Inn, with Inn ≅ A/Q one degree down.
+    a = builtin(name).algebra
+    der = DerComplex(a)
+    assert _cone_cohomology(f"hochschild-{_slug(name)}") == {
+        n: (n == 0) + (n == 1) + len(der.basis(n - 1)) - len(a.basis_in_cdeg(n - 1))
+        for n in range(-4, 5)
+    }
 
 
 def _without_brackets(stem: str) -> str:

@@ -16,9 +16,14 @@ from dgtangent.linalg import (
     el_add,
     el_scale,
     pivot_order,
-    spans_equal,
+    rank,
 )
 from test_algebra import dense_rank
+
+
+def spans_equal(a: list[Vector], b: list[Vector]) -> bool:
+    """Exact equality of two spans as subspaces: a, b and a ∪ b have one rank."""
+    return rank(a) == rank(b) == rank([*a, *b])
 
 
 def vec_from_list(values: list[Fraction | int]) -> Vector:

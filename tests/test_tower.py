@@ -16,7 +16,7 @@ from dgtangent.derivations import (
     DerComplex,
     restriction_sequence,
 )
-from dgtangent.linalg import Echelon, Matrix, Vector, spans_equal
+from dgtangent.linalg import Echelon, Matrix, Vector
 from dgtangent.models import (
     builtin,
     derivation_tower,
@@ -34,6 +34,7 @@ from dgtangent.tower import (
 )
 from test_acceptance import BUILTINS, COEFFICIENTS, trivial_coefficients
 from test_bench_outputs import WORKLOADS
+from test_linalg import spans_equal
 
 # Two-generator tensor models have large high-degree bases; the Z/B route
 # is swept over narrower windows there (as in acceptance criterion 4).
@@ -133,21 +134,6 @@ def test_sullivan_s2_second_page_is_stable() -> None:
     assert ss.page_dims(2, WINDOW_S2) == expected
     assert ss.stable_page == 5
     assert ss.page_dims(ss.stable_page, WINDOW_S2) == expected
-
-
-def test_sullivan_s2_death_pages() -> None:
-    der = DerComplex(sullivan_s2())
-    _, ss = s2_tower()
-    # (x -> 1) lives in degree -2 at level 2 and dies on page 1.
-    assert der.basis(-2) == [("x", ())]
-    assert ss.death_page({0: Fraction(1)}, -2, 2) == 1
-    # (y -> 1) in degree -3 at level 3 survives.
-    assert der.basis(-3) == [("y", ())]
-    assert ss.death_page({0: Fraction(1)}, -3, 3) is None
-    # (x -> x) alone is not a cocycle, but corrects by 2 (y -> y) inside F^3,
-    # so the lift criterion reports survival to E_∞.
-    assert der.basis(0) == [("x", ("x",)), ("y", ("y",))]
-    assert ss.death_page({0: Fraction(1)}, 0, 2) is None
 
 
 def test_sullivan_s2_total_degree_check() -> None:
@@ -290,15 +276,6 @@ def test_chain_map_to_trivial_coefficients() -> None:
 
     phi = FilteredChainMap(src, tgt, matrix_fn)
     assert phi.check(WINDOW_S2) == []
-    ss_src = SpectralSequence(src)
-    ss_tgt = SpectralSequence(tgt)
-    for r in (1, 2):
-        for s in range(0, 4):
-            for n in WINDOW_S2:
-                assert phi.commutes_with_page_differential(ss_src, ss_tgt, r, s, n - s)
-    # The bottom slot classes map isomorphically on page 1.
-    assert phi.page_matrix(ss_src, ss_tgt, 1, 2, -2).rank() == 1
-    assert phi.page_matrix(ss_src, ss_tgt, 1, 3, -3).rank() == 1
 
 
 def test_cone_tower_odd_sphere_loop_pages() -> None:
@@ -629,40 +606,19 @@ def reference_z(fc: FilteredComplex, r: int, s: int, n: int) -> list[Vector]:
     return [{rows[k]: c for k, c in x.items()} for x in m.kernel_basis()]
 
 
-def assert_z_span_and_death_page(ss: SpectralSequence, window, label="") -> None:
-    """``z_span`` against ``reference_z`` for r ≤ stable_page, and
-    ``death_page`` against its definition: the first r ≥ 1 with
-    x ∉ Z_{r+1}^s + F^{s+1}, None if there is none up to the stable page."""
+def assert_z_span(ss: SpectralSequence, window, label="") -> None:
+    """``z_span`` against ``reference_z`` for r ≤ stable_page."""
     fc = ss.fc
-    pages = range(1, ss.stable_page + 1)
     for n in window:
-        levels = fc.levels(n)
         for s in range(0, fc.max_level + 1):
-            z = {r: reference_z(fc, r, s, n) for r in range(1, ss.stable_page + 2)}
-            for r in pages:
-                assert spans_equal(ss.z_span(r, s, n), z[r]), (label, r, s, n)
-            above = [{i: Fraction(1)} for i, lvl in enumerate(levels) if lvl > s]
-            lives_on = []  # lives_on[r − 1]: Z_{r+1}^s + F^{s+1}
-            for r in pages:
-                ech = Echelon()
-                for v in z[r + 1] + above:
-                    ech.insert(v)
-                lives_on.append(ech)
-            at_s = [i for i, lvl in enumerate(levels) if lvl == s]
-            # Unit vectors at level s, and one sum that also reaches above s.
-            probes = [{i: Fraction(1)} for i in at_s]
-            if at_s:
-                probes.append({i: Fraction(i + 1) for i, lvl in enumerate(levels) if lvl >= s})
-            for x in probes:
-                literal = next(
-                    (r for r in pages if lives_on[r - 1].reduce(x)[0]), None
-                )
-                assert ss.death_page(x, n, s) == literal, (label, s, n, x)
+            for r in range(1, ss.stable_page + 1):
+                z = reference_z(fc, r, s, n)
+                assert spans_equal(ss.z_span(r, s, n), z), (label, r, s, n)
 
 
-def test_z_span_and_death_page_match_their_definitions() -> None:
+def test_z_span_matches_its_definition() -> None:
     for label, fc, window in builtin_towers():
-        assert_z_span_and_death_page(SpectralSequence(fc), window, label)
+        assert_z_span(SpectralSequence(fc), window, label)
 
 
 @st.composite
@@ -727,8 +683,8 @@ RANDOM_WINDOW = range(-8, 3)
 
 def assert_routes_agree(fc: FilteredComplex, window) -> None:
     """The barcode against the exact-couple oracle on pages 1..3 of a random
-    tower: dimensions, d_r after the change of basis, pages as homology, Z_r
-    and death pages, the certificate, E_∞ against H and the collapse report."""
+    tower: dimensions, d_r after the change of basis, pages as homology, Z_r,
+    the certificate, E_∞ against H and the collapse report."""
     assert_filtered(fc, window)
     ss, ec = SpectralSequence(fc), ExactCoupleSS(fc)
     for r in range(1, 4):
@@ -737,7 +693,7 @@ def assert_routes_agree(fc: FilteredComplex, window) -> None:
                 assert ss.dim(r, s, n - s) == ec.dim(r, s, n - s), (r, s, n)
                 assert alignment_check(ss, ec, r, s, n - s) == [], (r, s, n)
     assert_pages_are_homology(ss, window, range(1, 4))
-    assert_z_span_and_death_page(ss, window)
+    assert_z_span(ss, window)
     for n in window:
         certify_barcode(ss, n)
     # The reports read pages through page_dims; the oracle reads every cell.
