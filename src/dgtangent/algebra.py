@@ -49,17 +49,17 @@ UNIT: Monomial = ()
 
 
 class Generator(NamedTuple):
-    """A free algebra generator: name, native degree, tower stage, role.
+    """A free algebra generator: name, native degree, tower stage, base flag.
 
     ``stage`` indexes the tower of subalgebras (None: the degree, as read by
-    ``FreeDgAlgebra.gen_stage``); ``role`` is ``"base"`` for the fixed
-    generators of a relative model, else ``""``.
+    ``FreeDgAlgebra.gen_stage``); ``base`` marks the fixed generators of a
+    relative model.
     """
 
     name: str
     degree: int
     stage: int | None = None
-    role: str = ""
+    base: bool = False
 
 
 class FreeDgAlgebra:
@@ -88,7 +88,7 @@ class FreeDgAlgebra:
         self._parity = {g.name: g.degree % 2 for g in self.generators.values()}
         # The fixed generators of a relative model: Der vanishes on them, the
         # stage condition exempts them and the cone puts them at stage 0.
-        self.base = frozenset(g.name for g in self.generators.values() if g.role == "base")
+        self.base = frozenset(g.name for g in self.generators.values() if g.base)
         self.diff: dict[str, Element] = {g: {} for g in self.generators}
         self._d_memo: dict[Monomial, Element] = {}  # d of each monomial met so far
 

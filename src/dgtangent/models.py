@@ -303,8 +303,7 @@ def parse_model(text: str) -> ModelFile:
                     options[word] = stage = _parse_int(value, line_no, "stage")
                     if stage < 0:
                         raise ModelSyntaxError(line_no, f"stage {stage} is negative")
-            role = "base" if "base" in options else ""
-            generators[gen_name] = Generator(gen_name, degree, options.get("stage"), role)
+            generators[gen_name] = Generator(gen_name, degree, options.get("stage"), "base" in options)
         elif head in ("d", "diag"):
             lhs, eq, rhs = rest.partition("=")
             if not eq:

@@ -223,48 +223,6 @@ class SpectralSequence:
         return out
 
 
-class FilteredChainMap:
-    """A filtration-respecting chain map between filtered complexes."""
-
-    def __init__(
-        self,
-        source: FilteredComplex,
-        target: FilteredComplex,
-        matrix_fn: Callable[[int], Matrix],
-    ) -> None:
-        self.source = source
-        self.target = target
-        self._matrix_fn = matrix_fn
-        self._cache: dict[int, Matrix] = {}
-
-    def matrix(self, n: int) -> Matrix:
-        if n not in self._cache:
-            m = self._matrix_fn(n)
-            expected = (self.source.complex.dim(n), self.target.complex.dim(n))
-            if (m.nrows, m.ncols) != expected:
-                raise ValueError(f"chain map shape mismatch at degree {n}")
-            self._cache[n] = m
-        return self._cache[n]
-
-    def check(self, degrees: Sequence[int]) -> list[str]:
-        problems = []
-        for n in degrees:
-            lhs = self.matrix(n).compose(self.target.complex.d(n))
-            rhs = self.source.complex.d(n).compose(self.matrix(n + 1))
-            if lhs != rhs:
-                problems.append(f"not a chain map at degree {n}")
-            lv_src = self.source.levels(n)
-            lv_tgt = self.target.levels(n)
-            for i, row in enumerate(self.matrix(n).rows):
-                for j in row:
-                    if lv_tgt[j] < lv_src[i]:
-                        problems.append(
-                            f"filtration dropped at degree {n}, {i} -> {j}"
-                        )
-                        break
-        return problems
-
-
 # ------------------------------------------------------- exact couple route
 
 

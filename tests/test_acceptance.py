@@ -53,7 +53,7 @@ from dgtangent.tower import (
 )
 
 # The concrete builtin instances exercised by every "all builtins" clause.
-# (trivial-fibration:sullivan:hopf is excluded: erasing the base roles of the
+# (trivial-fibration:sullivan:hopf is excluded: erasing the base flags of the
 # circle-bundle model leaves d(z) = x with stage(x) ≥ stage(z), so it is not
 # a tower of cofibrations and validate refuses it.)
 BUILTINS = [

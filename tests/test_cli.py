@@ -20,6 +20,7 @@ from dgtangent.cli import _parse_pages, main
 from dgtangent.complexes import CochainComplex
 from dgtangent.linalg import ONE, el_add_term
 from dgtangent.models import algebra_homology_dims, builtin, parse_model, validate_model
+from dgtangent.tower import CollapseReport
 from test_acceptance import CHILD_ENV
 
 
@@ -485,6 +486,20 @@ def test_multiplicative_refusal_comes_before_the_spectral_sequence(monkeypatch, 
     assert code == 1
     assert out == ""
     assert "cell coalgebras require homological grading" in err
+
+
+def test_unverified_collapse_prediction_exits_one(monkeypatch, capsys):
+    # A predicted collapse that the pages do not bear out fails the run,
+    # and its record says so.
+    failed = CollapseReport([0], [0, 2], 2, "single row: d_r for r >= 2 leaves the row", False)
+    monkeypatch.setattr("dgtangent.cli.collapse_report", lambda ss, degrees: failed)
+    code, out, _ = run_main(
+        capsys, "ss", "builtin:sullivan:cpn:2", "--window", "4", "--check-collapse",
+        "--format", "records",
+    )
+    assert code == 1
+    (collapse,) = [r for r in records(out) if r.get("table") == "collapse"]
+    assert (collapse["predicted_page"], collapse["verified"]) == (2, False)
 
 
 def test_bad_pages_is_usage_error(capsys):

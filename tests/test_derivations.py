@@ -295,6 +295,27 @@ def test_restriction_sequence_names_a_restriction_that_is_no_chain_map(monkeypat
     ]
 
 
+def test_restriction_sequence_names_an_inclusion_that_is_no_chain_map(monkeypatch) -> None:
+    # The left and middle complexes are built separately, so a DerComplex
+    # that computes ∂ wrongly for one vanishing set shows as an inclusion
+    # that is no chain map.  On CP² with stages 2 and 5, the left complex
+    # vanishes on x, and its one nonzero ∂ in the window is
+    # ∂(y -> y) = (y -> x³), in degree 0: doubled, it differs there only.
+    real = DerComplex.differential_values
+
+    def doubled_on_left(self: DerComplex, values: dict, p: int) -> dict:
+        out = real(self, values, p)
+        if self.vanishing != {"x"}:
+            return out
+        return {w: el_scale(el, Fraction(2)) for w, el in out.items()}
+
+    monkeypatch.setattr(DerComplex, "differential_values", doubled_on_left)
+    a = builtin("sullivan:cpn:2").algebra
+    assert restriction_sequence(a, AlgebraMorphism.identity(a), 2, 5, range(-8, 2)) == [
+        "inclusion is not a chain map at degree 0"
+    ]
+
+
 def test_restriction_sequence_non_cofibration_flag() -> None:
     a = FreeDgAlgebra(
         "commutative",

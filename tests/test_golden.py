@@ -207,18 +207,22 @@ def test_homology_dim_matches_subquotient():
             assert cx.homology_dim(n) == cx.homology(n).dim, (label, n)
 
 
-def _cone_cohomology(stem: str) -> dict[int, int]:
-    """Degree -> dimension of the ``cone cohomology`` records of a golden file."""
+def _records(stem: str, table: str) -> list[dict]:
+    """The records of one table of a golden file, in file order."""
     lines = (GOLDEN_DIR / f"{stem}.jsonl").read_text(encoding="utf-8").splitlines()
-    records = [json.loads(line) for line in lines]
-    return {r["degree"]: r["dimension"] for r in records if r.get("table") == "cone cohomology"}
+    return [r for r in map(json.loads, lines) if r.get("table") == table]
+
+
+def _dims(stem: str, table: str) -> dict[int, int]:
+    """Degree -> dimension of one table of a golden file."""
+    return {r["degree"]: r["dimension"] for r in _records(stem, table)}
 
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_golden_hochschild_of_a_sphere_is_its_free_loop_homology(d):
     # Cohen–Jones: HH^n(C_*ΩX) ≅ H_{d−n}(LX), read off the Hochschild oracle.
     betti = hochschild_betti(builtin(f"ah:sphere:{d}"), range(0, d + 5))
-    assert _cone_cohomology(f"hochschild-ah_sphere_{d}") == {
+    assert _dims(f"hochschild-ah_sphere_{d}", "cone cohomology") == {
         n: betti[d - n] if d >= n else 0 for n in range(-4, 5)
     }
 
@@ -229,10 +233,63 @@ def test_golden_hochschild_of_a_wedge_is_q_plus_outer_derivations(name):
     # cohomology is Q in degree 0 plus Der/Inn, with Inn ≅ A/Q one degree down.
     a = builtin(name).algebra
     der = DerComplex(a)
-    assert _cone_cohomology(f"hochschild-{_slug(name)}") == {
+    assert _dims(f"hochschild-{_slug(name)}", "cone cohomology") == {
         n: (n == 0) + (n == 1) + len(der.basis(n - 1)) - len(a.basis_in_cdeg(n - 1))
         for n in range(-4, 5)
     }
+
+
+# Generator degrees of the Adams–Hilton builtins, where d = 0: H_*(ΩX) = T(V).
+AH_DEGREES = {
+    "ah:sphere:2": (1,),
+    "ah:sphere:3": (2,),
+    "ah:wedge:2,2": (1, 1),
+    "ah:wedge:2,3": (1, 2),
+}
+# The degrees of the nonzero rational cohomology of each Sullivan builtin's space.
+SULLIVAN_COHOMOLOGY = {
+    "sullivan:sphere:odd:3": {0, 3},
+    "sullivan:sphere:even:2": {0, 2},
+    "sullivan:cpn:2": {0, 2, 4},
+    "sullivan:hopf": {0, 3},  # the total space, S³
+    "trivial-fibration:sullivan:sphere:even:2": {0, 2},  # the fiber, S²
+}
+# The degrees of both ends of each linear term of d: only d z = x on the Hopf model.
+LINEAR_TERMS = {"sullivan:hopf": [(1, 2)]}
+
+
+def _words(degrees: tuple[int, ...], top: int) -> dict[int, int]:
+    """The coefficients of t^0..t^top in 1/(1 − Σ_v t^|v|): the words of T(V)."""
+    counts = [1]
+    for k in range(1, top + 1):
+        counts.append(sum(counts[k - d] for d in degrees if d <= k))
+    return dict(enumerate(counts))
+
+
+@pytest.mark.parametrize("name", CELLULAR + SULLIVAN)
+def test_golden_homology_is_that_of_the_space(name):
+    if name in AH_DEGREES:
+        expected = _words(AH_DEGREES[name], 6)
+    else:
+        expected = {n: int(n in SULLIVAN_COHOMOLOGY[name]) for n in range(7)}
+    assert _dims(f"homology-{_slug(name)}", f"algebra homology of {name}") == expected
+
+
+@pytest.mark.parametrize("name", CELLULAR + SULLIVAN)
+def test_golden_quillen_counts_generators_off_the_linear_part(name):
+    # One class per generator, less both ends of each linear term; one cell
+    # of dimension |g| + 1 per generator of a cellular model.
+    degrees = [g.degree for g in builtin(name).algebra.generators.values()]
+    cells = [degrees.count(d) for d in sorted(set(degrees))] if name in CELLULAR else []
+    for ends in LINEAR_TERMS.get(name, []):
+        for d in ends:
+            degrees.remove(d)
+    stem = f"quillen-{_slug(name)}"
+    table = "generator-level homology (linear part)"
+    assert _dims(stem, table) == {k: degrees.count(k) for k in range(1, 7)}
+    # Each record's "dimension" holds the cell count of one dimension, in
+    # increasing dimension; the dimension itself is not in the record.
+    assert [r["dimension"] for r in _records(stem, "cells per dimension")] == cells
 
 
 def _without_brackets(stem: str) -> str:

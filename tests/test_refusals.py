@@ -13,7 +13,7 @@ from dgtangent.algebra import AlgebraMorphism, FreeDgAlgebra, Generator
 from dgtangent.complexes import CochainComplex
 from dgtangent.derivations import DerComplex, cup_product, restriction_sequence
 from dgtangent.linalg import ONE, Matrix, Vector
-from dgtangent.tower import FilteredChainMap, FilteredComplex, SpectralSequence, relabel
+from dgtangent.tower import FilteredComplex, SpectralSequence, relabel
 from test_acceptance import trivial_coefficients
 
 
@@ -33,23 +33,9 @@ def complex_of(dims: dict[int, int], d: dict[int, list[Vector]]) -> CochainCompl
     return CochainComplex(lambda n: range(dim(n)), lambda n: Matrix(dim(n), dim(n + 1), d.get(n)))
 
 
-def filtered(cx: CochainComplex, level: int) -> FilteredComplex:
-    return FilteredComplex(cx, lambda label: level, 1)
-
-
-def point(level: int = 0) -> FilteredComplex:
-    """One basis element, in degree 0, at ``level``."""
-    return filtered(complex_of({0: 1}, {}), level)
-
-
-def identity_in_degree_0(source: FilteredComplex, target: FilteredComplex) -> FilteredChainMap:
-    """Label 0 to label 0 in degree 0, zero elsewhere."""
-
-    def matrix_fn(n: int) -> Matrix:
-        rows = [{0: ONE}] if n == 0 else None
-        return Matrix(source.complex.dim(n), target.complex.dim(n), rows)
-
-    return FilteredChainMap(source, target, matrix_fn)
+def point() -> FilteredComplex:
+    """One basis element, in degree 0, at level 0."""
+    return FilteredComplex(complex_of({0: 1}, {}), lambda label: 0, 1)
 
 
 def not_homogeneous() -> list[str]:
@@ -70,16 +56,6 @@ def second_factor_not_a_cocycle() -> dict:
 def trivial_lie_bracket() -> dict:
     a = sphere_model()
     return DerComplex(a, trivial_coefficients(a)).lie_bracket({}, 0, {}, 0)
-
-
-def not_a_chain_map() -> list[str]:
-    # φ sends the point, a cocycle, to e₀, and d e₀ = e₁ in the target.
-    target = filtered(complex_of({0: 1, 1: 1}, {0: [{0: ONE}]}), 0)
-    return identity_in_degree_0(point(), target).check([0])
-
-
-def filtration_dropped() -> list[str]:
-    return identity_in_degree_0(point(1), point(0)).check([0])
 
 
 CASES = {
@@ -159,13 +135,6 @@ CASES = {
         ValueError,
         "pages are defined for r >= 1",
     ),
-    "chain-map-shape": (
-        lambda: FilteredChainMap(point(), point(), lambda n: Matrix(0, 0)).matrix(0),
-        ValueError,
-        "chain map shape mismatch at degree 0",
-    ),
-    "chain-map": (not_a_chain_map, None, ["not a chain map at degree 0"]),
-    "chain-map-filtration": (filtration_dropped, None, ["filtration dropped at degree 0, 0 -> 0"]),
     "relabel": (
         lambda: relabel({(0, 0): 1}, "sideways"),
         ValueError,
